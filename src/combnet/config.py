@@ -8,10 +8,19 @@ Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,25 @@ class NetConfig:
     amplitude_coeffs: tuple = (0.25, 0.25, 0.25, 0.25)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int" and not (_is_int(v) and v >= 1):
+                raise ConfigError(f"{f.name} must be an integer >= 1, got {v!r}")
+            if f.type == "float" and not _is_real(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
+            if f.type == "bool" and not isinstance(v, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {v!r}")
+            if f.type == "tuple" and not (isinstance(v, tuple) and v
+                                          and all(_is_real(e) for e in v)):
+                raise ConfigError(f"{f.name} must be a list of numbers, got {v!r}")
+        if not all(_is_int(d) and d >= 1 for d in self.ladder_dilations):
+            raise ConfigError("ladder_dilations must be integers >= 1")
+        if not all(_is_int(i) for i in self.fingertip_indices):
+            raise ConfigError("fingertip_indices must be integers")
+        if self.bn_eps <= 0:
+            raise ConfigError("bn_eps must be positive")
+        if not 0 <= self.z_min_mm < self.z_max_mm:
+            raise ConfigError("depth range needs 0 <= z_min_mm < z_max_mm")
         if self.input_h % 8 or self.input_w % 8:
             raise ConfigError(
                 f"input resolution {self.input_h}x{self.input_w} must be divisible by 8")

@@ -7,10 +7,10 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
 * :func:`conv2d_packed` — the optimized path: channel-interleaved input,
   packed kernel stack, inner products over channel-contiguous memory.
 
-Dilated convolutions additionally get :func:`comb_dilated_conv`, which splits
-the image into d*d pixel fields, runs a dense convolution per field and
-recombines on output — the dilated result at dense-convolution cost (no
-zero-stuffing work).
+Dilated convolutions additionally get :func:`comb_dilated_conv`, which pads
+the input once and runs a dense convolution over each of the d*d strided
+pixel fields of the padded map — the dilated result at dense-convolution
+cost (no zero-stuffing work).
 
 All kernels accumulate in 64-bit and store 32-bit.  An optional instrumented
 counter records the multiplies/adds the kernels actually execute so that
@@ -19,8 +19,8 @@ analytic MAC/FLOP accounting can be cross-checked exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,7 @@ from .tensor import Layout, PackedWeights, Tensor
 
 __all__ = [
     "Padding", "ConvSpec", "BnParams", "conv2d_ref", "conv2d_packed",
-    "comb_dilated_conv", "split_fields", "merge_fields", "fold_batchnorm",
+    "comb_dilated_conv", "fold_batchnorm",
     "batchnorm_inference", "relu", "upsample_nearest_2x", "mac_count",
     "conv_out_shape", "zero_stuff_kernel", "zero_stuffed_spec", "OpCounter",
     "counting", "add_mults", "add_adds",
@@ -117,7 +117,9 @@ class OpCounter:
         return self.mults + self.adds
 
 
-_active_counter: OpCounter | None = None
+# Context-local, so a counting() block sees only the kernels its own thread
+# (or task) runs, even when threads share a graph.
+_active_counter: ContextVar = ContextVar("combnet_active_counter", default=None)
 
 
 class counting:
@@ -129,56 +131,99 @@ class counting:
     """
 
     def __enter__(self) -> OpCounter:
-        global _active_counter
-        self._prev = _active_counter
-        _active_counter = OpCounter()
-        return _active_counter
+        ops = OpCounter()
+        self._token = _active_counter.set(ops)
+        return ops
 
     def __exit__(self, *exc):
-        global _active_counter
-        _active_counter = self._prev
+        _active_counter.reset(self._token)
         return False
 
 
 def add_mults(n: int):
-    if _active_counter is not None:
-        _active_counter.mults += int(n)
+    ops = _active_counter.get()
+    if ops is not None:
+        ops.mults += int(n)
 
 
 def add_adds(n: int):
-    if _active_counter is not None:
-        _active_counter.adds += int(n)
+    ops = _active_counter.get()
+    if ops is not None:
+        ops.adds += int(n)
+
+
+# ---------------------------------------------------------------------------
+# Shared entry check and store
+# ---------------------------------------------------------------------------
+
+def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
+    """Validate a conv call; return (weights, float32 bias or None).
+    Planar input takes a raw (out_ch, in_ch/groups, kh, kw) array,
+    interleaved input takes PackedWeights."""
+    if x.layout != layout:
+        raise LayoutMismatchError(f"{name} expects a channel-{layout.value} tensor")
+    if len(x.dims) != 3:
+        raise ShapeMismatchError("conv kernels take rank-3 tensors (batch of 1)")
+    if x.channels != spec.in_ch:
+        raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
+    if layout == Layout.CHANNEL_INTERLEAVED:
+        if (w.out_ch, w.in_ch_per_group, w.kh, w.kw) != spec.weight_shape():
+            raise ConfigError(
+                f"packed dims ({w.out_ch},{w.in_ch_per_group},{w.kh},{w.kw}) "
+                f"inconsistent with spec {spec.weight_shape()}")
+        if w.groups != spec.groups:
+            raise ConfigError(f"packed groups={w.groups} != spec groups={spec.groups}")
+    else:
+        w = np.asarray(w, dtype=np.float32)
+        if tuple(w.shape) != spec.weight_shape():
+            raise ShapeMismatchError(
+                f"weight shape {w.shape} != expected {spec.weight_shape()}")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float32)
+        if b.shape != (spec.out_ch,):
+            raise ShapeMismatchError(f"bias shape {b.shape} != ({spec.out_ch},)")
+    return w, b
+
+
+def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
+    """The input in float64 and its own layout, zero-padded by spec.pad()."""
+    ph, pw = spec.pad()
+    if x.layout == Layout.CHANNEL_PLANAR:
+        widths = ((0, 0), (ph, ph), (pw, pw))
+    else:
+        widths = ((ph, ph), (pw, pw), (0, 0))
+    return np.pad(x.view().astype(np.float64), widths)
+
+
+def _out_buffer(x: Tensor, spec: ConvSpec) -> np.ndarray:
+    """Zeroed float64 accumulator for the conv output, in the input's layout."""
+    oh, ow = conv_out_shape(spec, x.height, x.width)
+    if x.layout == Layout.CHANNEL_PLANAR:
+        return np.zeros((spec.out_ch, oh, ow), dtype=np.float64)
+    return np.zeros((oh, ow, spec.out_ch), dtype=np.float64)
+
+
+def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
+    """Add the bias in 64-bit and round the result to a float32 tensor."""
+    planar = layout == Layout.CHANNEL_PLANAR
+    if b is not None:
+        out += b.astype(np.float64).reshape((-1, 1, 1) if planar else (-1,))
+        add_adds(out.size)
+    c, h, w = out.shape if planar else (out.shape[2], out.shape[0], out.shape[1])
+    return Tensor((c, h, w), layout, out.astype(np.float32).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
 # Reference (planar) convolution
 # ---------------------------------------------------------------------------
 
-def _check_weights(w: np.ndarray, spec: ConvSpec):
-    if tuple(w.shape) != spec.weight_shape():
-        raise ShapeMismatchError(
-            f"weight shape {w.shape} != expected {spec.weight_shape()}")
-
-
-def _check_bias(b, spec: ConvSpec):
-    if b is None:
-        return None
-    b = np.asarray(b, dtype=np.float32)
-    if b.shape != (spec.out_ch,):
-        raise ShapeMismatchError(f"bias shape {b.shape} != ({spec.out_ch},)")
-    return b
-
-
-def _conv_planar_core(xc: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                      pads: tuple, out_h: int, out_w: int) -> np.ndarray:
-    """Direct convolution on a (C,H,W) array with explicit asymmetric pads
-    (top, bottom, left, right). Tap loop outside, channel contraction inside;
-    float64 accumulation. Returns (out_ch, out_h, out_w) float64."""
-    pt, pb, pl, pr = pads
+def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec, out: np.ndarray):
+    """Direct VALID convolution of an already padded float64 (C,H,W) array,
+    accumulated into `out` (out_ch, out_h, out_w). Tap loop outside, channel
+    contraction inside."""
+    _, out_h, out_w = out.shape
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
-    xp = np.pad(xc.astype(np.float64), ((0, 0), (pt, pb), (pl, pr)))
-    out = np.zeros((spec.out_ch, out_h, out_w), dtype=np.float64)
     ipg, opg = spec.in_per_group, spec.out_per_group
     for g in range(spec.groups):
         xg = xp[g * ipg:(g + 1) * ipg]
@@ -190,58 +235,35 @@ def _conv_planar_core(xc: np.ndarray, w: np.ndarray, spec: ConvSpec,
                            kx * d: kx * d + (out_w - 1) * s + 1: s]
                 # (opg, ipg) . (ipg, oh, ow) -> (opg, oh, ow)
                 og += np.tensordot(wg[:, :, ky, kx], patch, axes=([1], [0]))
-    add_mults(out_h * out_w * spec.out_ch * ipg * kh * kw)
-    add_adds(out_h * out_w * spec.out_ch * ipg * kh * kw)
-    return out
+    add_mults(out.size * ipg * kh * kw)
+    add_adds(out.size * ipg * kh * kw)
 
 
 def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec) -> Tensor:
     """Reference convolution on a channel-planar tensor (the oracle path)."""
-    if x.layout != Layout.CHANNEL_PLANAR:
-        raise LayoutMismatchError("conv2d_ref expects a channel-planar tensor")
-    if len(x.dims) != 3:
-        raise ShapeMismatchError("conv kernels take rank-3 tensors (batch of 1)")
-    if x.channels != spec.in_ch:
-        raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
-    w = np.asarray(w, dtype=np.float32)
-    _check_weights(w, spec)
-    b = _check_bias(b, spec)
-    ph, pw_ = spec.pad()
-    out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    out = _conv_planar_core(x.view(), w, spec, (ph, ph, pw_, pw_), out_h, out_w)
-    if b is not None:
-        out += b[:, None, None].astype(np.float64)
-        add_adds(out.size)
-    return Tensor.from_array(out.astype(np.float32), Layout.CHANNEL_PLANAR)
+    w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
+    out = _out_buffer(x, spec)
+    _conv_planar_core(_padded(x, spec), w, spec, out)
+    return _store(out, b, x.layout)
 
 
 # ---------------------------------------------------------------------------
 # Optimized (interleaved, packed) convolution
 # ---------------------------------------------------------------------------
 
-def _check_packing(pw: PackedWeights, spec: ConvSpec):
-    if (pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw) != spec.weight_shape():
-        raise ConfigError(
-            f"packed dims ({pw.out_ch},{pw.in_ch_per_group},{pw.kh},{pw.kw}) "
-            f"inconsistent with spec {spec.weight_shape()}")
-    if pw.groups != spec.groups:
-        raise ConfigError(f"packed groups={pw.groups} != spec groups={spec.groups}")
-
-
-def _conv_interleaved_core(xi: np.ndarray, pw: PackedWeights, spec: ConvSpec,
-                           pads: tuple, out_h: int, out_w: int) -> np.ndarray:
-    """Direct convolution on a (H,W,C) array using the packed kernel stack.
+def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
+                           out: np.ndarray):
+    """Direct VALID convolution of an already padded float64 (H,W,C) array
+    using the packed kernel stack, accumulated into `out` (out_h, out_w, out_ch).
 
     Per tap, the contraction runs over the input channels of the group —
     contiguous in interleaved memory — and writes a lane block of output
     channels, which lands contiguously in the interleaved output.  No im2col
-    matrix is ever materialized.  Returns (out_h, out_w, out_ch) float64.
+    matrix is ever materialized.
     """
-    pt, pb, pl, pr = pads
+    out_h, out_w, _ = out.shape
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
-    xp = np.pad(xi.astype(np.float64), ((pt, pb), (pl, pr), (0, 0)))
-    out = np.zeros((out_h, out_w, spec.out_ch), dtype=np.float64)
     ipg, opg = spec.in_per_group, spec.out_per_group
     tap_block = kh * kw * ipg  # packed floats per (group, lane-block, all taps) per lane
     offset = 0
@@ -260,85 +282,31 @@ def _conv_interleaved_core(xi: np.ndarray, pw: PackedWeights, spec: ConvSpec,
                     # (oh, ow, ipg) @ (ipg, lanes) -> (oh, ow, lanes)
                     oblk += patch @ wblk[ky, kx]
             offset += tap_block * lanes
-    add_mults(out_h * out_w * spec.out_ch * ipg * kh * kw)
-    add_adds(out_h * out_w * spec.out_ch * ipg * kh * kw)
-    return out
+    add_mults(out.size * ipg * kh * kw)
+    add_adds(out.size * ipg * kh * kw)
 
 
 def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec) -> Tensor:
     """Optimized convolution: interleaved input, packed weights, interleaved
     output. Numerically matches conv2d_ref within 1e-5 max-abs."""
-    if x.layout != Layout.CHANNEL_INTERLEAVED:
-        raise LayoutMismatchError("conv2d_packed expects a channel-interleaved tensor")
-    if len(x.dims) != 3:
-        raise ShapeMismatchError("conv kernels take rank-3 tensors (batch of 1)")
-    if x.channels != spec.in_ch:
-        raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
-    _check_packing(pw, spec)
-    b = _check_bias(b, spec)
-    ph, pw_pad = spec.pad()
-    out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    out = _conv_interleaved_core(x.view(), pw, spec, (ph, ph, pw_pad, pw_pad),
-                                 out_h, out_w)
-    if b is not None:
-        out += b[None, None, :].astype(np.float64)
-        add_adds(out.size)
-    flat = out.astype(np.float32).reshape(-1)
-    return Tensor((spec.out_ch, out_h, out_w), Layout.CHANNEL_INTERLEAVED, flat)
+    pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED)
+    out = _out_buffer(x, spec)
+    _conv_interleaved_core(_padded(x, spec), pw, spec, out)
+    return _store(out, b, x.layout)
 
 
 # ---------------------------------------------------------------------------
-# Field split/merge and the comb dilated convolution
+# Comb dilated convolution
 # ---------------------------------------------------------------------------
-
-def split_fields(x: Tensor, d: int) -> list:
-    """Partition into d*d fields; field (i,j) holds pixels with
-    row % d == i and col % d == j, ordered row-major by (i,j)."""
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    arr = x.to_array()
-    fields = []
-    for i in range(d):
-        for j in range(d):
-            sub = arr[..., i::d, j::d]
-            if sub.shape[-1] == 0 or sub.shape[-2] == 0:
-                raise ConfigError(f"d={d} exceeds spatial dims {x.dims}")
-            fields.append(Tensor.from_array(np.ascontiguousarray(sub), x.layout))
-    return fields
-
-
-def merge_fields(fields: list, d: int) -> Tensor:
-    """Inverse of split_fields: merge_fields(split_fields(x, d), d) == x."""
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
-    if len(fields) != d * d:
-        raise ShapeMismatchError(f"expected {d * d} fields, got {len(fields)}")
-    layout = fields[0].layout
-    lead = fields[0].dims[:-2]
-    for f in fields:
-        if f.layout != layout or f.dims[:-2] != lead:
-            raise ShapeMismatchError("fields disagree on layout or leading dims")
-    heights = [fields[i * d].height for i in range(d)]
-    widths = [fields[j].width for j in range(d)]
-    H, W = sum(heights), sum(widths)
-    out = np.empty(lead + (H, W), dtype=np.float32)
-    for i in range(d):
-        for j in range(d):
-            f = fields[i * d + j]
-            if f.height != heights[i] or f.width != widths[j]:
-                raise ShapeMismatchError(
-                    f"field ({i},{j}) shape {f.dims} inconsistent with grid")
-            out[..., i::d, j::d] = f.to_array()
-    return Tensor.from_array(out, layout)
-
 
 def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     """Dilated convolution via comb decomposition.
 
-    The image is split into d*d pixel fields; each output field is a *dense*
-    (dilation-1) convolution of one input field with the unmodified kernel,
-    recombined on output.  Executed MACs equal the dilated convolution's
-    theoretical count — no zero-stuffing work.  Stride must be 1.
+    The input is padded once; field (i, j) of the padded map holds the pixels
+    with row % d == i and col % d == j.  Output field (i, j) is the *dense*
+    (dilation-1, VALID) convolution of padded field (i, j) with the unmodified
+    kernel.  Executed MACs equal the dilated convolution's theoretical count —
+    no zero-stuffing work, for any d and any map size.  Stride must be 1.
 
     Accepts either a planar tensor with a raw weight array (reference dense
     kernel per field) or an interleaved tensor with PackedWeights (optimized
@@ -348,72 +316,21 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
     if spec.padding != Padding.SAME:
         raise UnsupportedConfigError("comb decomposition requires Same padding")
-    if len(x.dims) != 3:
-        raise ShapeMismatchError("conv kernels take rank-3 tensors (batch of 1)")
-    if x.channels != spec.in_ch:
-        raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
-
     packed = isinstance(w, PackedWeights)
-    if packed:
-        if x.layout != Layout.CHANNEL_INTERLEAVED:
-            raise LayoutMismatchError("packed comb path expects interleaved input")
-        _check_packing(w, spec)
-    else:
-        if x.layout != Layout.CHANNEL_PLANAR:
-            raise LayoutMismatchError("reference comb path expects planar input")
-        w = np.asarray(w, dtype=np.float32)
-        _check_weights(w, spec)
-    b = _check_bias(b, spec)
+    layout = Layout.CHANNEL_INTERLEAVED if packed else Layout.CHANNEL_PLANAR
+    w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout)
+    core = _conv_interleaved_core if packed else _conv_planar_core
+    lead = () if packed else (slice(None),)  # planar fields keep every channel
 
     d = spec.dilation
-    kh, kw = spec.kernel
-    ph, pw_pad = spec.pad()
-    out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    dense = ConvSpec(spec.in_ch, spec.out_ch, spec.kernel, 1, Padding.VALID,
-                     1, spec.groups, spec.has_bias)
-
-    arr = x.view()  # (C,H,W) planar or (H,W,C) interleaved
-    if packed:
-        full = np.zeros((out_h, out_w, spec.out_ch), dtype=np.float64)
-    else:
-        full = np.zeros((spec.out_ch, out_h, out_w), dtype=np.float64)
-
-    for i in range(min(d, out_h)):
-        n_out_i = -(-(out_h - i) // d)  # ceil
-        i_src = (i - ph) % d
-        pt = (i_src - (i - ph)) // d  # -s_i >= 0
-        for j in range(min(d, out_w)):
-            n_out_j = -(-(out_w - j) // d)
-            j_src = (j - pw_pad) % d
-            pl = (j_src - (j - pw_pad)) // d
-            if packed:
-                field = arr[i_src::d, j_src::d, :]
-                n_in_i, n_in_j = field.shape[0], field.shape[1]
-            else:
-                field = arr[:, i_src::d, j_src::d]
-                n_in_i, n_in_j = field.shape[1], field.shape[2]
-            pb = n_out_i - n_in_i - pt + kh - 1
-            pr = n_out_j - n_in_j - pl + kw - 1
-            oh = n_out_i + max(0, -pb)  # compute extra rows, slice them off
-            ow = n_out_j + max(0, -pr)
-            pads = (pt, max(0, pb), pl, max(0, pr))
-            if packed:
-                sub = _conv_interleaved_core(field, w, dense, pads, oh, ow)
-                full[i::d, j::d, :] = sub[:n_out_i, :n_out_j, :]
-            else:
-                sub = _conv_planar_core(field, w, dense, pads, oh, ow)
-                full[:, i::d, j::d] = sub[:, :n_out_i, :n_out_j]
-
-    if b is not None:
-        if packed:
-            full += b[None, None, :].astype(np.float64)
-        else:
-            full += b[:, None, None].astype(np.float64)
-        add_adds(full.size)
-    if packed:
-        flat = full.astype(np.float32).reshape(-1)
-        return Tensor((spec.out_ch, out_h, out_w), Layout.CHANNEL_INTERLEAVED, flat)
-    return Tensor.from_array(full.astype(np.float32), Layout.CHANNEL_PLANAR)
+    out = _out_buffer(x, spec)
+    xp = _padded(x, spec)
+    dense = replace(spec, padding=Padding.VALID, dilation=1)
+    for i in range(d):
+        for j in range(d):
+            field = lead + (slice(i, None, d), slice(j, None, d))
+            core(xp[field], w, dense, out[field])
+    return _store(out, b, layout)
 
 
 def zero_stuff_kernel(w: np.ndarray, d: int) -> np.ndarray:
@@ -488,8 +405,9 @@ def fold_batchnorm(w: np.ndarray, b, bn: BnParams) -> tuple:
 
 
 def batchnorm_inference(x: Tensor, bn: BnParams) -> Tensor:
-    """Apply BN in inference form (x*s + t per channel)."""
-    s, t = bn.scale_shift()
+    """Apply BN in inference form (x*s + t per channel), computed in 64-bit
+    from the float32 (s, t) that fold_batchnorm uses and rounded once."""
+    s, t = (a.astype(np.float64) for a in bn.scale_shift())
     v = x.view()
     if x.layout == Layout.CHANNEL_PLANAR:
         shape = (-1, 1, 1) if len(x.dims) == 3 else (1, -1, 1, 1)

@@ -1,5 +1,5 @@
-"""Declarative construction of the hand-pose network graph, plus structural
-validation and parameter/FLOP accounting.
+"""Declarative construction of the hand-pose network graph, plus
+configuration validation and parameter/FLOP accounting.
 
 Encoder: three tiers (16/32/64 channels). Tier-1 is a single 3x3 stride-2
 Conv-BN-ReLU. Tier-2 is two 131 bottleneck units (1x1 reduce, 3x3 grouped
@@ -20,7 +20,6 @@ heatmap heads at 1/8, 1/4, 1/2 resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -29,16 +28,10 @@ from .convops import ConvSpec, Padding, conv_out_shape, mac_count
 from .errors import ConfigError
 
 __all__ = [
-    "BlockKind", "BlockSpec", "TierSpec", "Node", "GraphSpec", "build_graph",
+    "Node", "GraphSpec", "build_graph",
     "validate_config", "count_params", "count_flops", "node_param_count",
     "node_flop_count", "ValidationReport", "CountRow",
 ]
-
-
-class BlockKind(Enum):
-    CONV_BN_RELU = "conv_bn_relu"
-    BOTTLENECK_131 = "bottleneck_131"
-    DILATED_BOTTLENECK_RESNET = "dilated_bottleneck_resnet"
 
 
 @dataclass(frozen=True)
@@ -57,35 +50,10 @@ class Node:
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    kind: BlockKind
-    conv_names: tuple
-    dilation: int = 1
-    residual: bool = False
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    name: str
-    blocks: tuple
-
-
-@dataclass(frozen=True)
-class TierSpec:
-    index: int
-    units: tuple
-    out_channels: int
-    downsample_stride: int
-
-
-@dataclass(frozen=True)
 class GraphSpec:
     config: NetConfig
     nodes: tuple
     heads: dict
-    tiers: tuple
-    decoder_stage_convs: tuple
-    aux_decoder_convs: tuple
     inference_names: frozenset
 
     def node(self, name: str) -> Node:
@@ -165,8 +133,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
 
     # --- Tier 1: single conv layer -------------------------------------
     b.conv("t1.conv", "input", ConvSpec(1, c1, (3, 3), stride=2))
-    tier1 = TierSpec(1, (UnitSpec("t1", (BlockSpec(BlockKind.CONV_BN_RELU,
-                                                   ("t1.conv",)),)),), c1, 2)
 
     # --- Tier 2: two 131 units, outputs concatenated --------------------
     u_out = c2 // 2
@@ -177,21 +143,16 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
         b.conv(f"{prefix}.conv", f"{prefix}.reduce",
                ConvSpec(b2, c2, (3, 3), stride=stride, groups=g2))
         b.conv(f"{prefix}.expand", f"{prefix}.conv", ConvSpec(c2, u_out, (1, 1)))
-        return BlockSpec(BlockKind.BOTTLENECK_131,
-                         (f"{prefix}.reduce", f"{prefix}.conv", f"{prefix}.expand"))
 
-    blk_u1 = bottleneck131("t2.u1", "t1.conv", c1, 2)
-    blk_u2 = bottleneck131("t2.u2", "t2.u1.expand", u_out, 1)
+    bottleneck131("t2.u1", "t1.conv", c1, 2)
+    bottleneck131("t2.u2", "t2.u1.expand", u_out, 1)
     b.concat("t2.cat", ("t2.u1.expand", "t2.u2.expand"))
-    tier2 = TierSpec(2, (UnitSpec("t2.u1", (blk_u1,)), UnitSpec("t2.u2", (blk_u2,))), c2, 2)
 
     # --- Tier 3: entry conv + two dilated ladder units -------------------
     b.conv("t3.entry", "t2.cat", ConvSpec(c2, c3, (3, 3), stride=2, groups=g3))
     b3 = cfg.tier3_bottleneck
     src = "t3.entry"
-    units3 = []
     for u in (1, 2):
-        blocks = []
         for k, dil in enumerate(cfg.ladder_dilations, start=1):
             p = f"t3.u{u}.b{k}"
             b.conv(f"{p}.reduce", src, ConvSpec(c3, b3, (1, 1)))
@@ -200,12 +161,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
             b.conv(f"{p}.expand", f"{p}.conv",
                    ConvSpec(b3, c3, (1, 1), groups=g3), act="none")
             b.addition(f"{p}.add", f"{p}.expand", src, act="relu")
-            blocks.append(BlockSpec(BlockKind.DILATED_BOTTLENECK_RESNET,
-                                    (f"{p}.reduce", f"{p}.conv", f"{p}.expand"),
-                                    dilation=dil, residual=True))
             src = f"{p}.add"
-        units3.append(UnitSpec(f"t3.u{u}", tuple(blocks)))
-    tier3 = TierSpec(3, tuple(units3), c3, 2)
     t3_out = src
 
     # --- Decoder: grouped projection + two channel-wise stages -----------
@@ -224,7 +180,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     heads = {"primary": "head.kp", "visibility": "head.vis"}
     inference_names = frozenset(n.name for n in b.nodes)
 
-    aux_decoder = ()
     if cfg.training_heads:
         # deep-supervision heatmap heads at 1/8, 1/4, 1/2 resolution
         b.conv("ds8.head", "dec.proj", ConvSpec(dc, K, (1, 1), has_bias=True),
@@ -241,7 +196,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
         b.conv("aux.s2", "aux.up2", ConvSpec(dc, dc, (3, 3)))
         b.conv("aux.head", "aux.s2", ConvSpec(dc, A, (3, 3), has_bias=True),
                bn=False, act="none")
-        aux_decoder = ("aux.proj", "aux.s1", "aux.s2", "aux.head")
         # per-hand classification heads off the pooled encoder features
         b.linear("head.cho", "head.gap", cfg.hands * cfg.orientation_classes)
         b.linear("head.dhp", "head.gap", cfg.hands * cfg.pose_classes)
@@ -263,8 +217,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
             "ds": ("ds8.head", "ds4.head", "ds2.head"),
         })
 
-    return GraphSpec(cfg, tuple(b.nodes), heads, (tier1, tier2, tier3),
-                     ("dec.s1", "dec.s2"), aux_decoder, inference_names)
+    return GraphSpec(cfg, tuple(b.nodes), heads, inference_names)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +257,11 @@ def validate_config(g: GraphSpec, lane_width: int | None = None) -> ValidationRe
                 f"{node.name}: {fpg} filters/group is not a multiple of {lane} lanes")
 
     cfg = g.config
-    expected = {1: 16, 2: 32, 3: 64}
-    for tier in g.tiers:
-        if tier.out_channels != expected[tier.index]:
+    for tier, expected in ((1, 16), (2, 32), (3, 64)):
+        channels = getattr(cfg, f"tier{tier}_channels")
+        if channels != expected:
             rep.errors.append(
-                f"tier-{tier.index} emits {tier.out_channels} channels, expected "
-                f"{expected[tier.index]}")
+                f"tier-{tier} emits {channels} channels, expected {expected}")
     if cfg.tier2_groups != 4:
         rep.errors.append(f"tier-2 grouping factor is {cfg.tier2_groups}, expected 4")
     if cfg.tier3_groups != 8:
@@ -317,29 +269,6 @@ def validate_config(g: GraphSpec, lane_width: int | None = None) -> ValidationRe
     if tuple(cfg.ladder_dilations) != (1, 2, 3, 4):
         rep.errors.append(
             f"ladder dilations {tuple(cfg.ladder_dilations)} != (1, 2, 3, 4)")
-    # Tier-2 concatenates unit outputs, never the tier input
-    cat = g.node("t2.cat")
-    tier2_input = g.node("t2.u1.reduce").inputs[0]
-    if tier2_input in cat.inputs:
-        rep.errors.append("tier-2 concatenation includes the unit input tensor")
-    def kernel_pattern(blk):
-        return tuple(g.node(n).conv.kernel[0] for n in blk.conv_names)
-
-    for blk in [bl for u in g.tiers[1].units for bl in u.blocks]:
-        if kernel_pattern(blk) != (1, 3, 1):
-            rep.errors.append("tier-2 unit is not a 1-3-1 conv block")
-    for blk in [bl for u in g.tiers[2].units for bl in u.blocks]:
-        if len(blk.conv_names) != 3 or not blk.residual:
-            rep.errors.append("ladder block is not a residual 1-3-1 bottleneck")
-        elif kernel_pattern(blk) != (1, 3, 1):
-            rep.errors.append("ladder block is not a 1-3-1 bottleneck")
-    for name in g.decoder_stage_convs:
-        spec = g.node(name).conv
-        if not (spec.groups == spec.in_ch == spec.out_ch):
-            rep.errors.append(f"decoder conv {name} is not channel-wise")
-    for name in g.aux_decoder_convs:
-        if g.node(name).conv.groups != 1:
-            rep.errors.append(f"aux decoder conv {name} uses grouping")
     return rep
 
 

@@ -81,6 +81,18 @@ def test_count_invalid_config_exit_3(tmp_path):
     assert "config error" in r.stderr
 
 
+@pytest.mark.parametrize("line", ["tier2_groups = 0", "tier3_groups = 0",
+                                  "lane_width = 0", "input_h = -8", "input_h = 128.0"])
+def test_count_out_of_range_config_exit_3(tmp_path, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    r = run_cli("count", "--config", str(bad))
+    assert r.returncode == 3
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("config error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_count_doubled_tier3_heavier(tmp_path):
     big = tmp_path / "big.cfg"
     big.write_text("tier3_channels = 128\ntier3_bottleneck = 64\n")

@@ -107,6 +107,37 @@ def test_tier2_never_concatenates_input(g96):
     assert set(cat.inputs) == {"t2.u1.expand", "t2.u2.expand"}
 
 
+@pytest.mark.parametrize("cfg", [
+    REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96),
+    NetConfig(tier3_bottleneck=48), NetConfig(tier2_groups=8),
+    NetConfig(tier3_channels=128), NetConfig(ladder_dilations=(1, 2, 4, 8))])
+def test_built_graph_structure(cfg):
+    g = build_graph(cfg)
+
+    def kernels(prefix):
+        return [g.node(f"{prefix}.{c}").conv.kernel[0]
+                for c in ("reduce", "conv", "expand")]
+
+    # tier 2: two 1-3-1 units whose outputs, never the tier input, are concatenated
+    assert kernels("t2.u1") == kernels("t2.u2") == [1, 3, 1]
+    assert g.node("t2.cat").inputs == ("t2.u1.expand", "t2.u2.expand")
+    assert g.node("t2.u1.reduce").inputs[0] not in g.node("t2.cat").inputs
+    # tier 3: every ladder block is a residual 1-3-1 bottleneck
+    src = "t3.entry"
+    for u in (1, 2):
+        for k in range(1, len(cfg.ladder_dilations) + 1):
+            p = f"t3.u{u}.b{k}"
+            assert kernels(p) == [1, 3, 1]
+            assert g.node(f"{p}.add").inputs == (f"{p}.expand", src)
+            src = f"{p}.add"
+    # channel-wise decoder stages, ungrouped auxiliary decoder
+    for name in ("dec.s1", "dec.s2"):
+        spec = g.node(name).conv
+        assert spec.groups == spec.in_ch == spec.out_ch
+    for name in ("aux.proj", "aux.s1", "aux.s2", "aux.head"):
+        assert g.node(name).conv.groups == 1
+
+
 # ---------------------------------------------------------------------------
 # accounting
 # ---------------------------------------------------------------------------
