@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import NetConfig
-from .convops import (ConvSpec, Padding, comb_dilated_conv, conv2d_packed,
+from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, counting, mac_count, zero_stuff_kernel,
                       zero_stuffed_spec)
 from .forward import Backend, Mode, forward, prepare_optimized

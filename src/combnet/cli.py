@@ -129,6 +129,10 @@ def cmd_infer(args) -> int:
     image, tf = normalize_input(amplitude, (cfg.input_h, cfg.input_w))
     backend = Backend(args.backend)
     heads = forward(g, ws, image, backend, Mode.INFERENCE_HEADS)
+    for name, arr in (("heatmaps", heads.primary_heatmaps),
+                      ("visibility logits", heads.visibility_logits)):
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"network {name} hold non-finite values; check the weights")
     kps = decode_heatmaps(heads.primary_heatmaps, cfg.conf_threshold,
                           (cfg.input_h, cfg.input_w))
     hands, early_out = gate_visibility(kps, heads.visibility_logits,
@@ -138,7 +142,7 @@ def cmd_infer(args) -> int:
         hands = lift_to_2_5d(hands, depth, cfg.depth_window,
                              (cfg.z_min_mm, cfg.z_max_mm), tf)
     doc = result_document(hands, early_out)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -46,7 +46,7 @@ class NetConfig:
     training_heads: bool = True
     bn_eps: float = 1e-5
     # embedded-backend tuning
-    lane_width: int = 4
+    lane_width: int = 4  # 128-bit vectors of 32-bit reals
     # loss configuration
     fingertip_indices: tuple = (2, 4, 10, 12)  # thumb/index tips, both hands
     orientation_eps: float = 0.1

@@ -128,15 +128,22 @@ class counting:
     with counting() as ops:
         conv2d_ref(...)
     ops.mults  # multiplies executed
+
+    Blocks nest: on exit, an inner block's tally is added to the enclosing
+    block's, so the outer count covers every kernel run inside it.
     """
 
     def __enter__(self) -> OpCounter:
-        ops = OpCounter()
-        self._token = _active_counter.set(ops)
-        return ops
+        self._ops = OpCounter()
+        self._token = _active_counter.set(self._ops)
+        return self._ops
 
     def __exit__(self, *exc):
         _active_counter.reset(self._token)
+        outer = _active_counter.get()
+        if outer is not None:
+            outer.mults += self._ops.mults
+            outer.adds += self._ops.adds
         return False
 
 
@@ -162,11 +169,12 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
     interleaved input takes PackedWeights."""
     if x.layout != layout:
         raise LayoutMismatchError(f"{name} expects a channel-{layout.value} tensor")
-    if len(x.dims) != 3:
-        raise ShapeMismatchError("conv kernels take rank-3 tensors (batch of 1)")
     if x.channels != spec.in_ch:
         raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
     if layout == Layout.CHANNEL_INTERLEAVED:
+        if not isinstance(w, PackedWeights):
+            raise ConfigError(f"{name} on interleaved input takes PackedWeights, "
+                              f"got {type(w).__name__}")
         if (w.out_ch, w.in_ch_per_group, w.kh, w.kw) != spec.weight_shape():
             raise ConfigError(
                 f"packed dims ({w.out_ch},{w.in_ch_per_group},{w.kh},{w.kw}) "
@@ -188,29 +196,21 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
 def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
     """The input in float64 and its own layout, zero-padded by spec.pad()."""
     ph, pw = spec.pad()
-    if x.layout == Layout.CHANNEL_PLANAR:
-        widths = ((0, 0), (ph, ph), (pw, pw))
-    else:
-        widths = ((ph, ph), (pw, pw), (0, 0))
-    return np.pad(x.view().astype(np.float64), widths)
+    return np.pad(x.view().astype(np.float64), x.layout.order((0, 0), (ph, ph), (pw, pw)))
 
 
 def _out_buffer(x: Tensor, spec: ConvSpec) -> np.ndarray:
     """Zeroed float64 accumulator for the conv output, in the input's layout."""
     oh, ow = conv_out_shape(spec, x.height, x.width)
-    if x.layout == Layout.CHANNEL_PLANAR:
-        return np.zeros((spec.out_ch, oh, ow), dtype=np.float64)
-    return np.zeros((oh, ow, spec.out_ch), dtype=np.float64)
+    return np.zeros(x.layout.order(spec.out_ch, oh, ow), dtype=np.float64)
 
 
 def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
     """Add the bias in 64-bit and round the result to a float32 tensor."""
-    planar = layout == Layout.CHANNEL_PLANAR
     if b is not None:
-        out += b.astype(np.float64).reshape((-1, 1, 1) if planar else (-1,))
+        out += b.astype(np.float64).reshape(layout.order(-1, 1, 1))
         add_adds(out.size)
-    c, h, w = out.shape if planar else (out.shape[2], out.shape[0], out.shape[1])
-    return Tensor((c, h, w), layout, out.astype(np.float32).reshape(-1))
+    return Tensor.from_view(out, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +265,17 @@ def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
     ipg, opg = spec.in_per_group, spec.out_per_group
-    tap_block = kh * kw * ipg  # packed floats per (group, lane-block, all taps) per lane
-    offset = 0
-    for g in range(spec.groups):
+    for oc0, wblk in pw.blocks():
+        g = oc0 // opg
         xg = xp[:, :, g * ipg:(g + 1) * ipg]
-        for start, lanes in pw.lane_blocks():
-            # packed slice laid out (ky, kx, ci, lane)
-            wblk = pw.data[offset: offset + tap_block * lanes]
-            wblk = wblk.reshape(kh, kw, ipg, lanes).astype(np.float64)
-            oc0 = g * opg + start
-            oblk = out[:, :, oc0: oc0 + lanes]
-            for ky in range(kh):
-                for kx in range(kw):
-                    patch = xg[ky * d: ky * d + (out_h - 1) * s + 1: s,
-                               kx * d: kx * d + (out_w - 1) * s + 1: s]
-                    # (oh, ow, ipg) @ (ipg, lanes) -> (oh, ow, lanes)
-                    oblk += patch @ wblk[ky, kx]
-            offset += tap_block * lanes
+        wblk = wblk.astype(np.float64)  # (ky, kx, ci, lane)
+        oblk = out[:, :, oc0: oc0 + wblk.shape[-1]]
+        for ky in range(kh):
+            for kx in range(kw):
+                patch = xg[ky * d: ky * d + (out_h - 1) * s + 1: s,
+                           kx * d: kx * d + (out_w - 1) * s + 1: s]
+                # (oh, ow, ipg) @ (ipg, lanes) -> (oh, ow, lanes)
+                oblk += patch @ wblk[ky, kx]
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
 
@@ -320,7 +314,6 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     layout = Layout.CHANNEL_INTERLEAVED if packed else Layout.CHANNEL_PLANAR
     w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout)
     core = _conv_interleaved_core if packed else _conv_planar_core
-    lead = () if packed else (slice(None),)  # planar fields keep every channel
 
     d = spec.dilation
     out = _out_buffer(x, spec)
@@ -328,7 +321,7 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     dense = replace(spec, padding=Padding.VALID, dilation=1)
     for i in range(d):
         for j in range(d):
-            field = lead + (slice(i, None, d), slice(j, None, d))
+            field = layout.order(slice(None), slice(i, None, d), slice(j, None, d))
             core(xp[field], w, dense, out[field])
     return _store(out, b, layout)
 
@@ -408,15 +401,11 @@ def batchnorm_inference(x: Tensor, bn: BnParams) -> Tensor:
     """Apply BN in inference form (x*s + t per channel), computed in 64-bit
     from the float32 (s, t) that fold_batchnorm uses and rounded once."""
     s, t = (a.astype(np.float64) for a in bn.scale_shift())
-    v = x.view()
-    if x.layout == Layout.CHANNEL_PLANAR:
-        shape = (-1, 1, 1) if len(x.dims) == 3 else (1, -1, 1, 1)
-        out = v * s.reshape(shape) + t.reshape(shape)
-    else:
-        out = v * s + t  # channels are the trailing axis
+    shape = x.layout.order(-1, 1, 1)
+    out = x.view() * s.reshape(shape) + t.reshape(shape)
     add_mults(out.size)
     add_adds(out.size)
-    return Tensor(x.dims, x.layout, out.astype(np.float32).reshape(-1))
+    return Tensor.from_view(out, x.layout)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -426,12 +415,6 @@ def relu(x: Tensor) -> Tensor:
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
     """2x nearest-neighbor spatial replication; channel count preserved."""
-    v = x.view()
-    if x.layout == Layout.CHANNEL_PLANAR:
-        out = v.repeat(2, axis=-2).repeat(2, axis=-1)
-        dims = x.dims[:-2] + (x.height * 2, x.width * 2)
-        return Tensor(dims, x.layout, out.reshape(-1).copy())
-    axes_h = len(v.shape) - 3  # (H,W,C) or (N,H,W,C)
-    out = v.repeat(2, axis=axes_h).repeat(2, axis=axes_h + 1)
-    dims = x.dims[:-2] + (x.height * 2, x.width * 2)
-    return Tensor(dims, x.layout, out.reshape(-1).copy())
+    _, h_axis, w_axis = x.layout.chw_axes
+    out = x.view().repeat(2, axis=h_axis).repeat(2, axis=w_axis)
+    return Tensor.from_view(out, x.layout)

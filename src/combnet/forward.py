@@ -19,7 +19,7 @@ from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_con
                       upsample_nearest_2x)
 from .errors import ShapeMismatchError
 from .graph import GraphSpec
-from .tensor import Layout, PackedWeights, Tensor, pack_kernels, to_interleaved, to_planar
+from .tensor import Layout, Tensor, pack_kernels, to_interleaved
 from .weights import WeightStore, validate_weights
 
 
@@ -46,10 +46,10 @@ class HeadsOutput:
     deep_supervision: tuple | None = None   # 3 maps at 1/8, 1/4, 1/2
 
 
-def prepare_optimized(g: GraphSpec, ws: WeightStore, lane_width: int | None = None):
-    """Fold BN and pack every conv's kernel stack for the optimized backend.
+def prepare_optimized(g: GraphSpec, ws: WeightStore):
+    """Fold BN and pack every conv's kernel stack, at the config's lane width,
+    for the optimized backend.
     Returns {conv_name: (PackedWeights, folded_bias)} — reusable across calls."""
-    lane = g.config.lane_width if lane_width is None else lane_width
     prep = {}
     for node in g.nodes:
         if node.kind != "conv":
@@ -59,7 +59,7 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore, lane_width: int | None = No
         bias = ws.get(node.name + ".b") if s.has_bias else None
         if node.bn:
             w, bias = fold_batchnorm(w, bias, ws.bn(node.name, g.config.bn_eps))
-        prep[node.name] = (pack_kernels(w, s.groups, lane), bias)
+        prep[node.name] = (pack_kernels(w, s.groups, g.config.lane_width), bias)
     return prep
 
 
@@ -83,18 +83,12 @@ def _needed(g: GraphSpec, mode: Mode) -> set:
 
 
 def _concat(tensors, layout: Layout) -> Tensor:
-    c = sum(t.channels for t in tensors)
-    h, w = tensors[0].height, tensors[0].width
-    if layout == Layout.CHANNEL_PLANAR:
-        data = np.concatenate([t.view() for t in tensors], axis=0)
-    else:
-        data = np.concatenate([t.view() for t in tensors], axis=2)
-    return Tensor((c, h, w), layout, data.reshape(-1).copy())
+    data = np.concatenate([t.view() for t in tensors], axis=layout.chw_axes[0])
+    return Tensor.from_view(data, layout)
 
 
 def _gap(t: Tensor) -> np.ndarray:
-    v = t.view().astype(np.float64)
-    pooled = v.mean(axis=(1, 2)) if t.layout == Layout.CHANNEL_PLANAR else v.mean(axis=(0, 1))
+    pooled = t.view().astype(np.float64).mean(axis=t.layout.chw_axes[1:])
     add_adds(t.channels * t.height * t.width)
     add_mults(t.channels)
     return pooled.astype(np.float32)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import NetConfig
-from .convops import ConvSpec, Padding, conv_out_shape, mac_count
+from .convops import ConvSpec, conv_out_shape
 from .errors import ConfigError
 
 __all__ = [
@@ -234,7 +234,7 @@ class ValidationReport:
         return not self.errors
 
 
-def validate_config(g: GraphSpec, lane_width: int | None = None) -> ValidationReport:
+def validate_config(g: GraphSpec) -> ValidationReport:
     """Report lane-alignment warnings and architecture-invariant violations.
     Never raises; the caller decides what is fatal.
 
@@ -243,7 +243,7 @@ def validate_config(g: GraphSpec, lane_width: int | None = None) -> ValidationRe
     registers.  Channel-wise convs (one filter per group) are exempt — they
     can never satisfy the rule and the decoder ships that way regardless.
     """
-    lane = g.config.lane_width if lane_width is None else lane_width
+    lane = g.config.lane_width
     rep = ValidationReport()
     for node in g.nodes:
         if node.kind != "conv" or node.name not in g.inference_names:

@@ -13,7 +13,7 @@ keypoints are masked out; per-hand losses average only over present hands.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

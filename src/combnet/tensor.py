@@ -1,4 +1,4 @@
-"""Dense rank-3/4 tensors with two memory layouts, plus the kernel-stack
+"""Dense rank-3 tensors with two memory layouts, plus the kernel-stack
 packing used by the optimized convolution backend.
 
 Layouts (row-major over the listed axis order):
@@ -6,13 +6,15 @@ Layouts (row-major over the listed axis order):
 * channel-planar:      (C, H, W)   flat index ((c*H) + y)*W + x
 * channel-interleaved: (H, W, C)   flat index ((y*W) + x)*C + c
 
-Rank-4 tensors prepend a batch axis: (N, C, H, W) / (N, H, W, C). Both
-formulas are what ``numpy.reshape`` gives for the respective axis order, so
-layout transforms are plain transposes.
+Both formulas are what ``numpy.reshape`` gives for the respective axis order,
+so layout transforms are plain transposes. This module is the only place that
+knows the two axis orders and the packing order; other modules go through
+:class:`Layout`, :class:`Tensor` and :class:`PackedWeights`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,8 +24,25 @@ from .errors import ConfigError, LayoutMismatchError, ShapeMismatchError
 
 
 class Layout(Enum):
-    CHANNEL_PLANAR = "planar"
-    CHANNEL_INTERLEAVED = "interleaved"
+    """A storage axis order. `storage_axes` lists the (C, H, W) axes in
+    storage order, so a CHW array transposed by it is the stored array;
+    `chw_axes` lists the storage axes that hold C, H and W, so a stored array
+    transposed by it is the CHW array."""
+
+    CHANNEL_PLANAR = ("planar", (0, 1, 2), (0, 1, 2))            # (C, H, W)
+    CHANNEL_INTERLEAVED = ("interleaved", (1, 2, 0), (2, 0, 1))  # (H, W, C)
+
+    def __new__(cls, value: str, storage_axes: tuple, chw_axes: tuple):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.storage_axes = storage_axes
+        member.chw_axes = chw_axes
+        return member
+
+    def order(self, c, h, w) -> tuple:
+        """Per-axis items given in (C, H, W) order, put in storage order."""
+        chw = (c, h, w)
+        return tuple([chw[a] for a in self.storage_axes])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -37,16 +56,16 @@ class Tensor:
     """Immutable dense tensor. ``data`` is flat float32, row-major within the
     declared layout; values are safely shareable across threads."""
 
-    dims: tuple  # (C, H, W) or (N, C, H, W), independent of layout
+    dims: tuple  # (C, H, W), independent of layout
     layout: Layout
     data: np.ndarray
 
     def __post_init__(self):
-        if len(self.dims) not in (3, 4):
-            raise ShapeMismatchError(f"rank must be 3 or 4, got dims={self.dims}")
+        if len(self.dims) != 3:
+            raise ShapeMismatchError(f"rank must be 3, got dims={self.dims}")
         if any(d < 1 for d in self.dims):
             raise ShapeMismatchError(f"all dims must be >= 1, got {self.dims}")
-        n = int(np.prod(self.dims))
+        n = math.prod(self.dims)
         if self.data.ndim != 1 or self.data.size != n:
             raise ShapeMismatchError(
                 f"data length {self.data.size} != product of dims {self.dims}"
@@ -57,67 +76,50 @@ class Tensor:
 
     @staticmethod
     def from_array(arr: np.ndarray, layout: Layout = Layout.CHANNEL_PLANAR) -> "Tensor":
-        """Build from a (C,H,W) or (N,C,H,W) array, storing in `layout`."""
+        """Build from a (C,H,W) array, storing in `layout`."""
         arr = np.asarray(arr, dtype=np.float32)
-        if arr.ndim not in (3, 4):
-            raise ShapeMismatchError(f"expected rank 3 or 4, got {arr.ndim}")
-        dims = arr.shape
-        if layout == Layout.CHANNEL_PLANAR:
-            flat = arr.reshape(-1)
-        else:
-            axes = (1, 2, 0) if arr.ndim == 3 else (0, 2, 3, 1)
-            flat = arr.transpose(axes).reshape(-1)
-        return Tensor(tuple(int(d) for d in dims), layout, flat.copy())
+        if arr.ndim != 3:
+            raise ShapeMismatchError(f"expected rank 3, got {arr.ndim}")
+        dims = tuple(int(d) for d in arr.shape)
+        return Tensor(dims, layout, arr.transpose(layout.storage_axes).flatten())
+
+    @staticmethod
+    def from_view(v: np.ndarray, layout: Layout) -> "Tensor":
+        """Inverse of :meth:`view`: the tensor stored as `v`, rounded to float32."""
+        dims = tuple([v.shape[a] for a in layout.chw_axes])
+        return Tensor(dims, layout, v.astype(np.float32).reshape(-1))
 
     # -- shape helpers -----------------------------------------------------
 
     @property
     def channels(self) -> int:
-        return self.dims[-3]
+        return self.dims[0]
 
     @property
     def height(self) -> int:
-        return self.dims[-2]
+        return self.dims[1]
 
     @property
     def width(self) -> int:
-        return self.dims[-1]
-
-    def storage_shape(self) -> tuple:
-        """Shape of the data when reshaped in its native layout order."""
-        if self.layout == Layout.CHANNEL_PLANAR:
-            return self.dims
-        if len(self.dims) == 3:
-            c, h, w = self.dims
-            return (h, w, c)
-        n, c, h, w = self.dims
-        return (n, h, w, c)
+        return self.dims[2]
 
     def view(self) -> np.ndarray:
         """Zero-copy view in the native layout order (CHW or HWC)."""
-        return self.data.reshape(self.storage_shape())
+        return self.data.reshape(self.layout.order(*self.dims))
 
     def to_array(self) -> np.ndarray:
-        """(C,H,W) / (N,C,H,W) array regardless of layout (copies if needed)."""
-        v = self.view()
-        if self.layout == Layout.CHANNEL_PLANAR:
-            return v
-        axes = (2, 0, 1) if len(self.dims) == 3 else (0, 3, 1, 2)
-        return np.ascontiguousarray(v.transpose(axes))
+        """(C,H,W) array regardless of layout (copies if needed)."""
+        return np.ascontiguousarray(self.view().transpose(self.layout.chw_axes))
 
-    def at(self, c: int, y: int, x: int, n: int = 0) -> float:
+    def at(self, c: int, y: int, x: int) -> float:
         """Read one element via the explicit flat-index formula."""
-        if len(self.dims) == 3:
-            nn, (C, H, W) = 0, self.dims
-        else:
-            (N, C, H, W) = self.dims
-            nn = n
+        C, H, W = self.dims
         if not (0 <= c < C and 0 <= y < H and 0 <= x < W):
             raise ShapeMismatchError(f"index ({c},{y},{x}) out of bounds for {self.dims}")
         if self.layout == Layout.CHANNEL_PLANAR:
-            idx = ((nn * C + c) * H + y) * W + x
+            idx = (c * H + y) * W + x
         else:
-            idx = ((nn * H + y) * W + x) * C + c
+            idx = (y * W + x) * C + c
         return float(self.data[idx])
 
 
@@ -125,26 +127,19 @@ def to_interleaved(t: Tensor) -> Tensor:
     """Planar -> interleaved; element (c,y,x) preserved, layout flag flipped."""
     if t.layout != Layout.CHANNEL_PLANAR:
         raise LayoutMismatchError("to_interleaved expects a channel-planar tensor")
-    v = t.view()
-    axes = (1, 2, 0) if len(t.dims) == 3 else (0, 2, 3, 1)
-    return Tensor(t.dims, Layout.CHANNEL_INTERLEAVED, v.transpose(axes).reshape(-1).copy())
+    return Tensor.from_array(t.view(), Layout.CHANNEL_INTERLEAVED)
 
 
 def to_planar(t: Tensor) -> Tensor:
     """Interleaved -> planar; exact inverse of :func:`to_interleaved`."""
     if t.layout != Layout.CHANNEL_INTERLEAVED:
         raise LayoutMismatchError("to_planar expects a channel-interleaved tensor")
-    v = t.view()
-    axes = (2, 0, 1) if len(t.dims) == 3 else (0, 3, 1, 2)
-    return Tensor(t.dims, Layout.CHANNEL_PLANAR, v.transpose(axes).reshape(-1).copy())
+    return Tensor.from_array(t.to_array())
 
 
 # ---------------------------------------------------------------------------
 # Kernel packing
 # ---------------------------------------------------------------------------
-
-DEFAULT_LANE_WIDTH = 4  # 128-bit vectors of 32-bit reals
-
 
 @dataclass(frozen=True)
 class PackedWeights:
@@ -165,41 +160,43 @@ class PackedWeights:
     groups: int
     lane_width: int
     data: np.ndarray = field(repr=False)
-    alignment_warning: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data))
 
-    def lane_blocks(self):
-        """Yield (block_start, block_lanes) within one group."""
+    @property
+    def alignment_warning(self) -> bool:
+        return (self.out_ch // self.groups) % self.lane_width != 0
+
+    def blocks(self):
+        """Yield (first output channel, (kh, kw, in_ch_per_group, lanes) view
+        of data) for every lane block, in packed order."""
         opg = self.out_ch // self.groups
-        start = 0
-        while start < opg:
-            yield start, min(self.lane_width, opg - start)
-            start += self.lane_width
+        taps = self.kh * self.kw * self.in_ch_per_group
+        pos = 0
+        for g in range(self.groups):
+            for start in range(0, opg, self.lane_width):
+                lanes = min(self.lane_width, opg - start)
+                yield g * opg + start, self.data[pos:pos + taps * lanes].reshape(
+                    self.kh, self.kw, self.in_ch_per_group, lanes)
+                pos += taps * lanes
 
 
 def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
-    """Flat source indices of w[(oc, ci, ky, kx)] in packed order."""
+    """Flat source indices of w[(oc, ci, ky, kx)] in packed order: the index
+    grid (group, oc, ci, ky, kx) with oc padded to whole lane blocks by -1,
+    transposed to (group, block, ky, kx, ci, lane), with the pad dropped."""
     opg = out_ch // groups
-    perm = np.empty(out_ch * ipg * kh * kw, dtype=np.int64)
-    pos = 0
-    for g in range(groups):
-        start = 0
-        while start < opg:
-            lanes = min(lane_width, opg - start)
-            for ky in range(kh):
-                for kx in range(kw):
-                    for ci in range(ipg):
-                        for o in range(lanes):
-                            oc = g * opg + start + o
-                            perm[pos] = ((oc * ipg + ci) * kh + ky) * kw + kx
-                            pos += 1
-            start += lane_width
-    return perm
+    blocks = -(-opg // lane_width)
+    idx = np.arange(out_ch * ipg * kh * kw).reshape(groups, opg, ipg, kh, kw)
+    idx = np.pad(idx, ((0, 0), (0, blocks * lane_width - opg), (0, 0), (0, 0), (0, 0)),
+                 constant_values=-1)
+    idx = idx.reshape(groups, blocks, lane_width, ipg, kh, kw).transpose(0, 1, 4, 5, 3, 2)
+    idx = idx.reshape(-1)
+    return idx[idx >= 0]
 
 
-def pack_kernels(w: np.ndarray, groups: int, lane_width: int = DEFAULT_LANE_WIDTH) -> PackedWeights:
+def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
     """Reorder a (out_ch, in_ch_per_group, kh, kw) weight array for the
     optimized backend. Pure permutation: no values created or destroyed."""
     w = np.asarray(w, dtype=np.float32)
@@ -211,9 +208,7 @@ def pack_kernels(w: np.ndarray, groups: int, lane_width: int = DEFAULT_LANE_WIDT
     if lane_width < 1:
         raise ConfigError(f"lane_width must be positive, got {lane_width}")
     perm = _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width)
-    packed = w.reshape(-1)[perm]
-    warn = (out_ch // groups) % lane_width != 0
-    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, packed, warn)
+    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, w.reshape(-1)[perm])
 
 
 def unpack_kernels(pw: PackedWeights) -> np.ndarray:

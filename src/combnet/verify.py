@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NetConfig
+from .config import REFERENCE_CONFIG, NetConfig
 from .convops import (ConvSpec, Padding, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, fold_batchnorm, BnParams, batchnorm_inference)
 from .forward import Backend, Mode, forward
@@ -65,11 +65,10 @@ def _random_conv_case(rng, stride_one=False):
     return spec, x, wts, b
 
 
-def conv_oracle_suite(seed: int, cases: int = 100, lane_width: int = 4,
-                      perturb_packed=None) -> list:
+def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
     """conv2d_packed and comb_dilated_conv vs conv2d_ref over randomized
-    specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2.
-    `perturb_packed` is a fault-injection hook used to prove the suite
+    specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2, packed at
+    the reference config's lane width. `perturb_packed` is a fault-injection hook used to prove the suite
     detects real deviations."""
     rng = np.random.default_rng(seed)
     packed_dev, comb_dev = 0.0, 0.0
@@ -77,7 +76,7 @@ def conv_oracle_suite(seed: int, cases: int = 100, lane_width: int = 4,
     for _ in range(cases):
         spec, x, w, b = _random_conv_case(rng)
         ref = conv2d_ref(Tensor.from_array(x), w, b, spec).to_array()
-        pw = pack_kernels(w, spec.groups, lane_width)
+        pw = pack_kernels(w, spec.groups, REFERENCE_CONFIG.lane_width)
         if perturb_packed is not None:
             pw = perturb_packed(pw)
         got = to_planar(conv2d_packed(to_interleaved(Tensor.from_array(x)),

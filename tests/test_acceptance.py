@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from combnet.config import REFERENCE_CONFIG, NetConfig
 from combnet.convops import (ConvSpec, comb_dilated_conv, conv2d_ref, counting,

@@ -132,7 +132,7 @@ def test_verify_detects_injected_fault():
         data = pw.data.copy()
         data[0] += 1e-2
         return PackedWeights(pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw,
-                             pw.groups, pw.lane_width, data, pw.alignment_warning)
+                             pw.groups, pw.lane_width, data)
 
     results = conv_oracle_suite(5, cases=10, perturb_packed=perturb)
     packed = next(r for r in results if "packed" in r.name)
@@ -221,6 +221,29 @@ def test_infer_crafted_early_out(small_cfg, infer_inputs, tmp_path):
     doc = json.loads(r.stdout)
     assert doc["early_out"] is True
     assert all(not h["present"] for h in doc["hands"])
+
+
+@pytest.mark.parametrize("entry", ["head.kp.b", "head.vis.b"])
+def test_infer_non_finite_output_exit_2(small_cfg, infer_inputs, tmp_path, entry):
+    # a NaN bias makes that head non-finite: neither NaN in the JSON nor a
+    # silent early-out, but one input-error line and no output
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 7)
+    bias = ws.get(entry).copy()
+    bias[0] = np.nan
+    ws.set(entry, bias)
+    wpath = tmp_path / "nan.cnwb"
+    save_weights(ws, wpath)
+    args = ("infer", "--config", small_cfg, "--weights", str(wpath),
+            "--amplitude", str(infer_inputs / "amp.pgm"),
+            "--depth", str(infer_inputs / "depth.pgm"))
+    out = tmp_path / "result.json"
+    for r in (run_cli(*args), run_cli(*args, "--out", str(out))):
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stderr.startswith("input error: ")
+    assert not out.exists()
 
 
 def test_infer_missing_depth_no_partial_output(small_cfg, infer_inputs, tmp_path):

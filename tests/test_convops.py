@@ -6,7 +6,7 @@ from scipy import signal
 
 from combnet.convops import (BnParams, ConvSpec, Padding, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
-                             conv_out_shape, counting, fold_batchnorm,
+                             counting, fold_batchnorm,
                              mac_count, relu, upsample_nearest_2x,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import ConfigError, ShapeMismatchError, UnsupportedConfigError
@@ -156,10 +156,17 @@ def test_packed_zero_input_broadcasts_bias():
 
 def test_packed_rejects_inconsistent_packing():
     spec = ConvSpec(4, 4, (3, 3), groups=2)
-    pw = pack_kernels(np.zeros((4, 2, 3, 3), np.float32), groups=4)
+    pw = pack_kernels(np.zeros((4, 2, 3, 3), np.float32), groups=4, lane_width=4)
     x = to_interleaved(Tensor.from_array(np.zeros((4, 5, 5), np.float32)))
     with pytest.raises(ConfigError):
         conv2d_packed(x, pw, None, spec)
+
+
+def test_packed_rejects_raw_weight_array():
+    spec = ConvSpec(4, 4, (3, 3))
+    x = to_interleaved(Tensor.from_array(np.zeros((4, 5, 5), np.float32)))
+    with pytest.raises(ConfigError):
+        conv2d_packed(x, np.zeros(spec.weight_shape(), np.float32), None, spec)
 
 
 def test_conv_linearity_zero_bias():
@@ -359,3 +366,15 @@ def test_counting_ignores_other_threads():
         assert not worker.is_alive()
         conv2d_ref(x, w, None, spec)
     assert ops.mults == mac_count(spec, 16, 16) == 9_216
+
+
+def test_counting_blocks_nest_and_add_up():
+    rng = np.random.default_rng(15)
+    spec = ConvSpec(2, 2, (3, 3))
+    x = Tensor.from_array(rng.standard_normal((2, 16, 16)).astype(np.float32))
+    w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    with counting() as outer:
+        with counting() as inner:
+            conv2d_ref(x, w, None, spec)
+    assert outer.mults == inner.mults == mac_count(spec, 16, 16)
+    assert outer.adds == inner.adds

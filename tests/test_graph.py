@@ -70,7 +70,7 @@ def test_group_inconsistency_rejected():
 # ---------------------------------------------------------------------------
 
 def test_reference_config_has_zero_warnings():
-    rep = validate_config(build_graph(REFERENCE_CONFIG), lane_width=4)
+    rep = validate_config(build_graph(REFERENCE_CONFIG))
     assert rep.warnings == []
     assert rep.errors == []
 
@@ -78,13 +78,13 @@ def test_reference_config_has_zero_warnings():
 def test_six_filters_per_group_warns():
     # ladder 3x3 convs get 48/8 = 6 filters/group
     g = build_graph(NetConfig(tier3_bottleneck=48))
-    rep = validate_config(g, lane_width=4)
+    rep = validate_config(g)
     assert len(rep.warnings) == 8
     assert all("6 filters/group" in w for w in rep.warnings)
 
 
 def test_channelwise_convs_exempt_from_lane_warning():
-    rep = validate_config(build_graph(REFERENCE_CONFIG), lane_width=16)
+    rep = validate_config(build_graph(NetConfig(lane_width=16)))
     # decoder/stage/head convs are channel-wise (1 filter/group): never warned
     assert not any("dec." in w or "head.kp" in w for w in rep.warnings)
 

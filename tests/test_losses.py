@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from combnet.errors import ConfigError, InputError, ShapeMismatchError
-from combnet.losses import (FrameTargets, KeypointTarget, LossBundle,
+from combnet.losses import (KeypointTarget, LossBundle,
                             LOSS_WEIGHTS, aux_keypoint_ce, deep_supervision_loss,
                             handpose_ce, keypoint_ce, load_frame_targets,
                             orientation_ce_soft, parse_frame_targets, seg_ce,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combnet.errors import ConfigError, LayoutMismatchError, ShapeMismatchError
-from combnet.tensor import (Layout, PackedWeights, Tensor, pack_kernels,
+from combnet.tensor import (Layout, Tensor, pack_kernels,
                             to_interleaved, to_planar, unpack_kernels)
 
 
@@ -54,10 +54,11 @@ def test_roundtrip_identity(c, h, w, seed):
     assert back.layout == t.layout
 
 
-def test_roundtrip_rank4():
-    rng = np.random.default_rng(0)
-    t = Tensor.from_array(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
-    assert np.array_equal(to_planar(to_interleaved(t)).data, t.data)
+def test_rank4_rejected():
+    with pytest.raises(ShapeMismatchError):
+        Tensor.from_array(np.zeros((2, 3, 4, 5), np.float32))
+    with pytest.raises(ShapeMismatchError):
+        Tensor((2, 3, 4, 5), Layout.CHANNEL_PLANAR, np.zeros(120, np.float32))
 
 
 def test_index_formula_matches_transform():
@@ -83,6 +84,20 @@ def test_tensor_data_is_immutable():
 # kernel packing
 # ---------------------------------------------------------------------------
 
+def test_pack_6x1x1x2_example():
+    # 3 filters per group at 2 lanes: a full block, then a ragged one, per group
+    w = np.arange(12, dtype=np.float32).reshape(6, 1, 1, 2)  # w[oc, 0, 0, kx] = 2*oc + kx
+    pw = pack_kernels(w, groups=2, lane_width=2)
+    assert pw.data.tolist() == [0, 2, 1, 3, 4, 5, 6, 8, 7, 9, 10, 11]
+    # (first output channel, (kh, kw, ipg, lanes) block) in packed order
+    assert [(oc0, blk.tolist()) for oc0, blk in pw.blocks()] == [
+        (0, [[[[0, 2]], [[1, 3]]]]),
+        (2, [[[[4]], [[5]]]]),
+        (3, [[[[6, 8]], [[7, 9]]]]),
+        (5, [[[[10]], [[11]]]]),
+    ]
+
+
 def test_pack_channelwise_is_permutation():
     rng = np.random.default_rng(1)
     w = rng.standard_normal((8, 1, 3, 3)).astype(np.float32)
@@ -98,6 +113,17 @@ def test_pack_alignment_warning():
     assert not pack_kernels(np.zeros((8, 2, 1, 1), np.float32), 2, 4).alignment_warning
 
 
+def _loop_packed_order(w, groups, lane):
+    """Reference: the packing order (group, lane block, ky, kx, ci, lane)
+    spelled out as nested loops."""
+    out_ch, ipg, kh, kw = w.shape
+    opg = out_ch // groups
+    return np.array([w[g * opg + start + o, ci, ky, kx]
+                     for g in range(groups) for start in range(0, opg, lane)
+                     for ky in range(kh) for kx in range(kw) for ci in range(ipg)
+                     for o in range(min(lane, opg - start))], np.float32)
+
+
 @settings(max_examples=40)
 @given(groups=st.sampled_from([1, 2, 4]), mult=st.integers(1, 3),
        ipg=st.integers(1, 4), k=st.sampled_from([1, 3]),
@@ -106,11 +132,16 @@ def test_pack_unpack_roundtrip(groups, mult, ipg, k, lane, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((groups * mult, ipg, k, k)).astype(np.float32)
     pw = pack_kernels(w, groups, lane)
+    assert np.array_equal(pw.data, _loop_packed_order(w, groups, lane))
     assert np.array_equal(unpack_kernels(pw), w)
+    # the blocks tile the packed data in order, one per lane block of each group
+    starts, blocks = zip(*pw.blocks())
+    assert np.array_equal(np.concatenate([b.reshape(-1) for b in blocks]), pw.data)
+    assert list(starts) == [g * mult + s for g in range(groups) for s in range(0, mult, lane)]
     # multiset of values preserved for every (groups, lane_width)
     assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
 
 
 def test_pack_rejects_bad_groups():
     with pytest.raises(ConfigError):
-        pack_kernels(np.zeros((6, 1, 3, 3), np.float32), groups=4)
+        pack_kernels(np.zeros((6, 1, 3, 3), np.float32), groups=4, lane_width=4)
