@@ -20,6 +20,7 @@ from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, counting, mac_count, zero_stuff_kernel,
                       zero_stuffed_spec)
+from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
 from .graph import build_graph, count_flops
 from .tensor import Tensor, pack_kernels, to_interleaved
@@ -92,6 +93,8 @@ def _time_case(fn, iters: int, warmup: int) -> tuple:
 
 def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int = 3,
                    backends=("reference", "optimized")) -> BenchReport:
+    if iters < 1:
+        raise ConfigError(f"iters must be at least 1, got {iters}")
     g = build_graph(cfg)
     ws = init_weights(g, seed)
     rng = np.random.default_rng(seed)

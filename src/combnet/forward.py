@@ -63,25 +63,6 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore):
     return prep
 
 
-def _needed(g: GraphSpec, mode: Mode) -> set:
-    targets = [g.heads["primary"], g.heads["visibility"]]
-    if mode == Mode.ALL_HEADS:
-        for key, val in g.heads.items():
-            if key in ("primary", "visibility"):
-                continue
-            targets.extend(val if isinstance(val, tuple) else [val])
-    needed = set()
-    stack = list(targets)
-    node_of = {n.name: n for n in g.nodes}
-    while stack:
-        name = stack.pop()
-        if name in needed:
-            continue
-        needed.add(name)
-        stack.extend(node_of[name].inputs)
-    return needed
-
-
 def _concat(tensors, layout: Layout) -> Tensor:
     data = np.concatenate([t.view() for t in tensors], axis=layout.chw_axes[0])
     return Tensor.from_view(data, layout)
@@ -121,12 +102,11 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
     if optimized and prepared is None:
         prepared = prepare_optimized(g, ws)
     layout = Layout.CHANNEL_INTERLEAVED if optimized else Layout.CHANNEL_PLANAR
-    needed = _needed(g, mode)
+    nodes = (g.nodes if mode == Mode.ALL_HEADS
+             else [n for n in g.nodes if n.name in g.inference_names])
 
     values = {}
-    for node in g.nodes:
-        if node.name not in needed:
-            continue
+    for node in nodes:
         if node.kind == "input":
             values[node.name] = to_interleaved(image) if optimized else image
         elif node.kind == "conv":

@@ -66,17 +66,21 @@ class LossBundle:
                 "ds": self.l_ds}
 
 
-def _softmax64(z: np.ndarray, axis=-1) -> np.ndarray:
+def _log_softmax64(z: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row of a 2-D array, in 64-bit."""
     z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _log_softmax64(z: np.ndarray, axis=-1) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+def _softmax_ce(z: np.ndarray, target: np.ndarray, weight: np.ndarray):
+    """Softmax cross-entropy of each row of ``z`` (R, C) against the target
+    distribution in the same row of ``target``, scaled by the per-row
+    ``weight`` (R,), all float64. Returns the weighted sum and its gradient
+    ``weight * (softmax - target)``."""
+    logp = _log_softmax64(z)
+    w = weight[:, None]
+    return float(-(w * target * logp).sum()), w * (np.exp(logp) - target)
 
 
 def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
@@ -91,32 +95,21 @@ def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
     K, h, w = logits.shape
     if len(targets.pixels) != K:
         raise ShapeMismatchError(f"{len(targets.pixels)} targets for {K} maps")
-    grad = np.zeros_like(logits)
-    total = 0.0
-    visible = 0
+    target = np.zeros((K, h * w))
+    weight = np.zeros(K)
     for k, pix in enumerate(targets.pixels):
         if pix is None:
             continue
         r, c = pix
         if not (0 <= r < h and 0 <= c < w):
             raise ShapeMismatchError(f"target ({r},{c}) outside {h}x{w} map")
-        weight = FINGERTIP_WEIGHT if targets.fingertip[k] else 1.0
-        flat = logits[k].reshape(-1)
-        logp = _log_softmax64(flat)
-        idx = r * w + c
-        total += -weight * logp[idx]
-        gk = np.exp(logp)
-        gk[idx] -= 1.0
-        grad[k] = (weight * gk).reshape(h, w)
-        visible += 1
+        target[k, r * w + c] = 1.0
+        weight[k] = FINGERTIP_WEIGHT if targets.fingertip[k] else 1.0
+    visible = np.count_nonzero(weight)
     if visible == 0:
-        return 0.0, grad
-    return total / visible, grad / visible
-
-
-def aux_keypoint_ce(aux_logits: np.ndarray, targets: KeypointTarget):
-    """Same mathematics as keypoint_ce over the auxiliary keypoint set."""
-    return keypoint_ce(aux_logits, targets)
+        return 0.0, np.zeros_like(logits)
+    loss, grad = _softmax_ce(logits.reshape(K, -1), target, weight)
+    return loss / visible, grad.reshape(K, h, w) / visible
 
 
 def visibility_bce(logits: np.ndarray, labels) -> tuple:
@@ -132,49 +125,44 @@ def visibility_bce(logits: np.ndarray, labels) -> tuple:
     return float(per.mean()), (sig - y) / n
 
 
-def _class_ce_soft(logits: np.ndarray, label: int, n_classes: int, eps: float):
-    """Cross-entropy of softmax(logits) against a label-softened target."""
-    if not 0 <= label < n_classes:
-        raise ConfigError(f"label {label} outside [0,{n_classes})")
+def _per_hand_ce(logits, labels, present, eps):
+    """Cross-entropy of each present hand's softmax against its label
+    softened by ``eps``, averaged over present hands. Absent hands' labels
+    are not read."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise ShapeMismatchError(f"expected (hands, classes) logits, got {z.shape}")
     if not 0.0 <= eps < 1.0:
         raise ConfigError(f"eps {eps} outside [0,1)")
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if z.size != n_classes:
-        raise ShapeMismatchError(f"{z.size} logits for {n_classes} classes")
-    target = np.full(n_classes, eps / n_classes, dtype=np.float64)
-    target[label] += 1.0 - eps
-    logp = _log_softmax64(z)
-    return float(-(target * logp).sum()), np.exp(logp) - target
-
-
-def _per_hand_ce(logits2d, labels, present, n_classes, eps):
-    z = np.asarray(logits2d, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != n_classes:
-        raise ShapeMismatchError(f"expected (hands,{n_classes}) logits, got {z.shape}")
-    grad = np.zeros_like(z)
-    total, n = 0.0, 0
-    for hand in range(z.shape[0]):
+    hands, n_classes = z.shape
+    target = np.zeros_like(z)
+    weight = np.zeros(hands)
+    for hand in range(hands):
         if present is not None and not present[hand]:
             continue
-        loss, g = _class_ce_soft(z[hand], int(labels[hand]), n_classes, eps)
-        total += loss
-        grad[hand] = g
-        n += 1
+        label = int(labels[hand])
+        if not 0 <= label < n_classes:
+            raise ConfigError(f"label {label} outside [0,{n_classes})")
+        target[hand] = eps / n_classes
+        target[hand, label] += 1.0 - eps
+        weight[hand] = 1.0
+    n = np.count_nonzero(weight)
     if n == 0:
-        return 0.0, grad
-    return total / n, grad / n
+        return 0.0, np.zeros_like(z)
+    loss, grad = _softmax_ce(z, target, weight)
+    return loss / n, grad / n
 
 
 def orientation_ce_soft(logits: np.ndarray, labels, eps: float = 0.1, present=None):
     """Softened-label cross-entropy over the 8 categorical hand orientations,
     per hand, averaged over present hands. Target: (1-eps) on the label plus
     eps/8 uniform."""
-    return _per_hand_ce(logits, labels, present, np.asarray(logits).shape[-1], eps)
+    return _per_hand_ce(logits, labels, present, eps)
 
 
 def handpose_ce(logits: np.ndarray, labels, present=None):
     """Softmax cross-entropy over the 9 discrete hand-pose classes per hand."""
-    return _per_hand_ce(logits, labels, present, np.asarray(logits).shape[-1], 0.0)
+    return _per_hand_ce(logits, labels, present, 0.0)
 
 
 def seg_ce(logits: np.ndarray, label_map: np.ndarray):
@@ -188,14 +176,11 @@ def seg_ce(logits: np.ndarray, label_map: np.ndarray):
         raise ShapeMismatchError(f"label map {lab.shape} != ({h},{w})")
     if lab.min() < 0 or lab.max() >= C:
         raise ConfigError(f"segmentation labels outside [0,{C})")
-    logp = _log_softmax64(z.reshape(C, -1), axis=0)
-    flat_lab = lab.reshape(-1).astype(np.int64)
     npix = h * w
-    picked = logp[flat_lab, np.arange(npix)]
-    loss = float(-picked.mean())
-    grad = np.exp(logp)
-    grad[flat_lab, np.arange(npix)] -= 1.0
-    return loss, (grad / npix).reshape(C, h, w)
+    target = np.zeros((npix, C))
+    target[np.arange(npix), lab.reshape(-1).astype(np.int64)] = 1.0
+    loss, grad = _softmax_ce(z.reshape(C, npix).T, target, np.ones(npix))
+    return loss / npix, grad.T.reshape(C, h, w) / npix
 
 
 def deep_supervision_loss(heatmaps: list, targets: KeypointTarget, input_hw: tuple):
@@ -271,7 +256,7 @@ def frame_loss_bundle(heads, targets: FrameTargets, seg_label_map=None,
     hw = input_hw if input_hw is not None else (2 * hm_h, 2 * hm_w)
     div = hw[0] // hm_h
     l_kp, _ = keypoint_ce(heads.primary_heatmaps, targets.keypoint_target(div))
-    l_akp, _ = aux_keypoint_ce(heads.aux_heatmaps, targets.aux_target(div))
+    l_akp, _ = keypoint_ce(heads.aux_heatmaps, targets.aux_target(div))
     l_kphv, _ = visibility_bce(heads.visibility_logits, targets.visibility_labels())
     present = targets.hands_present
     cho_present = [bool(p) and lab is not None

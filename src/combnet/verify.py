@@ -8,6 +8,7 @@ they observed, so a report can be compared byte-for-byte across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .config import REFERENCE_CONFIG, NetConfig
 from .convops import (ConvSpec, Padding, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, fold_batchnorm, BnParams, batchnorm_inference)
+from .errors import ConfigError
 from .forward import Backend, Mode, forward
 from .graph import build_graph
 from .losses import (KeypointTarget, deep_supervision_loss, handpose_ce,
@@ -108,11 +110,11 @@ def bn_fold_suite(seed: int, cases: int = 50) -> SuiteResult:
     return SuiteResult("batch-norm folding", cases, worst, 1e-5)
 
 
-def backend_e2e_suite(seed: int, pairs: int = 20, resolution: int = 96,
-                      decode_margin: float = 1e-3) -> list:
-    """Full forward, Reference vs Optimized, over seeded (weights, image)
-    pairs; also checks that decoded keypoints agree whenever the top-2
-    heatmap margin is at least `decode_margin`."""
+def backend_e2e_suite(seed: int, pairs: int = 20) -> list:
+    """Full forward at 96x96, Reference vs Optimized, over seeded (weights,
+    image) pairs; also checks that decoded keypoints agree whenever the top-2
+    heatmap margin is at least 1e-3."""
+    resolution = 96
     cfg = NetConfig(input_h=resolution, input_w=resolution)
     g = build_graph(cfg)
     rng = np.random.default_rng(seed)
@@ -132,7 +134,7 @@ def backend_e2e_suite(seed: int, pairs: int = 20, resolution: int = 96,
         kopt = decode_heatmaps(opt.primary_heatmaps, input_hw=(resolution, resolution))
         for hm, a, bkp in zip(ref.primary_heatmaps, kref, kopt):
             flat = np.sort(hm.reshape(-1))
-            if flat[-1] - flat[-2] < decode_margin:
+            if flat[-1] - flat[-2] < 1e-3:
                 continue
             checked += 1
             if (a.u, a.v) != (bkp.u, bkp.v):
@@ -142,9 +144,10 @@ def backend_e2e_suite(seed: int, pairs: int = 20, resolution: int = 96,
                         float(decode_mismatches), 0.0)]
 
 
-def _fd_check(fn, z0: np.ndarray, step: float = 1e-4) -> float:
+def _fd_check(fn, z0: np.ndarray) -> float:
     """Relative error between the analytic gradient of fn and central finite
-    differences over every coordinate (64-bit)."""
+    differences with step 1e-4 over every coordinate (64-bit)."""
+    step = 1e-4
     z0 = np.asarray(z0, dtype=np.float64)
     _, grad = fn(z0)
     grad = np.asarray(grad, dtype=np.float64)
@@ -161,87 +164,73 @@ def _fd_check(fn, z0: np.ndarray, step: float = 1e-4) -> float:
 
 
 def loss_gradient_suite(seed: int, instances: int = 10) -> list:
-    """Every loss vs central finite differences on random small instances."""
+    """Every loss vs central finite differences on random small instances.
+    Each maker draws one instance from the shared generator and returns the
+    loss as a function of its logits, with the logits to check it at."""
     rng = np.random.default_rng(seed)
-    results = []
     K, h, w = 4, 6, 8
+    H, W = 24, 32
+    ds_sizes = [(K, H // 8, W // 8), (K, H // 4, W // 4), (K, H // 2, W // 2)]
+    ds_splits = np.cumsum([math.prod(s) for s in ds_sizes])
 
-    def random_target():
-        pixels = []
-        for _ in range(K):
-            if rng.random() < 0.25:
-                pixels.append(None)
-            else:
-                pixels.append((int(rng.integers(0, h)), int(rng.integers(0, w))))
+    def keypoint():
+        pixels = [None if rng.random() < 0.25
+                  else (int(rng.integers(0, h)), int(rng.integers(0, w)))
+                  for _ in range(K)]
         if all(p is None for p in pixels):
             pixels[0] = (0, 0)
-        tips = rng.random(K) < 0.4
-        return KeypointTarget(pixels, tips)
+        tgt = KeypointTarget(pixels, rng.random(K) < 0.4)
+        return (lambda q: keypoint_ce(q, tgt)), rng.standard_normal((K, h, w))
 
-    worst = 0.0
-    for _ in range(instances):
-        tgt = random_target()
-        z = rng.standard_normal((K, h, w))
-        worst = max(worst, _fd_check(lambda q: keypoint_ce(q, tgt), z))
-    results.append(SuiteResult("grad keypoint_ce", instances, worst, 1e-4))
-
-    worst = 0.0
-    for _ in range(instances):
+    def visibility():
         y = (rng.random(18) < 0.5).astype(np.float64)
-        z = rng.standard_normal(18)
-        worst = max(worst, _fd_check(lambda q: visibility_bce(q, y), z))
-    results.append(SuiteResult("grad visibility_bce", instances, worst, 1e-4))
+        return (lambda q: visibility_bce(q, y)), rng.standard_normal(18)
 
-    worst = 0.0
-    for _ in range(instances):
+    def orientation():
         labels = rng.integers(0, 8, size=2)
         present = rng.random(2) < 0.8
         if not present.any():
             present[0] = True
-        z = rng.standard_normal((2, 8))
-        worst = max(worst, _fd_check(
-            lambda q: orientation_ce_soft(q, labels, 0.1, present), z))
-    results.append(SuiteResult("grad orientation_ce_soft", instances, worst, 1e-4))
+        return ((lambda q: orientation_ce_soft(q, labels, 0.1, present)),
+                rng.standard_normal((2, 8)))
 
-    worst = 0.0
-    for _ in range(instances):
+    def handpose():
         labels = rng.integers(0, 9, size=2)
         present = rng.random(2) < 0.8
         if not present.any():
             present[1] = True
-        z = rng.standard_normal((2, 9))
-        worst = max(worst, _fd_check(lambda q: handpose_ce(q, labels, present), z))
-    results.append(SuiteResult("grad handpose_ce", instances, worst, 1e-4))
+        return (lambda q: handpose_ce(q, labels, present)), rng.standard_normal((2, 9))
 
-    worst = 0.0
-    for _ in range(instances):
+    def segmentation():
         lab = rng.integers(0, 3, size=(5, 7))
-        z = rng.standard_normal((3, 5, 7))
-        worst = max(worst, _fd_check(lambda q: seg_ce(q, lab), z))
-    results.append(SuiteResult("grad seg_ce", instances, worst, 1e-4))
+        return (lambda q: seg_ce(q, lab)), rng.standard_normal((3, 5, 7))
 
-    worst = 0.0
-    H, W = 24, 32
-    for _ in range(instances):
+    def deep_supervision():
         pixels = [(int(rng.integers(0, H)), int(rng.integers(0, W)))
                   for _ in range(K)]
         tgt = KeypointTarget(pixels, rng.random(K) < 0.4)
-        sizes = [(K, H // 8, W // 8), (K, H // 4, W // 4), (K, H // 2, W // 2)]
-        splits = np.cumsum([int(np.prod(s)) for s in sizes])[:-1]
 
-        def ds_fn(flat):
-            parts = np.split(flat.reshape(-1), splits)
-            maps = [p.reshape(s) for p, s in zip(parts, sizes)]
+        def fn(flat):
+            parts = np.split(flat, ds_splits[:-1])
+            maps = [p.reshape(s) for p, s in zip(parts, ds_sizes)]
             loss, grads = deep_supervision_loss(maps, tgt, (H, W))
             return loss, np.concatenate([gr.reshape(-1) for gr in grads])
 
-        z = rng.standard_normal(sum(int(np.prod(s)) for s in sizes))
-        worst = max(worst, _fd_check(ds_fn, z))
-    results.append(SuiteResult("grad deep_supervision", instances, worst, 1e-4))
-    return results
+        return fn, rng.standard_normal(ds_splits[-1])
+
+    makers = (("keypoint_ce", keypoint), ("visibility_bce", visibility),
+              ("orientation_ce_soft", orientation), ("handpose_ce", handpose),
+              ("seg_ce", segmentation), ("deep_supervision", deep_supervision))
+    return [SuiteResult(f"grad {name}", instances,
+                        max((_fd_check(*make()) for _ in range(instances)), default=0.0),
+                        1e-4)
+            for name, make in makers]
 
 
 def run_all(seed: int, conv_cases: int = 100, e2e_pairs: int = 20) -> list:
+    for name, n in (("cases", conv_cases), ("pairs", e2e_pairs)):
+        if n < 1:
+            raise ConfigError(f"{name} must be at least 1, got {n}")
     results = []
     results += conv_oracle_suite(seed, conv_cases)
     results.append(bn_fold_suite(seed + 1))

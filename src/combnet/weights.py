@@ -14,6 +14,7 @@ format.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -60,7 +61,7 @@ class WeightStore:
         return len(self.entries)
 
 
-def _expected_entries(node: Node, bn_eps: float):
+def _expected_entries(node: Node):
     """Yield (entry_name, shape) for one graph node."""
     if node.kind == "conv":
         s = node.conv
@@ -81,7 +82,7 @@ def validate_weights(g: GraphSpec, ws: WeightStore) -> list:
     tolerated. Returns a list of problems; empty means valid."""
     problems = []
     for node in g.nodes:
-        for name, shape in _expected_entries(node, g.config.bn_eps):
+        for name, shape in _expected_entries(node):
             if name not in ws:
                 problems.append(f"missing entry {name}")
             elif tuple(ws.entries[name].shape) != tuple(shape):
@@ -179,12 +180,14 @@ def deserialize_weights(blob: bytes) -> WeightStore:
             raise WeightFormatError("truncated", f"corrupt entry header: {exc}") from exc
         if dtype != DTYPE_F32:
             raise WeightFormatError("shape", f"entry {name!r}: unknown dtype {dtype}")
-        n = int(np.prod(dims)) if ndim else 1
-        nbytes = 4 * n
+        nbytes = 4 * math.prod(dims)
         if pos + nbytes > end:
             raise WeightFormatError(
                 "shape", f"entry {name!r}: data exceeds file ({dims})")
-        arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f4").reshape(dims)
+        try:
+            arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f4").reshape(dims)
+        except ValueError as exc:  # more dims than numpy supports
+            raise WeightFormatError("shape", f"entry {name!r}: {exc}") from exc
         pos += nbytes
         ws.set(name, arr)
     if pos != end:

@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,17 @@ def test_bench_comb_beats_zero_stuffed_multiplies():
     assert comb.mults_counted < stuffed.mults_counted
 
 
+@pytest.mark.parametrize("args", [("bench", "--iters", "0"),
+                                  ("verify", "--cases", "0"),
+                                  ("verify", "--pairs", "0")])
+def test_count_argument_below_one_exit_3(args):
+    r = run_cli(*args)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("config error: ")
+
+
 def test_bench_unknown_backend_rejected(small_cfg):
     r = run_cli("bench", "--config", small_cfg, "--backend", "magic")
     assert r.returncode == 2  # argparse usage error
@@ -267,6 +280,20 @@ def test_infer_corrupt_weights_exit_2(small_cfg, infer_inputs, tmp_path):
                 "--depth", str(infer_inputs / "depth.pgm"))
     assert r.returncode == 2
     assert "input error" in r.stderr
+
+
+def test_infer_overflowing_entry_dims_exit_2(small_cfg, infer_inputs, tmp_path):
+    # (2^31, 2^31, 4) elements wrap to 0 in 64-bit arithmetic
+    body = b"CNWB" + struct.pack("<IIH", 1, 1, 1) + b"w"
+    body += struct.pack("<BB3I", 0, 3, 2**31, 2**31, 4) + bytes(16)
+    bad = tmp_path / "overflow.cnwb"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    r = run_cli("infer", "--config", small_cfg, "--weights", str(bad),
+                "--amplitude", str(infer_inputs / "amp.pgm"),
+                "--depth", str(infer_inputs / "depth.pgm"))
+    assert r.returncode == 2
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("input error: ")
 
 
 def test_infer_backends_agree(small_cfg, infer_inputs):

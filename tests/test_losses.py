@@ -6,7 +6,7 @@ import pytest
 
 from combnet.errors import ConfigError, InputError, ShapeMismatchError
 from combnet.losses import (KeypointTarget, LossBundle,
-                            LOSS_WEIGHTS, aux_keypoint_ce, deep_supervision_loss,
+                            LOSS_WEIGHTS, deep_supervision_loss,
                             handpose_ce, keypoint_ce, load_frame_targets,
                             orientation_ce_soft, parse_frame_targets, seg_ce,
                             total_loss, visibility_bce)
@@ -79,14 +79,25 @@ def test_fingertip_mean_uses_keypoint_count():
     assert abs(loss - 1.5 * math.log(32)) <= 1e-9
 
 
-def test_aux_matches_keypoint_ce():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((5, 6, 6))
-    tgt = KeypointTarget([(i, i) for i in range(5)])
-    loss_a, grad_a = aux_keypoint_ce(z, tgt)
-    loss_k, grad_k = keypoint_ce(z, tgt)
-    assert loss_a == loss_k
-    np.testing.assert_array_equal(grad_a, grad_k)
+def test_keypoint_matches_formula_oracle():
+    rng = np.random.default_rng(10)
+    z = rng.standard_normal((5, 4, 6))
+    pixels = [(1, 2), None, (3, 5), (0, 0), None]
+    tips = [True, False, False, True, True]
+    expect, grad_expect, visible = 0.0, np.zeros_like(z), 0
+    for k in range(5):
+        if pixels[k] is None:
+            continue
+        weight = 2.0 if tips[k] else 1.0
+        p = np.exp(z[k] - z[k].max())
+        p /= p.sum()
+        expect += -weight * math.log(p[pixels[k]])
+        grad_expect[k] = weight * p
+        grad_expect[k][pixels[k]] -= weight
+        visible += 1
+    loss, grad = keypoint_ce(z, KeypointTarget(pixels, tips))
+    assert abs(loss - expect / visible) <= 1e-9
+    np.testing.assert_allclose(grad, grad_expect / visible, rtol=0, atol=1e-12)
 
 
 def test_shift_invariance():
@@ -164,6 +175,16 @@ def test_orientation_absent_hands_masked():
     assert abs(left - lone) <= 1e-12
     none, grad = orientation_ce_soft(z, [1, 2], 0.1, [False, False])
     assert none == 0.0 and np.all(grad == 0)
+
+
+def test_orientation_absent_hand_label_unread():
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((2, 8))
+    loss, grad = orientation_ce_soft(z, [3, 99], 0.1, [True, False])
+    lone, grad_lone = orientation_ce_soft(z[:1], [3], 0.1, [True])
+    assert loss == lone
+    np.testing.assert_array_equal(grad[0], grad_lone[0])
+    assert np.all(grad[1] == 0)
 
 
 def test_handpose_closed_forms():

@@ -1,5 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combnet.config import NetConfig
 from combnet.errors import WeightFormatError
@@ -70,8 +75,6 @@ def test_distinct_error_codes(g):
         deserialize_weights(bad_magic)
     assert exc.value.code == "magic"
 
-    import struct
-    import zlib
     bad_version = blob[:4] + struct.pack("<I", 9) + blob[8:-4]
     bad_version += struct.pack("<I", zlib.crc32(bad_version))
     with pytest.raises(WeightFormatError) as exc:
@@ -81,6 +84,28 @@ def test_distinct_error_codes(g):
     truncated = blob[:40]
     with pytest.raises(WeightFormatError):
         deserialize_weights(truncated)
+
+
+def one_entry_file(name: bytes, dims, data: bytes) -> bytes:
+    """A .cnwb blob holding one entry with the given header and data bytes,
+    with a valid CRC."""
+    body = b"CNWB" + struct.pack("<IIH", 1, 1, len(name)) + name
+    body += struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims) + data
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.binary(max_size=8),
+       dims=st.integers(0, 255).flatmap(
+           lambda n: st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
+       data=st.binary(max_size=64))
+@example(name=b"w", dims=[2**31, 2**31, 4], data=bytes(16))
+def test_any_entry_header_loads_or_is_a_format_error(name, dims, data):
+    # element counts must not wrap: (2^31, 2^31, 4) is 2^64 elements, not 0
+    try:
+        deserialize_weights(one_entry_file(name, dims, data))
+    except WeightFormatError:
+        pass
 
 
 def test_reference_file_fits_embedded_budget(tmp_path):
