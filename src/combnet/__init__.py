@@ -4,3 +4,7 @@ dilated convolution) and a reference backend that serves as its oracle.
 """
 
 __version__ = "0.1.0"
+
+# BLAS/OpenMP thread-count variables: the CLI pins them before numpy loads,
+# and `bench` reports the values in effect.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

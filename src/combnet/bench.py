@@ -9,6 +9,7 @@ the headline number per case is the median over iterations after warm-up.
 from __future__ import annotations
 
 import io
+import os
 import platform
 import time
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import THREAD_VARS
 from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, counting, mac_count, zero_stuff_kernel,
@@ -65,7 +67,7 @@ class BenchReport:
         out = io.StringIO()
         out.write(f"# combnet bench  {self.timestamp}\n")
         out.write(f"# config_hash={self.config_hash:08x} seed={self.seed} "
-                  f"iters={self.iterations} warmup={self.warmup} threads=1\n")
+                  f"iters={self.iterations} warmup={self.warmup}\n")
         out.write(f"# {self.environment}\n")
         table = [list(self._COLS)] + [self._cells(r) for r in self.rows]
         widths = [max(len(row[i]) for row in table) for i in range(len(self._COLS))]
@@ -161,6 +163,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
                      mac_count(sspec, hw, hw))
 
     env = (f"python={platform.python_version()} numpy={np.__version__} "
-           f"machine={platform.machine()}")
+           f"machine={platform.machine()} "
+           + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS))
     return BenchReport(rows, datetime.now(timezone.utc).isoformat(),
                        cfg.config_hash(), seed, iters, warmup, env)

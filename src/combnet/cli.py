@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import os
 
-# Pin kernel execution to one thread for reproducible benchmark timings.
-# Must happen before numpy loads its BLAS.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+from . import THREAD_VARS
+
+# Pin kernel execution to one thread for reproducible benchmark timings,
+# unless the caller set a count. Must happen before numpy loads its BLAS.
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse

@@ -4,8 +4,9 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
 
 * :func:`conv2d_ref` — direct tap-loop convolution on channel-planar data.
   Serves as the oracle for everything else.
-* :func:`conv2d_packed` — the optimized path: channel-interleaved input,
-  packed kernel stack, inner products over channel-contiguous memory.
+* :func:`conv2d_packed` — the optimized path: channel-interleaved input and
+  one batched GEMM per kernel tap over all groups, with the packed kernel
+  stack's float64 tap operand (``PackedWeights.taps``).
 
 Dilated convolutions additionally get :func:`comb_dilated_conv`, which pads
 the input once and runs a dense convolution over each of the d*d strided
@@ -256,26 +257,24 @@ def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     """Direct VALID convolution of an already padded float64 (H,W,C) array
     using the packed kernel stack, accumulated into `out` (out_h, out_w, out_ch).
 
-    Per tap, the contraction runs over the input channels of the group —
-    contiguous in interleaved memory — and writes a lane block of output
-    channels, which lands contiguously in the interleaved output.  No im2col
-    matrix is ever materialized.
+    One batched GEMM per kernel tap: the strided patch, seen as
+    (group, out_h*out_w, in_ch_per_group), times the tap's (group,
+    in_ch_per_group, out_ch_per_group) slice of `pw.taps`.  Tap loop outside,
+    channel contraction inside, as in the reference core; no im2col matrix
+    is ever materialized.
     """
     out_h, out_w, _ = out.shape
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
-    ipg, opg = spec.in_per_group, spec.out_per_group
-    for oc0, wblk in pw.blocks():
-        g = oc0 // opg
-        xg = xp[:, :, g * ipg:(g + 1) * ipg]
-        wblk = wblk.astype(np.float64)  # (ky, kx, ci, lane)
-        oblk = out[:, :, oc0: oc0 + wblk.shape[-1]]
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = xg[ky * d: ky * d + (out_h - 1) * s + 1: s,
-                           kx * d: kx * d + (out_w - 1) * s + 1: s]
-                # (oh, ow, ipg) @ (ipg, lanes) -> (oh, ow, lanes)
-                oblk += patch @ wblk[ky, kx]
+    G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
+    acc = np.zeros((G, out_h * out_w, opg))
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = xp[ky * d: ky * d + (out_h - 1) * s + 1: s,
+                       kx * d: kx * d + (out_w - 1) * s + 1: s]
+            # (G, oh*ow, ipg) @ (G, ipg, opg) -> (G, oh*ow, opg)
+            acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), pw.taps[ky, kx])
+    out += acc.transpose(1, 0, 2).reshape(out.shape)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
 

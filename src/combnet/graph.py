@@ -299,11 +299,12 @@ def node_param_count(node: Node) -> int:
     return 0
 
 
-def node_flop_count(node: Node) -> tuple:
+def node_flop_count(node: Node, in_shape: tuple) -> tuple:
     """(macs, flops) of one node under the reference-backend accounting:
     conv 2*MACs (+bias add, +2/elem BN, +1/elem ReLU), residual add 1/elem,
     GAP one add per pooled element plus one divide per channel, linear
-    2*in*out + bias."""
+    2*in*out + bias. `in_shape` is the out_shape of the node's first input
+    (() for an input node)."""
     if node.kind == "conv":
         s = node.conv
         c, h, w = node.out_shape
@@ -321,8 +322,8 @@ def node_flop_count(node: Node) -> tuple:
         elems = int(np.prod(node.out_shape))
         return 0, elems + (elems if node.act == "relu" else 0)
     if node.kind == "gap":
-        # input elems adds + one divide per channel; recover in-shape from out C
-        return 0, 0  # filled in by count_flops (needs producer shape)
+        c, h, w = in_shape
+        return 0, c * h * w + c
     if node.kind == "linear":
         m = node.lin_in * node.lin_out
         return m, 2 * m + node.lin_out
@@ -350,14 +351,10 @@ def count_params(g: GraphSpec, scope: str = "inference"):
 def count_flops(g: GraphSpec, scope: str = "inference"):
     """Total FLOPs (2*MACs + bias/BN/activation adds) with per-layer rows.
     Matches the instrumented reference-backend counter exactly."""
-    shape = {n.name: n.out_shape for n in g.nodes}
     rows = []
     for node in _scoped(g, scope):
-        if node.kind == "gap":
-            c, h, w = shape[node.inputs[0]]
-            rows.append(CountRow(node.name, 0, 0, c * h * w + c))
-            continue
-        macs, flops = node_flop_count(node)
+        macs, flops = node_flop_count(node, g.node(node.inputs[0]).out_shape
+                                      if node.inputs else ())
         if flops or macs:
             rows.append(CountRow(node.name, 0, macs, flops))
     total = sum(r.flops for r in rows)

@@ -143,14 +143,14 @@ def to_planar(t: Tensor) -> Tensor:
 
 @dataclass(frozen=True)
 class PackedWeights:
-    """Kernel stack reordered for the interleaved dot-product kernel.
+    """Kernel stack reordered for export and for the interleaved convolution.
 
-    Packing order (outer to inner): group, lane-block of output channels,
-    kernel row, kernel column, input channel within group, lane.  With that
-    order a dot product over (input channel, lane) walks packed memory
-    sequentially and writes `lane_width` interleaved output channels at once.
+    Packing order of `data` (outer to inner): group, lane-block of output
+    channels, kernel row, kernel column, input channel within group, lane.
     The last block of a group is ragged when out_ch/groups is not a lane
-    multiple; `alignment_warning` flags that configuration.
+    multiple.  `taps` is the same stack as the optimized core's float64 GEMM
+    operand, (kh, kw, group, in_ch_per_group, out_ch_per_group), derived
+    once from `data` through the packing permutation.
     """
 
     out_ch: int
@@ -160,26 +160,20 @@ class PackedWeights:
     groups: int
     lane_width: int
     data: np.ndarray = field(repr=False)
+    taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data))
-
-    @property
-    def alignment_warning(self) -> bool:
-        return (self.out_ch // self.groups) % self.lane_width != 0
-
-    def blocks(self):
-        """Yield (first output channel, (kh, kw, in_ch_per_group, lanes) view
-        of data) for every lane block, in packed order."""
-        opg = self.out_ch // self.groups
-        taps = self.kh * self.kw * self.in_ch_per_group
-        pos = 0
-        for g in range(self.groups):
-            for start in range(0, opg, self.lane_width):
-                lanes = min(self.lane_width, opg - start)
-                yield g * opg + start, self.data[pos:pos + taps * lanes].reshape(
-                    self.kh, self.kw, self.in_ch_per_group, lanes)
-                pos += taps * lanes
+        if self.groups < 1 or self.out_ch % self.groups:
+            raise ConfigError(f"groups={self.groups} does not divide out_ch={self.out_ch}")
+        if self.data.size != self.out_ch * self.in_ch_per_group * self.kh * self.kw:
+            raise ShapeMismatchError(f"packed data length {self.data.size} does not "
+                                     f"match its kernel stack dims")
+        w = unpack_kernels(self).reshape(self.groups, -1, self.in_ch_per_group,
+                                         self.kh, self.kw)
+        taps = np.ascontiguousarray(w.transpose(3, 4, 0, 2, 1), dtype=np.float64)
+        taps.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
 
 
 def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):

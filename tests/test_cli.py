@@ -147,8 +147,14 @@ def test_verify_detects_injected_fault():
 
 def test_bench_report_consistency(small_cfg, tmp_path):
     csv = tmp_path / "bench.csv"
-    r = run_cli("bench", "--config", small_cfg, "--iters", "1", "--csv", str(csv))
+    r = run_cli("bench", "--config", small_cfg, "--iters", "1", "--csv", str(csv),
+                env_extra={"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+                           "MKL_NUM_THREADS": "3"})
     assert r.returncode == 0
+    # the header reports the thread variables in effect, not a fixed count
+    env_line = r.stdout.splitlines()[2]
+    assert env_line.endswith("OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 MKL_NUM_THREADS=3")
+    assert "threads=1" not in r.stdout
     csv_rows = [ln.split(",") for ln in csv.read_text().splitlines()]
     header, rows = csv_rows[0], csv_rows[1:]
     assert rows, "bench produced no cases"

@@ -116,10 +116,15 @@ def test_ref_shape_errors():
 # ---------------------------------------------------------------------------
 
 def test_packed_matches_ref_randomized():
+    # filters per group up to 6 at lane widths 1-5, so ragged lane blocks
+    # (filters per group above the lane width, not a multiple of it) occur
     rng = np.random.default_rng(2)
-    for _ in range(25):
+    ragged = 0
+    for _ in range(40):
         g = int(rng.choice([1, 2, 4, 8]))
-        spec = ConvSpec(g * int(rng.integers(1, 3)), g * int(rng.integers(1, 3)),
+        opg, lane = int(rng.choice([1, 2, 3, 5, 6])), int(rng.integers(1, 6))
+        ragged += opg > lane and opg % lane != 0
+        spec = ConvSpec(g * int(rng.integers(1, 3)), g * opg,
                         (3, 3), stride=int(rng.choice([1, 2])),
                         dilation=int(rng.choice([1, 2])), groups=g,
                         has_bias=True)
@@ -128,8 +133,11 @@ def test_packed_matches_ref_randomized():
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         b = rng.standard_normal(spec.out_ch).astype(np.float32)
         ref = run_ref(x, w, b, spec)
-        got = run_packed(x, w, b, spec, lane=int(rng.choice([2, 4])))
+        with counting() as ops:
+            got = run_packed(x, w, b, spec, lane=lane)
         assert np.max(np.abs(got - ref)) <= 1e-5
+        assert ops.mults == mac_count(spec, h, h)
+    assert ragged >= 5
 
 
 def test_packed_channelwise_equals_per_channel_filtering():

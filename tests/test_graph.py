@@ -6,7 +6,7 @@ from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError
 from combnet.forward import Backend, Mode, forward
 from combnet.graph import (Node, build_graph, count_flops, count_params,
-                           node_param_count, validate_config)
+                           node_flop_count, node_param_count, validate_config)
 from combnet.tensor import Tensor
 from combnet.weights import init_weights
 
@@ -152,6 +152,11 @@ def test_param_count_grouped_example():
     node = Node("c", "conv", ("x",),
                 conv=ConvSpec(32, 32, (3, 3), groups=4, has_bias=True), bn=False)
     assert node_param_count(node) == 2_336  # 9*32*(32/4) + 32
+
+
+def test_gap_flop_count_example():
+    node = Node("p", "gap", ("x",), out_shape=(16,))
+    assert node_flop_count(node, (16, 6, 6)) == (0, 592)  # 16*6*6 adds + 16 divides
 
 
 def test_reference_params_within_budget():

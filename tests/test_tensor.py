@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combnet.errors import ConfigError, LayoutMismatchError, ShapeMismatchError
-from combnet.tensor import (Layout, Tensor, pack_kernels,
+from combnet.tensor import (Layout, PackedWeights, Tensor, pack_kernels,
                             to_interleaved, to_planar, unpack_kernels)
 
 
@@ -89,13 +89,6 @@ def test_pack_6x1x1x2_example():
     w = np.arange(12, dtype=np.float32).reshape(6, 1, 1, 2)  # w[oc, 0, 0, kx] = 2*oc + kx
     pw = pack_kernels(w, groups=2, lane_width=2)
     assert pw.data.tolist() == [0, 2, 1, 3, 4, 5, 6, 8, 7, 9, 10, 11]
-    # (first output channel, (kh, kw, ipg, lanes) block) in packed order
-    assert [(oc0, blk.tolist()) for oc0, blk in pw.blocks()] == [
-        (0, [[[[0, 2]], [[1, 3]]]]),
-        (2, [[[[4]], [[5]]]]),
-        (3, [[[[6, 8]], [[7, 9]]]]),
-        (5, [[[[10]], [[11]]]]),
-    ]
 
 
 def test_pack_channelwise_is_permutation():
@@ -103,14 +96,6 @@ def test_pack_channelwise_is_permutation():
     w = rng.standard_normal((8, 1, 3, 3)).astype(np.float32)
     pw = pack_kernels(w, groups=8, lane_width=4)
     assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
-
-
-def test_pack_alignment_warning():
-    # 6 output channels in 2 groups -> 3 filters/group, not a multiple of 4 lanes
-    w = np.zeros((6, 2, 3, 3), np.float32)
-    assert pack_kernels(w, groups=2, lane_width=4).alignment_warning
-    assert not pack_kernels(w, groups=2, lane_width=3).alignment_warning
-    assert not pack_kernels(np.zeros((8, 2, 1, 1), np.float32), 2, 4).alignment_warning
 
 
 def _loop_packed_order(w, groups, lane):
@@ -134,12 +119,18 @@ def test_pack_unpack_roundtrip(groups, mult, ipg, k, lane, seed):
     pw = pack_kernels(w, groups, lane)
     assert np.array_equal(pw.data, _loop_packed_order(w, groups, lane))
     assert np.array_equal(unpack_kernels(pw), w)
-    # the blocks tile the packed data in order, one per lane block of each group
-    starts, blocks = zip(*pw.blocks())
-    assert np.array_equal(np.concatenate([b.reshape(-1) for b in blocks]), pw.data)
-    assert list(starts) == [g * mult + s for g in range(groups) for s in range(0, mult, lane)]
+    # the tap operand is w as (ky, kx, group, ci, oc within group), in float64
+    taps = w.reshape(groups, mult, ipg, k, k).transpose(3, 4, 0, 2, 1)
+    assert pw.taps.dtype == np.float64 and np.array_equal(pw.taps, taps)
     # multiset of values preserved for every (groups, lane_width)
     assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
+
+
+def test_packed_weights_reject_inconsistent_dims():
+    with pytest.raises(ShapeMismatchError):
+        PackedWeights(4, 2, 3, 3, 1, 4, np.zeros(71, np.float32))
+    with pytest.raises(ConfigError):
+        PackedWeights(6, 1, 1, 1, 4, 4, np.zeros(6, np.float32))
 
 
 def test_pack_rejects_bad_groups():
