@@ -1,6 +1,7 @@
-"""Micro-benchmark harness: full-forward timings per backend plus the layer
-classes the optimized engine targets (grouped tier-2 conv, dilated tier-3
-conv via comb vs the naive zero-stuffed baseline).
+"""Micro-benchmark harness: full-forward timings per backend, the optimized
+plan's preparation, plus the layer classes the optimized engine targets
+(grouped tier-2 conv, channel-wise decoder conv, dilated tier-3 conv via comb
+vs the naive zero-stuffed baseline).
 
 MAC figures come from the analytic counter, never re-estimated from timings;
 the headline number per case is the median over iterations after warm-up.
@@ -93,6 +94,15 @@ def _time_case(fn, iters: int, warmup: int) -> tuple:
     return float(arr.min()), float(np.median(arr)), float(arr.mean())
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against, or 'unknown'."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']}/{blas['version']}"
+    except (KeyError, TypeError):
+        return "unknown"
+
+
 def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int = 3,
                    backends=("reference", "optimized")) -> BenchReport:
     if iters < 1:
@@ -102,7 +112,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     rng = np.random.default_rng(seed)
     img = Tensor.from_array(rng.uniform(0, 1, (1, cfg.input_h, cfg.input_w))
                             .astype(np.float32))
-    prep = prepare_optimized(g, ws)
+    prep = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
     _, total_macs, _ = count_flops(g, "inference")
     rows = []
 
@@ -121,22 +131,29 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
                  lambda: forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS,
                                  prepared=prep),
                  total_macs)
+        add_case("prepare-optimized", "optimized",
+                 lambda: prepare_optimized(g, ws, Mode.INFERENCE_HEADS), 0)
 
-    # tier-2 style grouped conv at tier-1 resolution
+    def add_conv_cases(case, spec, hw):
+        """Time one conv layer class on each requested backend."""
+        x = rng.standard_normal((spec.in_ch, hw, hw)).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        t = Tensor.from_array(x)
+        ti, pw = to_interleaved(t), pack_kernels(w, spec.groups, cfg.lane_width)
+        macs = mac_count(spec, hw, hw)
+        if "reference" in backends:
+            add_case(case, "reference", lambda: conv2d_ref(t, w, None, spec), macs)
+        if "optimized" in backends:
+            add_case(case, "optimized", lambda: conv2d_packed(ti, pw, None, spec), macs)
+
+    # tier-2 style grouped conv, and the channel-wise (one filter per group)
+    # conv the decoder and primary head run, both at tier-1 resolution
     h2 = cfg.input_h // 2
     spec_g = ConvSpec(cfg.tier2_bottleneck, cfg.tier2_channels, (3, 3), stride=2,
                       groups=cfg.tier2_groups)
-    xg = rng.standard_normal((spec_g.in_ch, h2, h2)).astype(np.float32)
-    wg = rng.standard_normal(spec_g.weight_shape()).astype(np.float32)
-    tg = Tensor.from_array(xg)
-    tgi, pwg = to_interleaved(tg), pack_kernels(wg, spec_g.groups, cfg.lane_width)
-    macs_g = mac_count(spec_g, h2, h2)
-    if "reference" in backends:
-        add_case(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", "reference",
-                 lambda: conv2d_ref(tg, wg, None, spec_g), macs_g)
-    if "optimized" in backends:
-        add_case(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", "optimized",
-                 lambda: conv2d_packed(tgi, pwg, None, spec_g), macs_g)
+    add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
+    dc = cfg.decoder_channels
+    add_conv_cases(f"channelwise-3x3-{h2}x{h2}", ConvSpec(dc, dc, (3, 3), groups=dc), h2)
 
     # dilated conv: comb vs naive zero-stuffed baseline (canonical 12x12 case
     # plus the graph's own tier-3 resolution when different)
@@ -163,7 +180,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
                      mac_count(sspec, hw, hw))
 
     env = (f"python={platform.python_version()} numpy={np.__version__} "
-           f"machine={platform.machine()} "
+           f"blas={_blas_build()} machine={platform.machine()} "
            + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS))
     return BenchReport(rows, datetime.now(timezone.utc).isoformat(),
                        cfg.config_hash(), seed, iters, warmup, env)

@@ -4,9 +4,11 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
 
 * :func:`conv2d_ref` — direct tap-loop convolution on channel-planar data.
   Serves as the oracle for everything else.
-* :func:`conv2d_packed` — the optimized path: channel-interleaved input and
-  one batched GEMM per kernel tap over all groups, with the packed kernel
-  stack's float64 tap operand (``PackedWeights.taps``).
+* :func:`conv2d_packed` — the optimized path: channel-interleaved input and,
+  per kernel tap, one batched GEMM over all groups with the packed kernel
+  stack's float64 tap operand (``PackedWeights.taps``).  With one input
+  channel per group (channel-wise layers) each output takes one product per
+  tap, so the tap is a broadcast multiply-add instead.
 
 Dilated convolutions additionally get :func:`comb_dilated_conv`, which pads
 the input once and runs a dense convolution over each of the d*d strided
@@ -197,7 +199,10 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
 def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
     """The input in float64 and its own layout, zero-padded by spec.pad()."""
     ph, pw = spec.pad()
-    return np.pad(x.view().astype(np.float64), x.layout.order((0, 0), (ph, ph), (pw, pw)))
+    c, h, w = x.dims
+    xp = np.zeros(x.layout.order(c, h + 2 * ph, w + 2 * pw))
+    xp[x.layout.order(slice(None), slice(ph, ph + h), slice(pw, pw + w))] = x.view()
+    return xp
 
 
 def _out_buffer(x: Tensor, spec: ConvSpec) -> np.ndarray:
@@ -257,24 +262,36 @@ def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     """Direct VALID convolution of an already padded float64 (H,W,C) array
     using the packed kernel stack, accumulated into `out` (out_h, out_w, out_ch).
 
-    One batched GEMM per kernel tap: the strided patch, seen as
-    (group, out_h*out_w, in_ch_per_group), times the tap's (group,
-    in_ch_per_group, out_ch_per_group) slice of `pw.taps`.  Tap loop outside,
-    channel contraction inside, as in the reference core; no im2col matrix
-    is ever materialized.
+    Tap loop outside, channel contraction inside, as in the reference core; no
+    im2col matrix is ever materialized.  Per kernel tap, the strided patch is
+    seen as (out_h, out_w, group, in_ch_per_group) and meets the tap's (group,
+    in_ch_per_group, out_ch_per_group) slice of `pw.taps`:
+
+    * one input channel per group (channel-wise layers): each output takes one
+      product per tap, so the tap is a broadcast multiply-add into an
+      accumulator stored in `out`'s own order;
+    * otherwise: one batched GEMM over the groups.
     """
     out_h, out_w, _ = out.shape
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
-    acc = np.zeros((G, out_h * out_w, opg))
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[ky * d: ky * d + (out_h - 1) * s + 1: s,
-                       kx * d: kx * d + (out_w - 1) * s + 1: s]
+    patches = [(pw.taps[ky, kx],
+                xp[ky * d: ky * d + (out_h - 1) * s + 1: s,
+                   kx * d: kx * d + (out_w - 1) * s + 1: s].reshape(out_h, out_w, G, ipg))
+               for ky in range(kh) for kx in range(kw)]
+    if ipg == 1:
+        acc = np.zeros((out_h, out_w, G, opg))
+        for tap, patch in patches:
+            # (oh, ow, G, 1) * (G, opg) -> (oh, ow, G, opg)
+            acc += patch * tap[:, 0]
+    else:
+        acc = np.zeros((G, out_h * out_w, opg))
+        for tap, patch in patches:
             # (G, oh*ow, ipg) @ (G, ipg, opg) -> (G, oh*ow, opg)
-            acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), pw.taps[ky, kx])
-    out += acc.transpose(1, 0, 2).reshape(out.shape)
+            acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
+        acc = acc.transpose(1, 0, 2)
+    out += acc.reshape(out.shape)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
 

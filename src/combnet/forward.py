@@ -17,7 +17,7 @@ import numpy as np
 from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_conv,
                       conv2d_packed, conv2d_ref, fold_batchnorm, relu,
                       upsample_nearest_2x)
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 from .graph import GraphSpec
 from .tensor import Layout, Tensor, pack_kernels, to_interleaved
 from .weights import WeightStore, validate_weights
@@ -46,12 +46,20 @@ class HeadsOutput:
     deep_supervision: tuple | None = None   # 3 maps at 1/8, 1/4, 1/2
 
 
-def prepare_optimized(g: GraphSpec, ws: WeightStore):
-    """Fold BN and pack every conv's kernel stack, at the config's lane width,
-    for the optimized backend.
-    Returns {conv_name: (PackedWeights, folded_bias)} — reusable across calls."""
+def _mode_nodes(g: GraphSpec, mode: Mode) -> list:
+    """The nodes a forward pass in `mode` runs, in graph order."""
+    if mode == Mode.ALL_HEADS:
+        return g.nodes
+    return [n for n in g.nodes if n.name in g.inference_names]
+
+
+def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS):
+    """Fold BN and pack the kernel stack of every conv a forward pass in `mode`
+    runs, at the config's lane width, for the optimized backend.
+    Returns {conv_name: (PackedWeights, folded_bias)} — reusable across calls
+    in that mode (an ALL_HEADS plan serves both modes)."""
     prep = {}
-    for node in g.nodes:
+    for node in _mode_nodes(g, mode):
         if node.kind != "conv":
             continue
         s = node.conv
@@ -99,11 +107,15 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
         raise ShapeMismatchError("weight store invalid: " + "; ".join(problems[:5]))
 
     optimized = backend == Backend.OPTIMIZED
-    if optimized and prepared is None:
-        prepared = prepare_optimized(g, ws)
+    nodes = _mode_nodes(g, mode)
+    if optimized:
+        if prepared is None:
+            prepared = prepare_optimized(g, ws, mode)
+        missing = [n.name for n in nodes if n.kind == "conv" and n.name not in prepared]
+        if missing:
+            raise ConfigError(f"prepared plan lacks conv {missing[0]!r} that a "
+                              f"{mode.value}-heads forward runs")
     layout = Layout.CHANNEL_INTERLEAVED if optimized else Layout.CHANNEL_PLANAR
-    nodes = (g.nodes if mode == Mode.ALL_HEADS
-             else [n for n in g.nodes if n.name in g.inference_names])
 
     values = {}
     for node in nodes:

@@ -51,10 +51,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable dense tensor. ``data`` is flat float32, row-major within the
-    declared layout; values are safely shareable across threads."""
+    declared layout; values are safely shareable across threads.  Tensors
+    compare by value (dims, layout, data) and are unhashable."""
 
     dims: tuple  # (C, H, W), independent of layout
     layout: Layout
@@ -71,6 +72,12 @@ class Tensor:
                 f"data length {self.data.size} != product of dims {self.dims}"
             )
         object.__setattr__(self, "data", _freeze(self.data))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (self.dims == other.dims and self.layout == other.layout
+                and np.array_equal(self.data, other.data))
 
     # -- constructors ------------------------------------------------------
 
@@ -141,16 +148,17 @@ def to_planar(t: Tensor) -> Tensor:
 # Kernel packing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedWeights:
     """Kernel stack reordered for export and for the interleaved convolution.
 
     Packing order of `data` (outer to inner): group, lane-block of output
     channels, kernel row, kernel column, input channel within group, lane.
     The last block of a group is ragged when out_ch/groups is not a lane
-    multiple.  `taps` is the same stack as the optimized core's float64 GEMM
-    operand, (kh, kw, group, in_ch_per_group, out_ch_per_group), derived
-    once from `data` through the packing permutation.
+    multiple.  `taps` is the same stack as the optimized core's float64
+    per-tap operand, (kh, kw, group, in_ch_per_group, out_ch_per_group), derived
+    once from `data` through the packing permutation.  Packed stacks compare
+    by value (dims, groups, lane width, data) and are unhashable.
     """
 
     out_ch: int
@@ -160,7 +168,7 @@ class PackedWeights:
     groups: int
     lane_width: int
     data: np.ndarray = field(repr=False)
-    taps: np.ndarray = field(init=False, repr=False, compare=False)
+    taps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.data))
@@ -175,6 +183,16 @@ class PackedWeights:
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
+    def __eq__(self, other):
+        if not isinstance(other, PackedWeights):
+            return NotImplemented
+        return (self._dims() == other._dims()
+                and np.array_equal(self.data, other.data))
+
+    def _dims(self) -> tuple:
+        return (self.out_ch, self.in_ch_per_group, self.kh, self.kw,
+                self.groups, self.lane_width)
+
 
 def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
     """Flat source indices of w[(oc, ci, ky, kx)] in packed order: the index
@@ -182,9 +200,8 @@ def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
     transposed to (group, block, ky, kx, ci, lane), with the pad dropped."""
     opg = out_ch // groups
     blocks = -(-opg // lane_width)
-    idx = np.arange(out_ch * ipg * kh * kw).reshape(groups, opg, ipg, kh, kw)
-    idx = np.pad(idx, ((0, 0), (0, blocks * lane_width - opg), (0, 0), (0, 0), (0, 0)),
-                 constant_values=-1)
+    idx = np.full((groups, blocks * lane_width, ipg, kh, kw), -1)
+    idx[:, :opg] = np.arange(out_ch * ipg * kh * kw).reshape(groups, opg, ipg, kh, kw)
     idx = idx.reshape(groups, blocks, lane_width, ipg, kh, kw).transpose(0, 1, 4, 5, 3, 2)
     idx = idx.reshape(-1)
     return idx[idx >= 0]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -167,6 +168,16 @@ def test_bench_report_consistency(small_cfg, tmp_path):
     _, macs, _ = count_flops(g, "inference")
     ff = next(row for row in rows if row[0] == "full-forward")
     assert int(ff[header.index("macs")]) == macs
+    # channel-wise decoder conv on both backends, counted at its MACs
+    cw = [row for row in rows if row[0] == "channelwise-3x3-48x48"]
+    assert sorted(row[1] for row in cw) == ["optimized", "reference"]
+    i_mults, i_macs = header.index("mults_counted"), header.index("macs")
+    for row in cw:
+        assert int(row[i_mults]) == int(row[i_macs]) > 0
+    prep = [row for row in rows if row[0] == "prepare-optimized"]
+    assert [(row[1], row[i_macs]) for row in prep] == [("optimized", "0")]
+    # the BLAS build numpy runs on is recorded next to numpy's version
+    assert re.search(r" numpy=\S+ blas=\S+ ", env_line)
 
 
 def test_bench_comb_beats_zero_stuffed_multiplies():

@@ -241,15 +241,23 @@ def test_comb_interleaved_packed_path():
     assert np.max(np.abs(to_planar(out).to_array() - ref)) <= 1e-5
 
 
-@pytest.mark.parametrize("d,h,w", [(d, h, h + dw) for d in (2, 3, 4)
-                                   for h in range(2 * d + 1, 20) for dw in (0, 1)])
-def test_comb_matches_ref_at_every_size(d, h, w):
+# (in_ch, out_ch, groups): in_ch/groups = 2, channel-wise, and one input
+# channel per group with two outputs each
+_COMB_SIZE_SPECS = {"": (8, 16, 4), "-cw": (8, 8, 8), "-ipg1": (4, 8, 4)}
+
+
+@pytest.mark.parametrize("d,h,w,chans", [
+    pytest.param(d, h, h + dw, chans, id=f"{d}-{h}-{h + dw}{tag}")
+    for tag, chans in _COMB_SIZE_SPECS.items() for d in (2, 3, 4)
+    for h in range(2 * d + 1, 20) for dw in (0, 1)])
+def test_comb_matches_ref_at_every_size(d, h, w, chans):
     # fields are uneven wherever d does not divide h or w
     rng = np.random.default_rng(1000 * d + 10 * h + w)
-    spec = ConvSpec(8, 16, (3, 3), dilation=d, groups=4, has_bias=True)
-    x = rng.standard_normal((8, h, w)).astype(np.float32)
+    in_ch, out_ch, groups = chans
+    spec = ConvSpec(in_ch, out_ch, (3, 3), dilation=d, groups=groups, has_bias=True)
+    x = rng.standard_normal((in_ch, h, w)).astype(np.float32)
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-    b = rng.standard_normal(16).astype(np.float32)
+    b = rng.standard_normal(out_ch).astype(np.float32)
     ref = run_ref(x, wt, b, spec)
     t = Tensor.from_array(x)
     with counting() as ops:
@@ -257,7 +265,7 @@ def test_comb_matches_ref_at_every_size(d, h, w):
     assert np.max(np.abs(planar - ref)) <= 1e-6
     assert ops.mults == mac_count(spec, h, w)
     with counting() as ops:
-        packed = comb_dilated_conv(to_interleaved(t), pack_kernels(wt, 4, 4), b, spec)
+        packed = comb_dilated_conv(to_interleaved(t), pack_kernels(wt, groups, 4), b, spec)
     assert np.max(np.abs(to_planar(packed).to_array() - ref)) <= 1e-5
     assert ops.mults == mac_count(spec, h, w)
 

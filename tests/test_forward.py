@@ -3,7 +3,7 @@ import pytest
 
 from combnet.config import NetConfig
 from combnet.forward import Backend, Mode, forward, prepare_optimized
-from combnet.errors import ShapeMismatchError
+from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.graph import build_graph
 from combnet.tensor import Tensor
 from combnet.weights import init_weights
@@ -64,6 +64,27 @@ def test_prepared_weights_reusable(setup96):
     a = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS, prepared=prep)
     b = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS)
     np.testing.assert_array_equal(a.primary_heatmaps, b.primary_heatmaps)
+
+
+def test_inference_plan_packs_only_inference_convs(setup96):
+    g, ws, img = setup96
+    inf_convs = {n.name for n in g.nodes
+                 if n.kind == "conv" and n.name in g.inference_names}
+    assert len(inf_convs) == 36
+    plan = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
+    assert set(plan) == inf_convs
+    a = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS, prepared=plan)
+    b = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS,
+                prepared=prepare_optimized(g, ws))
+    np.testing.assert_array_equal(a.primary_heatmaps, b.primary_heatmaps)
+    np.testing.assert_array_equal(a.visibility_logits, b.visibility_logits)
+
+
+def test_all_heads_forward_rejects_inference_plan(setup96):
+    g, ws, img = setup96
+    plan = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
+    with pytest.raises(ConfigError, match="ds8.head"):
+        forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
 
 
 def test_wrong_resolution_rejected(setup96):

@@ -80,6 +80,18 @@ def test_tensor_data_is_immutable():
         t.data[0] = 1.0
 
 
+def test_tensor_compares_by_value():
+    arr = np.arange(12, dtype=np.float32).reshape(1, 3, 4)
+    a, b = Tensor.from_array(arr), Tensor.from_array(arr.copy())
+    assert a == b and not a != b
+    assert a != Tensor.from_array(arr + 1)
+    # one channel: same dims and data, different layout
+    ai = to_interleaved(a)
+    assert np.array_equal(ai.data, a.data) and a != ai
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 # ---------------------------------------------------------------------------
 # kernel packing
 # ---------------------------------------------------------------------------
@@ -124,6 +136,18 @@ def test_pack_unpack_roundtrip(groups, mult, ipg, k, lane, seed):
     assert pw.taps.dtype == np.float64 and np.array_equal(pw.taps, taps)
     # multiset of values preserved for every (groups, lane_width)
     assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
+
+
+def test_packed_weights_compare_by_value():
+    w = np.random.default_rng(2).standard_normal((8, 1, 3, 3)).astype(np.float32)
+    pw = pack_kernels(w, 8, 4)
+    assert pw == pack_kernels(w.copy(), 8, 4)
+    assert pw != pack_kernels(w + 1, 8, 4)
+    # channel-wise: the same data at another lane width is another stack
+    other = pack_kernels(w, 8, 1)
+    assert np.array_equal(other.data, pw.data) and pw != other
+    with pytest.raises(TypeError):
+        hash(pw)
 
 
 def test_packed_weights_reject_inconsistent_dims():
