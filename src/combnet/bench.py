@@ -25,7 +25,7 @@ from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import build_graph, count_flops
+from .graph import build_graph, count_layers
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -113,7 +113,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     img = Tensor.from_array(rng.uniform(0, 1, (1, cfg.input_h, cfg.input_w))
                             .astype(np.float32))
     prep = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
-    _, total_macs, _ = count_flops(g, "inference")
+    total_macs = count_layers(g, Mode.INFERENCE_HEADS)[1].macs
     rows = []
 
     def add_case(case, backend, fn, macs):

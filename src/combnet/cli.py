@@ -25,7 +25,7 @@ from .bench import run_benchmarks
 from .config import NetConfig, REFERENCE_CONFIG, load_config
 from .errors import CombnetError, ConfigError, InputError
 from .forward import Backend, Mode, forward
-from .graph import build_graph, count_flops, count_params, validate_config
+from .graph import build_graph, count_layers, validate_config
 from .pgm import read_pgm16
 from .postprocess import (PhaseFrame, amplitude_from_phases, decode_heatmaps,
                           gate_visibility, lift_to_2_5d, normalize_input,
@@ -55,39 +55,28 @@ def cmd_count(args) -> int:
     cfg = _load_cfg(args)
     g = build_graph(cfg)
     rep = validate_config(g)
-    p_total, p_rows = count_params(g, "inference")
-    f_total, macs, f_rows = count_flops(g, "inference")
-    params_by_name = {r.name: r.params for r in p_rows}
-    flops_by_name = {r.name: (r.macs, r.flops) for r in f_rows}
-    names = [r.name for r in p_rows]
-    names += [r.name for r in f_rows if r.name not in params_by_name]
-    merged = [(n, params_by_name.get(n, 0), *flops_by_name.get(n, (0, 0)))
-              for n in names]
+    rows, total = count_layers(g, Mode.INFERENCE_HEADS)
+    _, full = count_layers(g, Mode.ALL_HEADS)
+
+    def line(label, r):
+        return f"{label:<18}{r.params:>10}{r.macs:>14}{r.flops:>14}"
 
     lines = [f"# combnet count  config_hash={cfg.config_hash():08x} "
              f"input={cfg.input_h}x{cfg.input_w}",
              f"{'layer':<18}{'params':>10}{'MACs':>14}{'FLOPs':>14}"]
-    for name, p, m, f in merged:
-        lines.append(f"{name:<18}{p:>10}{m:>14}{f:>14}")
-    lines.append("-" * 56)
-    lines.append(f"{'total (inference)':<18}{p_total:>10}{macs:>14}{f_total:>14}")
-    pf_total, _ = count_params(g, "full")
-    ff_total, fmacs, _ = count_flops(g, "full")
-    lines.append(f"{'total (training)':<18}{pf_total:>10}{fmacs:>14}{ff_total:>14}")
+    lines += [line(r.name, r) for r in rows]
+    lines += ["-" * 56, line("total (inference)", total), line("total (training)", full)]
     lines.append(f"params vs {PARAM_TARGET / 1e6:.3f}M target: "
-                 f"{(p_total / PARAM_TARGET - 1) * 100:+.1f}%")
+                 f"{(total.params / PARAM_TARGET - 1) * 100:+.1f}%")
     lines.append(f"FLOPs  vs {FLOP_TARGET / 1e9:.3f}G target: "
-                 f"{(f_total / FLOP_TARGET - 1) * 100:+.1f}%")
-    for wmsg in rep.warnings:
-        lines.append(f"warning: {wmsg}")
-    for emsg in rep.errors:
-        lines.append(f"invariant violation: {emsg}")
+                 f"{(total.flops / FLOP_TARGET - 1) * 100:+.1f}%")
+    lines += [f"warning: {m}" for m in rep.warnings]
+    lines += [f"invariant violation: {m}" for m in rep.errors]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.csv:
         csv_lines = ["layer,params,macs,flops"]
-        csv_lines += [f"{n},{p},{m},{f}" for n, p, m, f in merged]
-        csv_lines.append(f"total,{p_total},{macs},{f_total}")
+        csv_lines += [f"{r.name},{r.params},{r.macs},{r.flops}" for r in rows + [total]]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_lines) + "\n")
     return 0

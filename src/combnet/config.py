@@ -103,14 +103,6 @@ class NetConfig:
         if any(i < 0 or i >= self.keypoints for i in self.fingertip_indices):
             raise ConfigError("fingertip indices out of keypoint range")
 
-    @property
-    def heatmap_h(self) -> int:
-        return self.input_h // 2
-
-    @property
-    def heatmap_w(self) -> int:
-        return self.input_w // 2
-
     def canonical_text(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):

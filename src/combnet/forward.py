@@ -5,6 +5,10 @@ explicit inference-form batch norm. Optimized backend: channel-interleaved
 tensors end to end, BN folded into the conv weights, packed kernel stacks,
 and the comb decomposition for every dilated layer. The two backends agree
 within 1e-4 max-abs end to end.
+
+A pass runs the nodes its :class:`Mode` covers (``GraphSpec.nodes_for``) and
+needs weight entries and plan entries for those nodes only. ``Mode`` is
+defined in :mod:`combnet.graph` and re-exported here.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_con
                       conv2d_packed, conv2d_ref, fold_batchnorm, relu,
                       upsample_nearest_2x)
 from .errors import ConfigError, ShapeMismatchError
-from .graph import GraphSpec
+from .graph import GraphSpec, Mode
 from .tensor import Layout, Tensor, pack_kernels, to_interleaved
 from .weights import WeightStore, validate_weights
 
@@ -26,11 +30,6 @@ from .weights import WeightStore, validate_weights
 class Backend(Enum):
     REFERENCE = "reference"
     OPTIMIZED = "optimized"
-
-
-class Mode(Enum):
-    INFERENCE_HEADS = "inference"
-    ALL_HEADS = "all"
 
 
 @dataclass(frozen=True)
@@ -46,28 +45,19 @@ class HeadsOutput:
     deep_supervision: tuple | None = None   # 3 maps at 1/8, 1/4, 1/2
 
 
-def _mode_nodes(g: GraphSpec, mode: Mode) -> list:
-    """The nodes a forward pass in `mode` runs, in graph order."""
-    if mode == Mode.ALL_HEADS:
-        return g.nodes
-    return [n for n in g.nodes if n.name in g.inference_names]
-
-
 def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS):
     """Fold BN and pack the kernel stack of every conv a forward pass in `mode`
     runs, at the config's lane width, for the optimized backend.
     Returns {conv_name: (PackedWeights, folded_bias)} — reusable across calls
     in that mode (an ALL_HEADS plan serves both modes)."""
     prep = {}
-    for node in _mode_nodes(g, mode):
+    for node in g.nodes_for(mode):
         if node.kind != "conv":
             continue
-        s = node.conv
-        w = ws.get(node.name + ".w")
-        bias = ws.get(node.name + ".b") if s.has_bias else None
-        if node.bn:
-            w, bias = fold_batchnorm(w, bias, ws.bn(node.name, g.config.bn_eps))
-        prep[node.name] = (pack_kernels(w, s.groups, g.config.lane_width), bias)
+        w, bias, bn = ws.node_params(node, g.config.bn_eps)
+        if bn is not None:
+            w, bias = fold_batchnorm(w, bias, bn)
+        prep[node.name] = (pack_kernels(w, node.conv.groups, g.config.lane_width), bias)
     return prep
 
 
@@ -102,19 +92,19 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
             f"image dims {image.dims} != (1, {cfg.input_h}, {cfg.input_w})")
     if image.layout != Layout.CHANNEL_PLANAR:
         raise ShapeMismatchError("forward expects a channel-planar image")
-    problems = validate_weights(g, ws)
+    problems = validate_weights(g, ws, mode)
     if problems:
         raise ShapeMismatchError("weight store invalid: " + "; ".join(problems[:5]))
 
     optimized = backend == Backend.OPTIMIZED
-    nodes = _mode_nodes(g, mode)
+    nodes = g.nodes_for(mode)
     if optimized:
         if prepared is None:
             prepared = prepare_optimized(g, ws, mode)
         missing = [n.name for n in nodes if n.kind == "conv" and n.name not in prepared]
         if missing:
             raise ConfigError(f"prepared plan lacks conv {missing[0]!r} that a "
-                              f"{mode.value}-heads forward runs")
+                              f"{mode.value} forward runs")
     layout = Layout.CHANNEL_INTERLEAVED if optimized else Layout.CHANNEL_PLANAR
 
     values = {}
@@ -131,10 +121,10 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
                 else:
                     t = conv2d_packed(x, pw, bias, s)
             else:
-                bias = ws.get(node.name + ".b") if s.has_bias else None
-                t = conv2d_ref(x, ws.get(node.name + ".w"), bias, s)
-                if node.bn:
-                    t = batchnorm_inference(t, ws.bn(node.name, cfg.bn_eps))
+                w, bias, bn = ws.node_params(node, cfg.bn_eps)
+                t = conv2d_ref(x, w, bias, s)
+                if bn is not None:
+                    t = batchnorm_inference(t, bn)
             if node.act == "relu":
                 t = relu(t)
             values[node.name] = t
@@ -152,9 +142,8 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
         elif node.kind == "gap":
             values[node.name] = _gap(values[node.inputs[0]])
         elif node.kind == "linear":
-            values[node.name] = _linear(values[node.inputs[0]],
-                                        ws.get(node.name + ".w"),
-                                        ws.get(node.name + ".b"))
+            w, b, _ = ws.node_params(node, cfg.bn_eps)
+            values[node.name] = _linear(values[node.inputs[0]], w, b)
         else:
             raise ShapeMismatchError(f"unknown node kind {node.kind}")
 

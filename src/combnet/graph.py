@@ -1,6 +1,11 @@
 """Declarative construction of the hand-pose network graph, plus
 configuration validation and parameter/FLOP accounting.
 
+A pass covers the deployed inference subgraph or every node including the
+training-only heads (:class:`Mode`); :meth:`GraphSpec.nodes_for` alone says
+which nodes that is. :func:`param_entries` alone lists a node's stored
+weight entries (names and shapes).
+
 Encoder: three tiers (16/32/64 channels). Tier-1 is a single 3x3 stride-2
 Conv-BN-ReLU. Tier-2 is two 131 bottleneck units (1x1 reduce, 3x3 grouped
 stride on the first unit, 1x1 expand) whose outputs are concatenated —
@@ -19,19 +24,26 @@ heatmap heads at 1/8, 1/4, 1/2 resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from enum import Enum
 
 from .config import NetConfig
 from .convops import ConvSpec, conv_out_shape
 from .errors import ConfigError
 
 __all__ = [
-    "Node", "GraphSpec", "build_graph",
-    "validate_config", "count_params", "count_flops", "node_param_count",
+    "Mode", "Node", "GraphSpec", "build_graph", "param_entries",
+    "validate_config", "count_layers", "node_param_count",
     "node_flop_count", "ValidationReport", "CountRow",
 ]
+
+
+class Mode(Enum):
+    """Which heads a pass covers: the deployed inference subgraph only, or
+    every node including the training-only auxiliary heads."""
+    INFERENCE_HEADS = "inference-heads"
+    ALL_HEADS = "all-heads"
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,12 @@ class GraphSpec:
 
     def node(self, name: str) -> Node:
         return self._node_map[name]
+
+    def nodes_for(self, mode: Mode) -> tuple:
+        """The nodes a pass in `mode` covers, in graph order."""
+        if mode == Mode.ALL_HEADS:
+            return self.nodes
+        return tuple(n for n in self.nodes if n.name in self.inference_names)
 
     def __post_init__(self):
         object.__setattr__(self, "_node_map", {n.name: n for n in self.nodes})
@@ -229,10 +247,6 @@ class ValidationReport:
     warnings: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
 
 def validate_config(g: GraphSpec) -> ValidationReport:
     """Report lane-alignment warnings and architecture-invariant violations.
@@ -245,8 +259,8 @@ def validate_config(g: GraphSpec) -> ValidationReport:
     """
     lane = g.config.lane_width
     rep = ValidationReport()
-    for node in g.nodes:
-        if node.kind != "conv" or node.name not in g.inference_names:
+    for node in g.nodes_for(Mode.INFERENCE_HEADS):
+        if node.kind != "conv":
             continue
         spec = node.conv
         fpg = spec.out_ch // spec.groups
@@ -284,19 +298,26 @@ class CountRow:
     flops: int
 
 
-def node_param_count(node: Node) -> int:
-    """Stored parameters: conv weights (+bias) + 4 BN arrays, linear w+b."""
+def param_entries(node: Node):
+    """Yield (entry_name, shape) for each stored weight entry of one node, in
+    store order: conv weights, bias, then the four BN arrays (gamma, beta,
+    mean, variance); linear weights and bias."""
     if node.kind == "conv":
         s = node.conv
-        n = s.out_ch * s.in_per_group * s.kernel[0] * s.kernel[1]
+        yield node.name + ".w", s.weight_shape()
         if s.has_bias:
-            n += s.out_ch
+            yield node.name + ".b", (s.out_ch,)
         if node.bn:
-            n += 4 * s.out_ch
-        return n
-    if node.kind == "linear":
-        return node.lin_in * node.lin_out + node.lin_out
-    return 0
+            for suffix in (".bn.g", ".bn.b", ".bn.m", ".bn.v"):
+                yield node.name + suffix, (s.out_ch,)
+    elif node.kind == "linear":
+        yield node.name + ".w", (node.lin_out, node.lin_in)
+        yield node.name + ".b", (node.lin_out,)
+
+
+def node_param_count(node: Node) -> int:
+    """Stored parameters: conv weights (+bias) + 4 BN arrays, linear w+b."""
+    return sum(math.prod(shape) for _, shape in param_entries(node))
 
 
 def node_flop_count(node: Node, in_shape: tuple) -> tuple:
@@ -319,7 +340,7 @@ def node_flop_count(node: Node, in_shape: tuple) -> tuple:
             flops += elems
         return macs, flops
     if node.kind == "add":
-        elems = int(np.prod(node.out_shape))
+        elems = math.prod(node.out_shape)
         return 0, elems + (elems if node.act == "relu" else 0)
     if node.kind == "gap":
         c, h, w = in_shape
@@ -330,33 +351,19 @@ def node_flop_count(node: Node, in_shape: tuple) -> tuple:
     return 0, 0
 
 
-def _scoped(g: GraphSpec, scope: str):
-    if scope == "inference":
-        return [n for n in g.nodes if n.name in g.inference_names]
-    if scope == "full":
-        return list(g.nodes)
-    raise ConfigError(f"unknown scope {scope!r}")
-
-
-def count_params(g: GraphSpec, scope: str = "inference"):
-    """Total stored parameters with a per-layer breakdown."""
+def count_layers(g: GraphSpec, mode: Mode) -> tuple:
+    """Parameters, MACs and FLOPs (2*MACs + bias/BN/activation adds) of a pass
+    in `mode`. Returns (rows, total): one row per layer that stores or
+    computes anything, the layers with parameters first in graph order, then
+    the rest (residual adds, pooling); `total` is the row named "total" that
+    sums them. FLOPs match the instrumented reference-backend counter exactly."""
     rows = []
-    for node in _scoped(g, scope):
-        p = node_param_count(node)
-        if p:
-            rows.append(CountRow(node.name, p, 0, 0))
-    return sum(r.params for r in rows), rows
-
-
-def count_flops(g: GraphSpec, scope: str = "inference"):
-    """Total FLOPs (2*MACs + bias/BN/activation adds) with per-layer rows.
-    Matches the instrumented reference-backend counter exactly."""
-    rows = []
-    for node in _scoped(g, scope):
-        macs, flops = node_flop_count(node, g.node(node.inputs[0]).out_shape
-                                      if node.inputs else ())
-        if flops or macs:
-            rows.append(CountRow(node.name, 0, macs, flops))
-    total = sum(r.flops for r in rows)
-    total_macs = sum(r.macs for r in rows)
-    return total, total_macs, rows
+    for node in g.nodes_for(mode):
+        in_shape = g.node(node.inputs[0]).out_shape if node.inputs else ()
+        rows.append(CountRow(node.name, node_param_count(node),
+                             *node_flop_count(node, in_shape)))
+    rows = ([r for r in rows if r.params]
+            + [r for r in rows if not r.params and (r.macs or r.flops)])
+    total = CountRow("total", sum(r.params for r in rows),
+                     sum(r.macs for r in rows), sum(r.flops for r in rows))
+    return rows, total

@@ -15,7 +15,7 @@ knows the two axis orders and the packing order; other modules go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -157,8 +157,9 @@ class PackedWeights:
     The last block of a group is ragged when out_ch/groups is not a lane
     multiple.  `taps` is the same stack as the optimized core's float64
     per-tap operand, (kh, kw, group, in_ch_per_group, out_ch_per_group), derived
-    once from `data` through the packing permutation.  Packed stacks compare
-    by value (dims, groups, lane width, data) and are unhashable.
+    once from the unpacked stack: `unpacked` when the caller has it (as
+    :func:`pack_kernels` does), else unpacked from `data`.  Packed stacks
+    compare by value (dims, groups, lane width, data) and are unhashable.
     """
 
     out_ch: int
@@ -168,17 +169,18 @@ class PackedWeights:
     groups: int
     lane_width: int
     data: np.ndarray = field(repr=False)
+    unpacked: InitVar[np.ndarray | None] = None
     taps: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, unpacked):
         object.__setattr__(self, "data", _freeze(self.data))
         if self.groups < 1 or self.out_ch % self.groups:
             raise ConfigError(f"groups={self.groups} does not divide out_ch={self.out_ch}")
         if self.data.size != self.out_ch * self.in_ch_per_group * self.kh * self.kw:
             raise ShapeMismatchError(f"packed data length {self.data.size} does not "
                                      f"match its kernel stack dims")
-        w = unpack_kernels(self).reshape(self.groups, -1, self.in_ch_per_group,
-                                         self.kh, self.kw)
+        w = (unpack_kernels(self) if unpacked is None else unpacked).reshape(
+            self.groups, -1, self.in_ch_per_group, self.kh, self.kw)
         taps = np.ascontiguousarray(w.transpose(3, 4, 0, 2, 1), dtype=np.float64)
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
@@ -219,7 +221,7 @@ def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
     if lane_width < 1:
         raise ConfigError(f"lane_width must be positive, got {lane_width}")
     perm = _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width)
-    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, w.reshape(-1)[perm])
+    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, w.reshape(-1)[perm], w)
 
 
 def unpack_kernels(pw: PackedWeights) -> np.ndarray:

@@ -7,9 +7,9 @@ File layout (little-endian):
                | u8 ndim | ndim x u32 dims | raw float32 data
     trailing u32 CRC32 over all preceding bytes
 
-The in-memory store additionally carries the seed and config hash it was
-initialized from; those are provenance metadata and are not part of the wire
-format.
+Entry names and shapes come from :func:`graph.param_entries`. A store needs
+only the entries of the nodes a pass runs, so a file holding just the
+inference subgraph's entries serves inference-heads passes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .convops import BnParams
 from .errors import ShapeMismatchError, WeightFormatError
-from .graph import GraphSpec, Node
+from .graph import GraphSpec, Mode, Node, param_entries
 
 MAGIC = b"CNWB"
 VERSION = 1
@@ -34,13 +34,11 @@ class WeightStore:
     once a forward pass may be running; tests that craft weights mutate it
     before use."""
 
-    def __init__(self, entries=None, seed=None, config_hash=None):
+    def __init__(self, entries=None):
         self.entries: dict[str, np.ndarray] = {}
         if entries:
             for name, arr in entries.items():
                 self.set(name, arr)
-        self.seed = seed
-        self.config_hash = config_hash
 
     def set(self, name: str, arr):
         self.entries[name] = np.ascontiguousarray(arr, dtype=np.float32)
@@ -50,39 +48,24 @@ class WeightStore:
             raise ShapeMismatchError(f"missing weight entry {name!r}")
         return self.entries[name]
 
-    def bn(self, prefix: str, eps: float) -> BnParams:
-        return BnParams(self.get(prefix + ".bn.g"), self.get(prefix + ".bn.b"),
-                        self.get(prefix + ".bn.m"), self.get(prefix + ".bn.v"), eps)
+    def node_params(self, node: Node, bn_eps: float) -> tuple:
+        """(weights, bias or None, BnParams or None) of a conv or linear node."""
+        got = {name[len(node.name):]: self.get(name) for name, _ in param_entries(node)}
+        bn = (BnParams(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"], bn_eps)
+              if node.bn else None)
+        return got[".w"], got.get(".b"), bn
 
     def __contains__(self, name):
         return name in self.entries
 
-    def __len__(self):
-        return len(self.entries)
 
-
-def _expected_entries(node: Node):
-    """Yield (entry_name, shape) for one graph node."""
-    if node.kind == "conv":
-        s = node.conv
-        yield node.name + ".w", s.weight_shape()
-        if s.has_bias:
-            yield node.name + ".b", (s.out_ch,)
-        if node.bn:
-            for suffix in (".bn.g", ".bn.b", ".bn.m", ".bn.v"):
-                yield node.name + suffix, (s.out_ch,)
-    elif node.kind == "linear":
-        yield node.name + ".w", (node.lin_out, node.lin_in)
-        yield node.name + ".b", (node.lin_out,)
-
-
-def validate_weights(g: GraphSpec, ws: WeightStore) -> list:
-    """Every graph layer must have exactly one entry of the right shape.
-    Extra store entries (e.g. training heads under an inference graph) are
-    tolerated. Returns a list of problems; empty means valid."""
+def validate_weights(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS) -> list:
+    """Every layer a pass in `mode` runs must have exactly one entry of the
+    right shape. Extra store entries (e.g. training heads under an inference
+    pass) are tolerated. Returns a list of problems; empty means valid."""
     problems = []
-    for node in g.nodes:
-        for name, shape in _expected_entries(node):
+    for node in g.nodes_for(mode):
+        for name, shape in param_entries(node):
             if name not in ws:
                 problems.append(f"missing entry {name}")
             elif tuple(ws.entries[name].shape) != tuple(shape):
@@ -96,29 +79,24 @@ def init_weights(g: GraphSpec, seed: int) -> WeightStore:
     +-sqrt(6/(fan_in+fan_out)) (fans per group for grouped convs), biases
     zero, BN identity. Identical seed -> bit-identical store."""
     rng = np.random.default_rng(seed)
-    ws = WeightStore(seed=seed, config_hash=g.config.config_hash())
+    ws = WeightStore()
     for node in g.nodes:
-        if node.kind == "conv":
-            s = node.conv
-            kh, kw = s.kernel
-            fan_in = s.in_per_group * kh * kw
-            fan_out = s.out_per_group * kh * kw
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            ws.set(node.name + ".w",
-                   rng.uniform(-limit, limit, s.weight_shape()).astype(np.float32))
-            if s.has_bias:
-                ws.set(node.name + ".b", np.zeros(s.out_ch, np.float32))
-            if node.bn:
-                ws.set(node.name + ".bn.g", np.ones(s.out_ch, np.float32))
-                ws.set(node.name + ".bn.b", np.zeros(s.out_ch, np.float32))
-                ws.set(node.name + ".bn.m", np.zeros(s.out_ch, np.float32))
-                ws.set(node.name + ".bn.v", np.ones(s.out_ch, np.float32))
-        elif node.kind == "linear":
-            limit = np.sqrt(6.0 / (node.lin_in + node.lin_out))
-            ws.set(node.name + ".w",
-                   rng.uniform(-limit, limit, (node.lin_out, node.lin_in)).astype(np.float32))
-            ws.set(node.name + ".b", np.zeros(node.lin_out, np.float32))
+        for name, shape in param_entries(node):
+            if name.endswith(".w"):
+                limit = np.sqrt(6.0 / _fan_sum(node))
+                ws.set(name, rng.uniform(-limit, limit, shape).astype(np.float32))
+            else:
+                ws.set(name, np.full(shape, 1.0 if name.endswith((".bn.g", ".bn.v"))
+                                     else 0.0, np.float32))
     return ws
+
+
+def _fan_sum(node: Node) -> int:
+    """fan_in + fan_out of a conv (per group) or linear node."""
+    if node.kind == "linear":
+        return node.lin_in + node.lin_out
+    s = node.conv
+    return (s.in_per_group + s.out_per_group) * s.kernel[0] * s.kernel[1]
 
 
 # ---------------------------------------------------------------------------

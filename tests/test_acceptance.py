@@ -15,7 +15,7 @@ from combnet.config import REFERENCE_CONFIG, NetConfig
 from combnet.convops import (ConvSpec, comb_dilated_conv, conv2d_ref, counting,
                              mac_count, zero_stuff_kernel, zero_stuffed_spec)
 from combnet.forward import Backend, Mode, forward
-from combnet.graph import build_graph, count_flops, count_params
+from combnet.graph import build_graph, count_layers
 from combnet.losses import (KeypointTarget, LossBundle, handpose_ce, keypoint_ce,
                             orientation_ce_soft, seg_ce, total_loss)
 from combnet.tensor import Tensor
@@ -47,8 +47,8 @@ def criterion(num, title):
 @criterion(1, "budget reproduction (params/FLOPs within +-25%, weights <= 300 KB)")
 def test_criterion_1_budget(tmp_path):
     g = build_graph(REFERENCE_CONFIG)
-    params, _ = count_params(g, "inference")
-    flops, _, _ = count_flops(g, "inference")
+    _, total = count_layers(g, Mode.INFERENCE_HEADS)
+    params, flops = total.params, total.flops
     assert abs(params - PARAM_TARGET) / PARAM_TARGET <= 0.25, \
         f"params {params} outside +-25% of {PARAM_TARGET}"
     assert abs(flops - FLOP_TARGET) / FLOP_TARGET <= 0.25, \

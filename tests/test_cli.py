@@ -12,10 +12,13 @@ import pytest
 
 from combnet.bench import run_benchmarks
 from combnet.config import NetConfig
-from combnet.graph import build_graph, count_flops
+from combnet.errors import ShapeMismatchError
+from combnet.forward import Backend, forward
+from combnet.graph import Mode, build_graph, count_layers, param_entries
 from combnet.pgm import write_pgm16
+from combnet.tensor import Tensor
 from combnet.verify import conv_oracle_suite
-from combnet.weights import init_weights, save_weights
+from combnet.weights import WeightStore, init_weights, save_weights
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -74,6 +77,23 @@ def test_count_rows_sum_to_totals(tmp_path):
     assert total[0] == "total"
     for col in (1, 2, 3):
         assert sum(int(row[col]) for row in rows[:-1]) == int(total[col])
+
+
+def test_count_row_order_and_csv_match_stdout(tmp_path):
+    csv = tmp_path / "count.csv"
+    r = run_cli("count", "--csv", str(csv))
+    assert r.returncode == 0
+    body = r.stdout.splitlines()[2:]
+    table = [ln.split() for ln in body[:body.index("-" * 56)]]
+    # layers with parameters in graph order, then the residual adds and the pooling
+    g = build_graph(NetConfig())
+    with_params = [n.name for n in g.nodes
+                   if n.name in g.inference_names and n.kind in ("conv", "linear")]
+    assert len(with_params) == 37
+    adds = [f"t3.u{u}.b{k}.add" for u in (1, 2) for k in (1, 2, 3, 4)]
+    assert [row[0] for row in table] == with_params + adds + ["head.gap"]
+    csv_rows = [ln.split(",") for ln in csv.read_text().splitlines()[1:-1]]
+    assert csv_rows == table
 
 
 def test_count_invalid_config_exit_3(tmp_path):
@@ -165,7 +185,7 @@ def test_bench_report_consistency(small_cfg, tmp_path):
             assert cell in r.stdout
     # the full-forward MACs column equals the accounting module's MAC total
     g = build_graph(NetConfig(input_h=96, input_w=96))
-    _, macs, _ = count_flops(g, "inference")
+    macs = count_layers(g, Mode.INFERENCE_HEADS)[1].macs
     ff = next(row for row in rows if row[0] == "full-forward")
     assert int(ff[header.index("macs")]) == macs
     # channel-wise decoder conv on both backends, counted at its MACs
@@ -274,6 +294,36 @@ def test_infer_non_finite_output_exit_2(small_cfg, infer_inputs, tmp_path, entry
         assert len(r.stderr.splitlines()) == 1
         assert r.stderr.startswith("input error: ")
     assert not out.exists()
+
+
+def test_infer_accepts_inference_only_weights(small_cfg, infer_inputs, tmp_path):
+    # the deployable file holds only the entries of the inference subgraph
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 7)
+    keep = {name for node in g.nodes_for(Mode.INFERENCE_HEADS)
+            for name, _ in param_entries(node)}
+    slim = WeightStore({n: a for n, a in ws.entries.items() if n in keep})
+    assert "ds8.head.w" in ws and "ds8.head.w" not in slim
+
+    def infer(wpath):
+        return run_cli("infer", "--config", small_cfg, "--weights", str(wpath),
+                       "--amplitude", str(infer_inputs / "amp.pgm"),
+                       "--depth", str(infer_inputs / "depth.pgm"))
+    save_weights(slim, tmp_path / "slim.cnwb")
+    r = infer(tmp_path / "slim.cnwb")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == infer(infer_inputs / "w.cnwb").stdout
+    # an all-heads pass still needs the training heads' entries
+    img = Tensor.from_array(np.zeros((1, 96, 96), np.float32))
+    with pytest.raises(ShapeMismatchError, match="ds8.head.w"):
+        forward(g, slim, img, Backend.REFERENCE, Mode.ALL_HEADS)
+    # while an inference pass still needs every inference entry
+    del slim.entries["head.kp.w"]
+    save_weights(slim, tmp_path / "short.cnwb")
+    r = infer(tmp_path / "short.cnwb")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "head.kp.w" in r.stderr
 
 
 def test_infer_missing_depth_no_partial_output(small_cfg, infer_inputs, tmp_path):

@@ -5,8 +5,8 @@ from combnet.config import NetConfig, REFERENCE_CONFIG, parse_config
 from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError
 from combnet.forward import Backend, Mode, forward
-from combnet.graph import (Node, build_graph, count_flops, count_params,
-                           node_flop_count, node_param_count, validate_config)
+from combnet.graph import (Node, build_graph, count_layers, node_flop_count,
+                           node_param_count, validate_config)
 from combnet.tensor import Tensor
 from combnet.weights import init_weights
 
@@ -160,35 +160,37 @@ def test_gap_flop_count_example():
 
 
 def test_reference_params_within_budget():
-    total, rows = count_params(build_graph(REFERENCE_CONFIG), "inference")
+    rows, totals = count_layers(build_graph(REFERENCE_CONFIG), Mode.INFERENCE_HEADS)
+    total = totals.params
     assert sum(r.params for r in rows) == total
     assert 0.031e6 <= total <= 0.051e6  # +-25% around 0.041M
     assert abs(total - 41_000) / 41_000 < 0.05  # lands close to the target
 
 
 def test_tier1_flops_example(g96):
-    _, _, rows = count_flops(g96, "inference")
+    rows, _ = count_layers(g96, Mode.INFERENCE_HEADS)
     t1 = next(r for r in rows if r.name == "t1.conv")
     assert 2 * t1.macs == 663_552  # 2*(48*48*16*1*9), before bias/BN adds
 
 
 def test_decoder_stage_flops_example(g96):
-    _, _, rows = count_flops(g96, "inference")
+    rows, _ = count_layers(g96, Mode.INFERENCE_HEADS)
     s2 = next(r for r in rows if r.name == "dec.s2")
     assert 2 * s2.macs == 663_552  # channel-wise 3x3, 16 maps at 48x48
 
 
 def test_reference_flops_within_budget():
-    total, _, rows = count_flops(build_graph(REFERENCE_CONFIG), "inference")
+    rows, totals = count_layers(build_graph(REFERENCE_CONFIG), Mode.INFERENCE_HEADS)
+    total = totals.flops
     assert sum(r.flops for r in rows) == total
     assert total <= 45e6
     assert 0.02625e9 <= total <= 0.04375e9  # +-25% around 0.035G
 
 
 def test_doubled_tier3_channels_strictly_heavier():
-    base, _ = count_params(build_graph(REFERENCE_CONFIG), "inference")
-    big, _ = count_params(
-        build_graph(NetConfig(tier3_channels=128, tier3_bottleneck=64)), "inference")
+    base = count_layers(build_graph(REFERENCE_CONFIG), Mode.INFERENCE_HEADS)[1].params
+    big = count_layers(build_graph(NetConfig(tier3_channels=128, tier3_bottleneck=64)),
+                       Mode.INFERENCE_HEADS)[1].params
     assert big > base
 
 
@@ -197,10 +199,10 @@ def test_count_flops_matches_instrumented_forward(g96, ws96):
         np.random.default_rng(0).uniform(0, 1, (1, 96, 96)).astype(np.float32))
     with counting() as ops:
         forward(g96, ws96, img, Backend.REFERENCE, Mode.ALL_HEADS)
-    assert ops.flops == count_flops(g96, "full")[0]
+    assert ops.flops == count_layers(g96, Mode.ALL_HEADS)[1].flops
     with counting() as ops:
         forward(g96, ws96, img, Backend.REFERENCE, Mode.INFERENCE_HEADS)
-    assert ops.flops == count_flops(g96, "inference")[0]
+    assert ops.flops == count_layers(g96, Mode.INFERENCE_HEADS)[1].flops
 
 
 def test_symbolic_shapes_match_execution(g96, ws96):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from combnet.config import NetConfig
 from combnet.errors import WeightFormatError
 from combnet.forward import Backend, Mode, forward
-from combnet.graph import build_graph, count_params
+from combnet.graph import build_graph, count_layers
 from combnet.tensor import Tensor
 from combnet.weights import (WeightStore, deserialize_weights, init_weights,
                              load_weights, save_weights, serialize_weights,
@@ -35,7 +35,7 @@ def test_every_layer_present_with_expected_size(g):
     ws = init_weights(g, 1)
     assert validate_weights(g, ws) == []
     # total stored floats equals the parameter count over the full graph
-    total, _ = count_params(g, "full")
+    total = count_layers(g, Mode.ALL_HEADS)[1].params
     assert sum(arr.size for arr in ws.entries.values()) == total
 
 
