@@ -152,7 +152,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     spec_g = ConvSpec(cfg.tier2_bottleneck, cfg.tier2_channels, (3, 3), stride=2,
                       groups=cfg.tier2_groups)
     add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
-    dc = cfg.decoder_channels
+    dc = cfg.keypoints
     add_conv_cases(f"channelwise-3x3-{h2}x{h2}", ConvSpec(dc, dc, (3, 3), groups=dc), h2)
 
     # dilated conv: comb vs naive zero-stuffed baseline (canonical 12x12 case

@@ -36,14 +36,12 @@ class NetConfig:
     tier2_bottleneck: int = 16   # width of the 1x1 reduce inside a Tier-2 unit
     tier3_bottleneck: int = 32   # width of the 3x3 inside a ladder block
     ladder_dilations: tuple = (1, 2, 3, 4)
-    decoder_channels: int = 16   # primary heatmap count; decoder is channel-wise
     keypoints: int = 16
     aux_keypoints: int = 18
     orientation_classes: int = 8
     pose_classes: int = 9
     seg_classes: int = 3
     hands: int = 2
-    training_heads: bool = True
     bn_eps: float = 1e-5
     # embedded-backend tuning
     lane_width: int = 4  # 128-bit vectors of 32-bit reals
@@ -66,8 +64,6 @@ class NetConfig:
                 raise ConfigError(f"{f.name} must be an integer >= 1, got {v!r}")
             if f.type == "float" and not _is_real(v):
                 raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
-            if f.type == "bool" and not isinstance(v, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {v!r}")
             if f.type == "tuple" and not (isinstance(v, tuple) and v
                                           and all(_is_real(e) for e in v)):
                 raise ConfigError(f"{f.name} must be a list of numbers, got {v!r}")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -33,17 +32,12 @@ from .errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
 from .tensor import Layout, PackedWeights, Tensor
 
 __all__ = [
-    "Padding", "ConvSpec", "BnParams", "conv2d_ref", "conv2d_packed",
+    "ConvSpec", "BnParams", "conv2d_ref", "conv2d_packed",
     "comb_dilated_conv", "fold_batchnorm",
     "batchnorm_inference", "relu", "upsample_nearest_2x", "mac_count",
     "conv_out_shape", "zero_stuff_kernel", "zero_stuffed_spec", "OpCounter",
     "counting", "add_mults", "add_adds",
 ]
-
-
-class Padding(Enum):
-    SAME = "same"
-    VALID = "valid"
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,6 @@ class ConvSpec:
     out_ch: int
     kernel: tuple  # (kh, kw)
     stride: int = 1
-    padding: Padding = Padding.SAME
     dilation: int = 1
     groups: int = 1
     has_bias: bool = False
@@ -77,9 +70,8 @@ class ConvSpec:
         return self.out_ch // self.groups
 
     def pad(self) -> tuple:
-        """(pad_h, pad_w) of symmetric zero padding."""
-        if self.padding == Padding.VALID:
-            return (0, 0)
+        """(pad_h, pad_w) of symmetric zero padding, d*(k-1)//2 per axis: an
+        odd kernel at stride 1 keeps the input size."""
         kh, kw = self.kernel
         return (self.dilation * (kh - 1) // 2, self.dilation * (kw - 1) // 2)
 
@@ -87,12 +79,18 @@ class ConvSpec:
         return (self.out_ch, self.in_per_group, self.kernel[0], self.kernel[1])
 
 
+def _valid_out_shape(spec: ConvSpec, h: int, w: int) -> tuple:
+    """Output (h, w) of the unpadded convolution of an h x w map:
+    floor((in - d*(k-1) - 1)/stride) + 1 per axis."""
+    kh, kw = spec.kernel
+    d, s = spec.dilation, spec.stride
+    return (h - d * (kh - 1) - 1) // s + 1, (w - d * (kw - 1) - 1) // s + 1
+
+
 def conv_out_shape(spec: ConvSpec, in_h: int, in_w: int) -> tuple:
     """Output (h, w): out = floor((in + 2p - d*(k-1) - 1)/stride) + 1."""
     ph, pw = spec.pad()
-    kh, kw = spec.kernel
-    oh = (in_h + 2 * ph - spec.dilation * (kh - 1) - 1) // spec.stride + 1
-    ow = (in_w + 2 * pw - spec.dilation * (kw - 1) - 1) // spec.stride + 1
+    oh, ow = _valid_out_shape(spec, in_h + 2 * ph, in_w + 2 * pw)
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"empty output for {in_h}x{in_w} with {spec}")
     return oh, ow
@@ -205,12 +203,6 @@ def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
     return xp
 
 
-def _out_buffer(x: Tensor, spec: ConvSpec) -> np.ndarray:
-    """Zeroed float64 accumulator for the conv output, in the input's layout."""
-    oh, ow = conv_out_shape(spec, x.height, x.width)
-    return np.zeros(x.layout.order(spec.out_ch, oh, ow), dtype=np.float64)
-
-
 def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
     """Add the bias in 64-bit and round the result to a float32 tensor."""
     if b is not None:
@@ -223,11 +215,12 @@ def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
 # Reference (planar) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec, out: np.ndarray):
-    """Direct VALID convolution of an already padded float64 (C,H,W) array,
-    accumulated into `out` (out_ch, out_h, out_w). Tap loop outside, channel
-    contraction inside."""
-    _, out_h, out_w = out.shape
+def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Direct VALID convolution of an already padded float64 (C,H,W) array;
+    returns the float64 (out_ch, out_h, out_w) result. Tap loop outside,
+    channel contraction inside."""
+    out_h, out_w = _valid_out_shape(spec, *xp.shape[1:])
+    out = np.zeros((spec.out_ch, out_h, out_w))
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
     ipg, opg = spec.in_per_group, spec.out_per_group
@@ -243,24 +236,24 @@ def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec, out: np.nda
                 og += np.tensordot(wg[:, :, ky, kx], patch, axes=([1], [0]))
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
+    return out
 
 
 def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec) -> Tensor:
     """Reference convolution on a channel-planar tensor (the oracle path)."""
     w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
-    out = _out_buffer(x, spec)
-    _conv_planar_core(_padded(x, spec), w, spec, out)
-    return _store(out, b, x.layout)
+    return _store(_conv_planar_core(_padded(x, spec), w, spec), b, x.layout)
 
 
 # ---------------------------------------------------------------------------
 # Optimized (interleaved, packed) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
-                           out: np.ndarray):
+def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights,
+                           spec: ConvSpec) -> np.ndarray:
     """Direct VALID convolution of an already padded float64 (H,W,C) array
-    using the packed kernel stack, accumulated into `out` (out_h, out_w, out_ch).
+    using the packed kernel stack; returns the float64 (out_h, out_w, out_ch)
+    result.
 
     Tap loop outside, channel contraction inside, as in the reference core; no
     im2col matrix is ever materialized.  Per kernel tap, the strided patch is
@@ -269,10 +262,10 @@ def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
 
     * one input channel per group (channel-wise layers): each output takes one
       product per tap, so the tap is a broadcast multiply-add into an
-      accumulator stored in `out`'s own order;
+      accumulator kept in the output's own order;
     * otherwise: one batched GEMM over the groups.
     """
-    out_h, out_w, _ = out.shape
+    out_h, out_w = _valid_out_shape(spec, *xp.shape[:2])
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
@@ -291,18 +284,17 @@ def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights, spec: ConvSpec,
             # (G, oh*ow, ipg) @ (G, ipg, opg) -> (G, oh*ow, opg)
             acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
         acc = acc.transpose(1, 0, 2)
-    out += acc.reshape(out.shape)
+    out = acc.reshape(out_h, out_w, spec.out_ch)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
+    return out
 
 
 def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec) -> Tensor:
     """Optimized convolution: interleaved input, packed weights, interleaved
     output. Numerically matches conv2d_ref within 1e-5 max-abs."""
     pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED)
-    out = _out_buffer(x, spec)
-    _conv_interleaved_core(_padded(x, spec), pw, spec, out)
-    return _store(out, b, x.layout)
+    return _store(_conv_interleaved_core(_padded(x, spec), pw, spec), b, x.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +304,12 @@ def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec) -> Tensor:
 def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     """Dilated convolution via comb decomposition.
 
-    The input is padded once; field (i, j) of the padded map holds the pixels
-    with row % d == i and col % d == j.  Output field (i, j) is the *dense*
-    (dilation-1, VALID) convolution of padded field (i, j) with the unmodified
-    kernel.  Executed MACs equal the dilated convolution's theoretical count —
-    no zero-stuffing work, for any d and any map size.  Stride must be 1.
+    The input is padded once by ``spec.pad()``, as for any conv; field (i, j)
+    of the padded map holds the pixels with row % d == i and col % d == j.
+    Output field (i, j) is the *dense* (dilation-1, unpadded) convolution of
+    padded field (i, j) with the unmodified kernel.  Executed MACs equal the
+    dilated convolution's theoretical count — no zero-stuffing work, for any
+    d and any map size.  Stride must be 1.
 
     Accepts either a planar tensor with a raw weight array (reference dense
     kernel per field) or an interleaved tensor with PackedWeights (optimized
@@ -324,21 +317,19 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     """
     if spec.stride != 1:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
-    if spec.padding != Padding.SAME:
-        raise UnsupportedConfigError("comb decomposition requires Same padding")
     packed = isinstance(w, PackedWeights)
     layout = Layout.CHANNEL_INTERLEAVED if packed else Layout.CHANNEL_PLANAR
     w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout)
     core = _conv_interleaved_core if packed else _conv_planar_core
 
     d = spec.dilation
-    out = _out_buffer(x, spec)
+    out = np.empty(layout.order(spec.out_ch, *conv_out_shape(spec, x.height, x.width)))
     xp = _padded(x, spec)
-    dense = replace(spec, padding=Padding.VALID, dilation=1)
+    dense = replace(spec, dilation=1)
     for i in range(d):
         for j in range(d):
             field = layout.order(slice(None), slice(i, None, d), slice(j, None, d))
-            core(xp[field], w, dense, out[field])
+            out[field] = core(xp[field], w, dense)
     return _store(out, b, layout)
 
 
@@ -360,7 +351,7 @@ def zero_stuffed_spec(spec: ConvSpec) -> ConvSpec:
     d = spec.dilation
     return ConvSpec(spec.in_ch, spec.out_ch,
                     (d * (kh - 1) + 1, d * (kw - 1) + 1),
-                    spec.stride, spec.padding, 1, spec.groups, spec.has_bias)
+                    spec.stride, 1, spec.groups, spec.has_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
         "primary_heatmaps": planar(g.heads["primary"]),
         "visibility_logits": planar(g.heads["visibility"]),
     }
-    if mode == Mode.ALL_HEADS and "aux" in g.heads:
+    if mode == Mode.ALL_HEADS:
         hands = cfg.hands
         out["aux_heatmaps"] = planar(g.heads["aux"])
         out["orientation_logits"] = planar(g.heads["orientation"]).reshape(

@@ -133,19 +133,17 @@ class _Builder:
 
 
 def build_graph(cfg: NetConfig) -> GraphSpec:
-    """Construct the full network graph for a configuration.
+    """Construct the full network graph for a configuration: the deployed
+    inference subgraph first, then the training-only heads.
 
-    Inference nodes are emitted before training-only nodes, so a seeded
-    weight init produces identical weights for the shared layers whether or
-    not training heads are built.
+    The decoder is channel-wise with one channel per primary heatmap, so its
+    width is the keypoint count.
     """
-    if cfg.decoder_channels != cfg.keypoints:
-        raise ConfigError("channel-wise primary head requires decoder_channels == keypoints")
     b = _Builder()
     c1, c2, c3 = cfg.tier1_channels, cfg.tier2_channels, cfg.tier3_channels
     g2, g3 = cfg.tier2_groups, cfg.tier3_groups
-    dc = cfg.decoder_channels
     K, A = cfg.keypoints, cfg.aux_keypoints
+    dc = K
 
     b.input("input", (1, cfg.input_h, cfg.input_w))
 
@@ -195,46 +193,40 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b.gap("head.gap", t3_out)
     b.linear("head.vis", "head.gap", K + cfg.hands)
 
-    heads = {"primary": "head.kp", "visibility": "head.vis"}
     inference_names = frozenset(n.name for n in b.nodes)
 
-    if cfg.training_heads:
-        # deep-supervision heatmap heads at 1/8, 1/4, 1/2 resolution
-        b.conv("ds8.head", "dec.proj", ConvSpec(dc, K, (1, 1), has_bias=True),
-               bn=False, act="none")
-        b.conv("ds4.head", "dec.s1", ConvSpec(dc, K, (1, 1), has_bias=True),
-               bn=False, act="none")
-        b.conv("ds2.head", "dec.s2", ConvSpec(dc, K, (1, 1), has_bias=True),
-               bn=False, act="none")
-        # ungrouped auxiliary keypoint decoder
-        b.conv("aux.proj", t3_out, ConvSpec(c3, dc, (1, 1)))
-        b.upsample("aux.up1", "aux.proj")
-        b.conv("aux.s1", "aux.up1", ConvSpec(dc, dc, (3, 3)))
-        b.upsample("aux.up2", "aux.s1")
-        b.conv("aux.s2", "aux.up2", ConvSpec(dc, dc, (3, 3)))
-        b.conv("aux.head", "aux.s2", ConvSpec(dc, A, (3, 3), has_bias=True),
-               bn=False, act="none")
-        # per-hand classification heads off the pooled encoder features
-        b.linear("head.cho", "head.gap", cfg.hands * cfg.orientation_classes)
-        b.linear("head.dhp", "head.gap", cfg.hands * cfg.pose_classes)
-        # simplified spatial path + segmentation head
-        b.conv("sp.c1", "input", ConvSpec(1, 8, (3, 3), stride=2))
-        b.conv("sp.c2", "sp.c1", ConvSpec(8, 16, (3, 3), stride=2))
-        b.conv("sp.c3", "sp.c2", ConvSpec(16, 32, (3, 3), stride=2))
-        b.concat("seg.cat", ("sp.c3", "dec.proj"))
-        b.conv("seg.fuse", "seg.cat", ConvSpec(32 + dc, dc, (1, 1)))
-        b.upsample("seg.up1", "seg.fuse")
-        b.upsample("seg.up2", "seg.up1")
-        b.conv("seg.head", "seg.up2", ConvSpec(dc, cfg.seg_classes, (3, 3), has_bias=True),
-               bn=False, act="none")
-        heads.update({
-            "aux": "aux.head",
-            "orientation": "head.cho",
-            "pose": "head.dhp",
-            "segmentation": "seg.head",
-            "ds": ("ds8.head", "ds4.head", "ds2.head"),
-        })
-
+    # --- Training-only heads ---------------------------------------------
+    # deep-supervision heatmap heads at 1/8, 1/4, 1/2 resolution
+    b.conv("ds8.head", "dec.proj", ConvSpec(dc, K, (1, 1), has_bias=True),
+           bn=False, act="none")
+    b.conv("ds4.head", "dec.s1", ConvSpec(dc, K, (1, 1), has_bias=True),
+           bn=False, act="none")
+    b.conv("ds2.head", "dec.s2", ConvSpec(dc, K, (1, 1), has_bias=True),
+           bn=False, act="none")
+    # ungrouped auxiliary keypoint decoder
+    b.conv("aux.proj", t3_out, ConvSpec(c3, dc, (1, 1)))
+    b.upsample("aux.up1", "aux.proj")
+    b.conv("aux.s1", "aux.up1", ConvSpec(dc, dc, (3, 3)))
+    b.upsample("aux.up2", "aux.s1")
+    b.conv("aux.s2", "aux.up2", ConvSpec(dc, dc, (3, 3)))
+    b.conv("aux.head", "aux.s2", ConvSpec(dc, A, (3, 3), has_bias=True),
+           bn=False, act="none")
+    # per-hand classification heads off the pooled encoder features
+    b.linear("head.cho", "head.gap", cfg.hands * cfg.orientation_classes)
+    b.linear("head.dhp", "head.gap", cfg.hands * cfg.pose_classes)
+    # simplified spatial path + segmentation head
+    b.conv("sp.c1", "input", ConvSpec(1, 8, (3, 3), stride=2))
+    b.conv("sp.c2", "sp.c1", ConvSpec(8, 16, (3, 3), stride=2))
+    b.conv("sp.c3", "sp.c2", ConvSpec(16, 32, (3, 3), stride=2))
+    b.concat("seg.cat", ("sp.c3", "dec.proj"))
+    b.conv("seg.fuse", "seg.cat", ConvSpec(32 + dc, dc, (1, 1)))
+    b.upsample("seg.up1", "seg.fuse")
+    b.upsample("seg.up2", "seg.up1")
+    b.conv("seg.head", "seg.up2", ConvSpec(dc, cfg.seg_classes, (3, 3), has_bias=True),
+           bn=False, act="none")
+    heads = {"primary": "head.kp", "visibility": "head.vis", "aux": "aux.head",
+             "orientation": "head.cho", "pose": "head.dhp", "segmentation": "seg.head",
+             "ds": ("ds8.head", "ds4.head", "ds2.head")}
     return GraphSpec(cfg, tuple(b.nodes), heads, inference_names)
 
 

@@ -127,8 +127,9 @@ def visibility_bce(logits: np.ndarray, labels) -> tuple:
 
 def _per_hand_ce(logits, labels, present, eps):
     """Cross-entropy of each present hand's softmax against its label
-    softened by ``eps``, averaged over present hands. Absent hands' labels
-    are not read."""
+    softened by ``eps``, averaged over present hands. A hand is absent when
+    ``present`` says so or its label is None; absent hands' labels are not
+    read."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ShapeMismatchError(f"expected (hands, classes) logits, got {z.shape}")
@@ -138,7 +139,7 @@ def _per_hand_ce(logits, labels, present, eps):
     target = np.zeros_like(z)
     weight = np.zeros(hands)
     for hand in range(hands):
-        if present is not None and not present[hand]:
+        if (present is not None and not present[hand]) or labels[hand] is None:
             continue
         label = int(labels[hand])
         if not 0 <= label < n_classes:
@@ -258,16 +259,9 @@ def frame_loss_bundle(heads, targets: FrameTargets, seg_label_map=None,
     l_kp, _ = keypoint_ce(heads.primary_heatmaps, targets.keypoint_target(div))
     l_akp, _ = keypoint_ce(heads.aux_heatmaps, targets.aux_target(div))
     l_kphv, _ = visibility_bce(heads.visibility_logits, targets.visibility_labels())
-    present = targets.hands_present
-    cho_present = [bool(p) and lab is not None
-                   for p, lab in zip(present, targets.orientation)]
-    l_cho, _ = orientation_ce_soft(heads.orientation_logits,
-                                   [0 if v is None else v for v in targets.orientation],
-                                   orientation_eps, cho_present)
-    dhp_present = [bool(p) and lab is not None
-                   for p, lab in zip(present, targets.pose)]
-    l_dhp, _ = handpose_ce(heads.pose_logits,
-                           [0 if v is None else v for v in targets.pose], dhp_present)
+    l_cho, _ = orientation_ce_soft(heads.orientation_logits, targets.orientation,
+                                   orientation_eps, targets.hands_present)
+    l_dhp, _ = handpose_ce(heads.pose_logits, targets.pose, targets.hands_present)
     l_seg = 0.0
     if seg_label_map is not None:
         l_seg, _ = seg_ce(heads.segmentation_logits, seg_label_map)
@@ -294,10 +288,15 @@ def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
         aux = [_pair_or_none(e, f"aux_keypoints[{i}]")
                for i, e in enumerate(doc.get("aux_keypoints", [None] * aux_keypoints))]
         present = np.asarray(doc["hands"], dtype=bool)
-        orientation = list(doc.get("orientation", [None] * hands))
-        pose = list(doc.get("pose", [None] * hands))
+        orientation = doc.get("orientation", [None] * hands)
+        pose = doc.get("pose", [None] * hands)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed frame annotation: {exc}") from exc
+    for key, labels in (("orientation", orientation), ("pose", pose)):
+        if not (isinstance(labels, list) and len(labels) == hands
+                and all(v is None or (isinstance(v, int) and not isinstance(v, bool))
+                        for v in labels)):
+            raise InputError(f"{key}: expected {hands} class ids or nulls, got {labels!r}")
     if len(kps) != keypoints:
         raise InputError(f"expected {keypoints} keypoints, got {len(kps)}")
     if len(aux) != aux_keypoints:
@@ -311,7 +310,7 @@ def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
     else:
         tips = np.zeros(keypoints, dtype=bool)
         tips[list(fingertip_indices)] = True
-    return FrameTargets(kps, aux, tips, present, orientation, pose,
+    return FrameTargets(kps, aux, tips, present, list(orientation), list(pose),
                         doc.get("segmentation"))
 
 

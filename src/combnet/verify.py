@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import REFERENCE_CONFIG, NetConfig
-from .convops import (ConvSpec, Padding, comb_dilated_conv, conv2d_packed,
+from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, fold_batchnorm, BnParams, batchnorm_inference)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward
@@ -59,8 +59,7 @@ def _random_conv_case(rng, stride_one=False):
     h = int(rng.integers(lo, lo + 9))
     w = int(rng.integers(lo, lo + 9))
     has_bias = bool(rng.random() < 0.5)
-    spec = ConvSpec(in_ch, out_ch, (k, k), stride, Padding.SAME, dilation,
-                    groups, has_bias)
+    spec = ConvSpec(in_ch, out_ch, (k, k), stride, dilation, groups, has_bias)
     x = rng.standard_normal((in_ch, h, w)).astype(np.float32)
     wts = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     b = rng.standard_normal(out_ch).astype(np.float32) if has_bias else None

@@ -105,7 +105,8 @@ def test_count_invalid_config_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["tier2_groups = 0", "tier3_groups = 0",
-                                  "lane_width = 0", "input_h = -8", "input_h = 128.0"])
+                                  "lane_width = 0", "input_h = -8", "input_h = 128.0",
+                                  "training_heads = false", "decoder_channels = 16"])
 def test_count_out_of_range_config_exit_3(tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")

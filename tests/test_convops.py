@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from combnet.convops import (BnParams, ConvSpec, Padding, batchnorm_inference,
+from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
                              counting, fold_batchnorm,
                              mac_count, relu, upsample_nearest_2x,
@@ -89,7 +89,6 @@ def test_ref_vs_brute_force_randomized(case):
     spec = ConvSpec(g * int(rng.integers(1, 3)), g * int(rng.integers(1, 3)),
                     (int(rng.choice([1, 3])),) * 2,
                     stride=int(rng.choice([1, 2])),
-                    padding=Padding.SAME if rng.random() < 0.7 else Padding.VALID,
                     dilation=int(rng.choice([1, 2, 3])), groups=g,
                     has_bias=bool(rng.random() < 0.5))
     k, d = spec.kernel[0], spec.dilation

@@ -39,18 +39,6 @@ def test_inference_heads_is_slice_of_all_heads(setup96):
     assert inf.aux_heatmaps is None and inf.deep_supervision is None
 
 
-def test_head_isolation(setup96):
-    # building the graph without training heads never changes the primary maps
-    g, _, img = setup96
-    g_lean = build_graph(NetConfig(input_h=96, input_w=96, training_heads=False))
-    ws_full = init_weights(g, 11)
-    ws_lean = init_weights(g_lean, 11)
-    out_full = forward(g, ws_full, img, Backend.REFERENCE, Mode.INFERENCE_HEADS)
-    out_lean = forward(g_lean, ws_lean, img, Backend.REFERENCE, Mode.INFERENCE_HEADS)
-    np.testing.assert_array_equal(out_full.primary_heatmaps, out_lean.primary_heatmaps)
-    np.testing.assert_array_equal(out_full.visibility_logits, out_lean.visibility_logits)
-
-
 def test_determinism_across_runs(setup96):
     g, ws, img = setup96
     a = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS)

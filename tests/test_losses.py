@@ -380,6 +380,20 @@ def test_parse_frame_rejects_malformed():
         parse_frame_targets(doc)
 
 
+@pytest.mark.parametrize("key, labels", [
+    ("orientation", [1]),          # fewer labels than hands
+    ("orientation", ["x", 1]),     # not a number
+    ("pose", [1, 2, 3]),           # more labels than hands
+    ("orientation", [1.7, None]),  # not an integer
+    ("pose", [True, None]),        # a bool is not a class id
+])
+def test_parse_frame_rejects_bad_class_labels(key, labels):
+    doc = make_doc()
+    doc[key] = labels
+    with pytest.raises(InputError, match=key):
+        parse_frame_targets(doc)
+
+
 def test_load_frame_targets_file(tmp_path):
     p = tmp_path / "frame.json"
     p.write_text(json.dumps(make_doc()))
