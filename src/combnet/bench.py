@@ -25,7 +25,7 @@ from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import build_graph, count_layers
+from .graph import TIER2_CHANNELS, build_graph, count_layers
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -149,7 +149,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     # tier-2 style grouped conv, and the channel-wise (one filter per group)
     # conv the decoder and primary head run, both at tier-1 resolution
     h2 = cfg.input_h // 2
-    spec_g = ConvSpec(cfg.tier2_bottleneck, cfg.tier2_channels, (3, 3), stride=2,
+    spec_g = ConvSpec(cfg.tier2_bottleneck, TIER2_CHANNELS, (3, 3), stride=2,
                       groups=cfg.tier2_groups)
     add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
     dc = cfg.keypoints

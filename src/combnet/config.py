@@ -2,7 +2,7 @@
 reference configuration.
 
 Config files hold one `key = value` pair per line; `#` starts a comment.
-Values parse as int, float, bool, or a comma-separated list of those.
+Values parse as int, float, or a comma-separated list of those.
 Unknown keys are rejected so typos fail loudly.
 """
 
@@ -28,8 +28,6 @@ class NetConfig:
     # resolution / architecture
     input_h: int = 128
     input_w: int = 128
-    tier1_channels: int = 16
-    tier2_channels: int = 32
     tier3_channels: int = 64
     tier2_groups: int = 4
     tier3_groups: int = 8
@@ -38,11 +36,7 @@ class NetConfig:
     ladder_dilations: tuple = (1, 2, 3, 4)
     keypoints: int = 16
     aux_keypoints: int = 18
-    orientation_classes: int = 8
-    pose_classes: int = 9
-    seg_classes: int = 3
     hands: int = 2
-    bn_eps: float = 1e-5
     # embedded-backend tuning
     lane_width: int = 4  # 128-bit vectors of 32-bit reals
     # loss configuration
@@ -71,21 +65,15 @@ class NetConfig:
             raise ConfigError("ladder_dilations must be integers >= 1")
         if not all(_is_int(i) for i in self.fingertip_indices):
             raise ConfigError("fingertip_indices must be integers")
-        if self.bn_eps <= 0:
-            raise ConfigError("bn_eps must be positive")
         if not 0 <= self.z_min_mm < self.z_max_mm:
             raise ConfigError("depth range needs 0 <= z_min_mm < z_max_mm")
         if self.input_h % 8 or self.input_w % 8:
             raise ConfigError(
                 f"input resolution {self.input_h}x{self.input_w} must be divisible by 8")
-        if self.tier2_channels % self.tier2_groups:
-            raise ConfigError("tier2 groups must divide tier2 channels")
         if self.tier3_channels % self.tier3_groups:
             raise ConfigError("tier3 groups must divide tier3 channels")
         if self.tier3_bottleneck % self.tier3_groups:
             raise ConfigError("tier3 groups must divide the ladder bottleneck width")
-        if self.tier2_channels % 2:
-            raise ConfigError("tier2 channels must be even (two concatenated units)")
         if self.depth_window % 2 == 0 or self.depth_window < 1:
             raise ConfigError("depth_window must be odd and positive")
         if len(self.amplitude_coeffs) != 4:
@@ -119,9 +107,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(NetConfig)}
 
 def _parse_scalar(tok: str):
     tok = tok.strip()
-    low = tok.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(tok)
     except ValueError:
@@ -148,7 +133,7 @@ def parse_config(text: str) -> NetConfig:
             values[key] = tuple(_parse_scalar(t) for t in val.split(","))
         else:
             parsed = _parse_scalar(val)
-            if _FIELD_TYPES[key] in ("tuple", tuple):
+            if _FIELD_TYPES[key] == "tuple":
                 parsed = (parsed,)
             values[key] = parsed
     return replace(REFERENCE_CONFIG, **values)

@@ -378,11 +378,6 @@ class BnParams:
         if np.any(self.var < 0):
             raise ConfigError("BN running variance must be non-negative")
 
-    @staticmethod
-    def identity(ch: int, eps: float = 1e-5) -> "BnParams":
-        return BnParams(np.ones(ch, np.float32), np.zeros(ch, np.float32),
-                        np.zeros(ch, np.float32), np.ones(ch, np.float32), eps)
-
     def scale_shift(self) -> tuple:
         """Per-channel (s, t) with bn(x) = x*s + t."""
         s = self.gamma / np.sqrt(self.var + np.float32(self.eps))

@@ -54,7 +54,7 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS
     for node in g.nodes_for(mode):
         if node.kind != "conv":
             continue
-        w, bias, bn = ws.node_params(node, g.config.bn_eps)
+        w, bias, bn = ws.node_params(node)
         if bn is not None:
             w, bias = fold_batchnorm(w, bias, bn)
         prep[node.name] = (pack_kernels(w, node.conv.groups, g.config.lane_width), bias)
@@ -121,7 +121,7 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
                 else:
                     t = conv2d_packed(x, pw, bias, s)
             else:
-                w, bias, bn = ws.node_params(node, cfg.bn_eps)
+                w, bias, bn = ws.node_params(node)
                 t = conv2d_ref(x, w, bias, s)
                 if bn is not None:
                     t = batchnorm_inference(t, bn)
@@ -142,7 +142,7 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
         elif node.kind == "gap":
             values[node.name] = _gap(values[node.inputs[0]])
         elif node.kind == "linear":
-            w, b, _ = ws.node_params(node, cfg.bn_eps)
+            w, b, _ = ws.node_params(node)
             values[node.name] = _linear(values[node.inputs[0]], w, b)
         else:
             raise ShapeMismatchError(f"unknown node kind {node.kind}")
@@ -156,11 +156,9 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
         "visibility_logits": planar(g.heads["visibility"]),
     }
     if mode == Mode.ALL_HEADS:
-        hands = cfg.hands
         out["aux_heatmaps"] = planar(g.heads["aux"])
-        out["orientation_logits"] = planar(g.heads["orientation"]).reshape(
-            hands, cfg.orientation_classes)
-        out["pose_logits"] = planar(g.heads["pose"]).reshape(hands, cfg.pose_classes)
+        out["orientation_logits"] = planar(g.heads["orientation"]).reshape(cfg.hands, -1)
+        out["pose_logits"] = planar(g.heads["pose"]).reshape(cfg.hands, -1)
         out["segmentation_logits"] = planar(g.heads["segmentation"])
         out["deep_supervision"] = tuple(planar(n) for n in g.heads["ds"])
     return HeadsOutput(**out)

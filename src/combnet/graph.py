@@ -6,20 +6,22 @@ training-only heads (:class:`Mode`); :meth:`GraphSpec.nodes_for` alone says
 which nodes that is. :func:`param_entries` alone lists a node's stored
 weight entries (names and shapes).
 
-Encoder: three tiers (16/32/64 channels). Tier-1 is a single 3x3 stride-2
-Conv-BN-ReLU. Tier-2 is two 131 bottleneck units (1x1 reduce, 3x3 grouped
-stride on the first unit, 1x1 expand) whose outputs are concatenated —
-the unit input itself is never concatenated. Tier-3 is an entry conv plus
-two dilated-ladder units: four residual bottleneck blocks each, dilation
-rates 1,2,3,4, grouped 3x3.
+Encoder: three tiers of 16, 32 and ``tier3_channels`` (64) channels.
+Tier-1 is a single 3x3 stride-2 Conv-BN-ReLU. Tier-2 is two 131 bottleneck
+units (1x1 reduce, 3x3 grouped stride on the first unit, 1x1 expand) whose
+outputs are concatenated — the unit input itself is never concatenated.
+Tier-3 is an entry conv plus two dilated-ladder units: four residual
+bottleneck blocks each, dilation rates 1,2,3,4, grouped 3x3.
 
 Decoder: a grouped 1x1 projection to the heatmap channel count, then two
 (nearest-2x upsample + channel-wise 3x3) stages ending at half resolution.
 
 Heads: primary heatmaps, keypoint/hand visibility (GAP + linear), and —
-training only — auxiliary keypoint decoder (ungrouped), hand orientation,
-discrete pose, segmentation over a small spatial path, and deep-supervision
-heatmap heads at 1/8, 1/4, 1/2 resolution.
+training only — auxiliary keypoint decoder (ungrouped), hand orientation
+(8 classes per hand), discrete pose (9 per hand), segmentation (3 classes)
+over a small spatial path, and deep-supervision heatmap heads at 1/8, 1/4,
+1/2 resolution. The deployed network fixes the tier-1/tier-2 widths and
+these label spaces, so they are the module constants below, not config keys.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ __all__ = [
     "validate_config", "count_layers", "node_param_count",
     "node_flop_count", "ValidationReport", "CountRow",
 ]
+
+TIER1_CHANNELS = 16
+TIER2_CHANNELS = 32
+ORIENTATION_CLASSES = 8
+POSE_CLASSES = 9
+SEG_CLASSES = 3
 
 
 class Mode(Enum):
@@ -140,7 +148,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     width is the keypoint count.
     """
     b = _Builder()
-    c1, c2, c3 = cfg.tier1_channels, cfg.tier2_channels, cfg.tier3_channels
+    c1, c2, c3 = TIER1_CHANNELS, TIER2_CHANNELS, cfg.tier3_channels
     g2, g3 = cfg.tier2_groups, cfg.tier3_groups
     K, A = cfg.keypoints, cfg.aux_keypoints
     dc = K
@@ -212,8 +220,8 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b.conv("aux.head", "aux.s2", ConvSpec(dc, A, (3, 3), has_bias=True),
            bn=False, act="none")
     # per-hand classification heads off the pooled encoder features
-    b.linear("head.cho", "head.gap", cfg.hands * cfg.orientation_classes)
-    b.linear("head.dhp", "head.gap", cfg.hands * cfg.pose_classes)
+    b.linear("head.cho", "head.gap", cfg.hands * ORIENTATION_CLASSES)
+    b.linear("head.dhp", "head.gap", cfg.hands * POSE_CLASSES)
     # simplified spatial path + segmentation head
     b.conv("sp.c1", "input", ConvSpec(1, 8, (3, 3), stride=2))
     b.conv("sp.c2", "sp.c1", ConvSpec(8, 16, (3, 3), stride=2))
@@ -222,7 +230,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b.conv("seg.fuse", "seg.cat", ConvSpec(32 + dc, dc, (1, 1)))
     b.upsample("seg.up1", "seg.fuse")
     b.upsample("seg.up2", "seg.up1")
-    b.conv("seg.head", "seg.up2", ConvSpec(dc, cfg.seg_classes, (3, 3), has_bias=True),
+    b.conv("seg.head", "seg.up2", ConvSpec(dc, SEG_CLASSES, (3, 3), has_bias=True),
            bn=False, act="none")
     heads = {"primary": "head.kp", "visibility": "head.vis", "aux": "aux.head",
              "orientation": "head.cho", "pose": "head.dhp", "segmentation": "seg.head",
@@ -263,11 +271,8 @@ def validate_config(g: GraphSpec) -> ValidationReport:
                 f"{node.name}: {fpg} filters/group is not a multiple of {lane} lanes")
 
     cfg = g.config
-    for tier, expected in ((1, 16), (2, 32), (3, 64)):
-        channels = getattr(cfg, f"tier{tier}_channels")
-        if channels != expected:
-            rep.errors.append(
-                f"tier-{tier} emits {channels} channels, expected {expected}")
+    if cfg.tier3_channels != 64:
+        rep.errors.append(f"tier-3 emits {cfg.tier3_channels} channels, expected 64")
     if cfg.tier2_groups != 4:
         rep.errors.append(f"tier-2 grouping factor is {cfg.tier2_groups}, expected 4")
     if cfg.tier3_groups != 8:

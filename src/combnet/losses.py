@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _is_int
 from .errors import ConfigError, InputError, ShapeMismatchError
 
 LOSS_WEIGHTS = {
@@ -119,9 +120,10 @@ def visibility_bce(logits: np.ndarray, labels) -> tuple:
     if z.shape != y.shape:
         raise ShapeMismatchError(f"{z.shape[0]} logits vs {y.shape[0]} labels")
     n = z.size
-    # stable: max(z,0) - z*y + log(1+exp(-|z|))
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    sig = 1.0 / (1.0 + np.exp(-z))
+    # stable: max(z,0) - z*y + log(1+exp(-|z|)); exp(-|z|) never overflows
+    e = np.exp(-np.abs(z))
+    per = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(per.mean()), (sig - y) / n
 
 
@@ -136,6 +138,9 @@ def _per_hand_ce(logits, labels, present, eps):
     if not 0.0 <= eps < 1.0:
         raise ConfigError(f"eps {eps} outside [0,1)")
     hands, n_classes = z.shape
+    for what, v in (("labels", labels), ("presence flags", present)):
+        if v is not None and len(v) != hands:
+            raise ShapeMismatchError(f"{len(v)} {what} for {hands} hands")
     target = np.zeros_like(z)
     weight = np.zeros(hands)
     for hand in range(hands):
@@ -274,9 +279,17 @@ def frame_loss_bundle(heads, targets: FrameTargets, seg_label_map=None,
 def _pair_or_none(entry, what):
     if entry is None:
         return None
-    if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
-        raise InputError(f"{what}: expected [row, col] or null, got {entry!r}")
-    return (int(entry[0]), int(entry[1]))
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(_is_int(v) for v in entry)):
+        raise InputError(f"{what}: expected [row, col] integers or null, got {entry!r}")
+    return tuple(entry)
+
+
+def _flags(doc, key, n) -> np.ndarray:
+    v = doc[key]
+    if not (isinstance(v, list) and len(v) == n and all(isinstance(f, bool) for f in v)):
+        raise InputError(f"{key}: expected {n} true/false flags, got {v!r}")
+    return np.array(v, dtype=bool)
 
 
 def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
@@ -287,26 +300,21 @@ def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
                for i, e in enumerate(doc["keypoints"])]
         aux = [_pair_or_none(e, f"aux_keypoints[{i}]")
                for i, e in enumerate(doc.get("aux_keypoints", [None] * aux_keypoints))]
-        present = np.asarray(doc["hands"], dtype=bool)
+        present = _flags(doc, "hands", hands)
         orientation = doc.get("orientation", [None] * hands)
         pose = doc.get("pose", [None] * hands)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed frame annotation: {exc}") from exc
     for key, labels in (("orientation", orientation), ("pose", pose)):
         if not (isinstance(labels, list) and len(labels) == hands
-                and all(v is None or (isinstance(v, int) and not isinstance(v, bool))
-                        for v in labels)):
+                and all(v is None or _is_int(v) for v in labels)):
             raise InputError(f"{key}: expected {hands} class ids or nulls, got {labels!r}")
     if len(kps) != keypoints:
         raise InputError(f"expected {keypoints} keypoints, got {len(kps)}")
     if len(aux) != aux_keypoints:
         raise InputError(f"expected {aux_keypoints} aux keypoints, got {len(aux)}")
-    if present.shape != (hands,):
-        raise InputError(f"expected {hands} hand flags")
     if "fingertips" in doc:
-        tips = np.asarray(doc["fingertips"], dtype=bool)
-        if tips.shape != (keypoints,):
-            raise InputError(f"fingertip flags must have length {keypoints}")
+        tips = _flags(doc, "fingertips", keypoints)
     else:
         tips = np.zeros(keypoints, dtype=bool)
         tips[list(fingertip_indices)] = True

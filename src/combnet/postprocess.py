@@ -87,17 +87,14 @@ class InputTransform:
 def normalize_input(image: np.ndarray, out_hw: tuple | None = None):
     """Map a 16-bit image to a [0,1] float32 (1,H,W) planar tensor.
 
-    When `out_hw` differs from the source dims the image is center-cropped to
-    the target aspect ratio and scaled by nearest-neighbor sampling (fully
+    The image is center-cropped to the aspect ratio of `out_hw` (default:
+    the source dims) and scaled by nearest-neighbor sampling (fully
     deterministic). Returns (tensor, InputTransform)."""
     img = np.asarray(image)
     if img.ndim != 2 or img.size == 0:
         raise InputError(f"expected a non-empty 2-D image, got shape {img.shape}")
     h, w = img.shape
-    if out_hw is None or (h, w) == tuple(out_hw):
-        data = (img.astype(np.float32) / np.float32(U16_MAX))
-        return Tensor.from_array(data[None]), InputTransform()
-    oh, ow = out_hw
+    oh, ow = (h, w) if out_hw is None else out_hw
     scale = min(h / oh, w / ow)
     crop_h, crop_w = int(round(oh * scale)), int(round(ow * scale))
     top, left = (h - crop_h) // 2, (w - crop_w) // 2

@@ -48,10 +48,10 @@ class WeightStore:
             raise ShapeMismatchError(f"missing weight entry {name!r}")
         return self.entries[name]
 
-    def node_params(self, node: Node, bn_eps: float) -> tuple:
+    def node_params(self, node: Node) -> tuple:
         """(weights, bias or None, BnParams or None) of a conv or linear node."""
         got = {name[len(node.name):]: self.get(name) for name, _ in param_entries(node)}
-        bn = (BnParams(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"], bn_eps)
+        bn = (BnParams(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"])
               if node.bn else None)
         return got[".w"], got.get(".b"), bn
 

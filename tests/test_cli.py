@@ -106,7 +106,10 @@ def test_count_invalid_config_exit_3(tmp_path):
 
 @pytest.mark.parametrize("line", ["tier2_groups = 0", "tier3_groups = 0",
                                   "lane_width = 0", "input_h = -8", "input_h = 128.0",
-                                  "training_heads = false", "decoder_channels = 16"])
+                                  "training_heads = false", "decoder_channels = 16",
+                                  "tier1_channels = 16", "tier2_channels = 32",
+                                  "orientation_classes = 8", "pose_classes = 9",
+                                  "seg_classes = 3", "bn_eps = 1e-05"])
 def test_count_out_of_range_config_exit_3(tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")

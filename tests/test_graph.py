@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from combnet.config import NetConfig, REFERENCE_CONFIG, parse_config
+from combnet.config import NetConfig, REFERENCE_CONFIG, load_config, parse_config
 from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError
 from combnet.forward import Backend, Mode, forward
@@ -227,6 +229,11 @@ def test_parse_config_roundtrip():
     cfg = parse_config(REFERENCE_CONFIG.canonical_text())
     assert cfg == REFERENCE_CONFIG
     assert cfg.config_hash() == REFERENCE_CONFIG.config_hash()
+
+
+def test_shipped_config_file_is_the_reference_config():
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "reference.cfg")
+    assert cfg == REFERENCE_CONFIG
 
 
 def test_parse_config_overrides_and_comments():

@@ -118,6 +118,8 @@ def test_bce_closed_forms():
     assert abs(loss - math.log(2)) <= 1e-9
     loss, _ = visibility_bce(np.full(18, 1000.0), np.ones(18))
     assert loss <= 1e-9
+    loss, grad = visibility_bce(np.full(18, -1000.0), np.zeros(18))
+    assert loss <= 1e-9 and np.all(grad == 0.0)
 
 
 def test_bce_matches_direct_formula():
@@ -164,6 +166,17 @@ def test_orientation_hand_computed_value():
 def test_orientation_bad_label():
     with pytest.raises(ConfigError):
         orientation_ce_soft(np.zeros((1, 8)), [8], 0.1, [True])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: orientation_ce_soft(np.zeros((2, 8)), [1]),         # too few labels
+    lambda: orientation_ce_soft(np.zeros((2, 8)), [1, 2, 5]),   # too many labels
+    lambda: handpose_ce(np.zeros((2, 9)), [1]),
+    lambda: orientation_ce_soft(np.zeros((2, 8)), [1, 2], present=[True]),
+])
+def test_per_hand_ce_rejects_label_count_mismatch(call):
+    with pytest.raises(ShapeMismatchError):
+        call()
 
 
 def test_orientation_absent_hands_masked():
@@ -386,6 +399,10 @@ def test_parse_frame_rejects_malformed():
     ("pose", [1, 2, 3]),           # more labels than hands
     ("orientation", [1.7, None]),  # not an integer
     ("pose", [True, None]),        # a bool is not a class id
+    ("keypoints", [[10.7, True]] + [None] * 15),   # not an integer pair
+    ("aux_keypoints", [["3", "4"]] + [None] * 17),  # strings are not pixels
+    ("hands", ["no", 0]),                           # flags must be booleans
+    ("fingertips", ["no"] * 16),
 ])
 def test_parse_frame_rejects_bad_class_labels(key, labels):
     doc = make_doc()
