@@ -159,7 +159,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     # plus the graph's own tier-3 resolution when different)
     sizes = {12, cfg.input_h // 8}
     for hw in sorted(sizes):
-        for d in (2, 4):
+        for d in (2, 3, 4):
             spec_d = ConvSpec(cfg.tier3_bottleneck, cfg.tier3_bottleneck, (3, 3),
                               dilation=d, groups=cfg.tier3_groups)
             xd = rng.standard_normal((spec_d.in_ch, hw, hw)).astype(np.float32)

@@ -11,9 +11,11 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
   tap, so the tap is a broadcast multiply-add instead.
 
 Dilated convolutions additionally get :func:`comb_dilated_conv`, which pads
-the input once and runs a dense convolution over each of the d*d strided
-pixel fields of the padded map — the dilated result at dense-convolution
-cost (no zero-stuffing work).
+the input once and convolves the d*d strided pixel fields of the padded map
+densely — the dilated result at dense-convolution cost (no zero-stuffing
+work).  Both cores take a padded map as a field view whose field axes are
+batch axes: unit for the plain convolutions, one class of equal-sized
+fields per call for the comb.
 
 All kernels accumulate in 64-bit and store 32-bit.  An optional instrumented
 counter records the multiplies/adds the kernels actually execute so that
@@ -22,8 +24,9 @@ analytic MAC/FLOP accounting can be cross-checked exactly.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +82,18 @@ class ConvSpec:
         return (self.out_ch, self.in_per_group, self.kernel[0], self.kernel[1])
 
 
-def _valid_out_shape(spec: ConvSpec, h: int, w: int) -> tuple:
-    """Output (h, w) of the unpadded convolution of an h x w map:
-    floor((in - d*(k-1) - 1)/stride) + 1 per axis."""
+def _valid_out_shape(spec: ConvSpec, h: int, w: int, d: int) -> tuple:
+    """Output (h, w) of the unpadded convolution of an h x w map with kernel
+    taps d apart: floor((in - d*(k-1) - 1)/stride) + 1 per axis."""
     kh, kw = spec.kernel
-    d, s = spec.dilation, spec.stride
+    s = spec.stride
     return (h - d * (kh - 1) - 1) // s + 1, (w - d * (kw - 1) - 1) // s + 1
 
 
 def conv_out_shape(spec: ConvSpec, in_h: int, in_w: int) -> tuple:
     """Output (h, w): out = floor((in + 2p - d*(k-1) - 1)/stride) + 1."""
     ph, pw = spec.pad()
-    oh, ow = _valid_out_shape(spec, in_h + 2 * ph, in_w + 2 * pw)
+    oh, ow = _valid_out_shape(spec, in_h + 2 * ph, in_w + 2 * pw, spec.dilation)
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"empty output for {in_h}x{in_w} with {spec}")
     return oh, ow
@@ -194,97 +197,129 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
     return w, b
 
 
-def _padded(x: Tensor, spec: ConvSpec) -> np.ndarray:
-    """The input in float64 and its own layout, zero-padded by spec.pad()."""
+def _fields(layout: Layout, c, h: tuple, w: tuple) -> tuple:
+    """Per-axis items of a field view, (C, H, Bi, W, Bj) planar or
+    (H, Bi, W, Bj, C) interleaved, from the (H, Bi) and (W, Bj) pairs: map
+    row y is row y // Bi of row field y % Bi, and likewise for columns."""
+    return tuple(a for axis in layout.order((c,), h, w) for a in axis)
+
+
+def _padded(x: Tensor, spec: ConvSpec, d: int = 1) -> np.ndarray:
+    """The input in float64 and its own layout, zero-padded by spec.pad() and
+    then at the bottom and right up to a multiple of d, as a d x d field view."""
     ph, pw = spec.pad()
     c, h, w = x.dims
-    xp = np.zeros(x.layout.order(c, h + 2 * ph, w + 2 * pw))
+    hf, wf = -(-(h + 2 * ph) // d), -(-(w + 2 * pw) // d)
+    xp = np.zeros(x.layout.order(c, hf * d, wf * d))
     xp[x.layout.order(slice(None), slice(ph, ph + h), slice(pw, pw + w))] = x.view()
-    return xp
+    return xp.reshape(_fields(x.layout, c, (hf, d), (wf, d)))
+
+
+def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
+    """Add the bias to a float64 conv result in place."""
+    if b is not None:
+        out += b.astype(np.float64).reshape(layout.order(-1, 1, 1))
+        add_adds(out.size)
+    return out
 
 
 def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
     """Add the bias in 64-bit and round the result to a float32 tensor."""
-    if b is not None:
-        out += b.astype(np.float64).reshape(layout.order(-1, 1, 1))
-        add_adds(out.size)
-    return Tensor.from_view(out, layout)
+    return Tensor.from_view(_add_bias(out, b, layout), layout)
+
+
+def _tap(k: int, step: int, s: int, n: int) -> slice:
+    """Rows (or columns) of a field view that kernel tap k reads for n outputs,
+    with taps `step` field rows apart and output stride s."""
+    return slice(k * step, k * step + (n - 1) * s + 1, s)
 
 
 # ---------------------------------------------------------------------------
 # Reference (planar) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Direct VALID convolution of an already padded float64 (C,H,W) array;
-    returns the float64 (out_ch, out_h, out_w) result. Tap loop outside,
-    channel contraction inside."""
-    out_h, out_w = _valid_out_shape(spec, *xp.shape[1:])
-    out = np.zeros((spec.out_ch, out_h, out_w))
+def _conv_planar_core(xf: np.ndarray, w: np.ndarray, spec: ConvSpec,
+                      step: int) -> np.ndarray:
+    """Direct VALID convolution of every field of an already padded float64
+    (C, H, Bi, W, Bj) field view, kernel taps `step` field rows and columns
+    apart; returns the float64 (out_ch, out_h, Bi, out_w, Bj) result. Tap
+    loop outside, channel contraction inside."""
+    _, h, bi, w_, bj = xf.shape
+    out_h, out_w = _valid_out_shape(spec, h, w_, step)
+    out = np.zeros((spec.out_ch, out_h, bi, out_w, bj))
     kh, kw = spec.kernel
-    d, s = spec.dilation, spec.stride
+    s = spec.stride
     ipg, opg = spec.in_per_group, spec.out_per_group
     for g in range(spec.groups):
-        xg = xp[g * ipg:(g + 1) * ipg]
+        xg = xf[g * ipg:(g + 1) * ipg]
         wg = w[g * opg:(g + 1) * opg].astype(np.float64)
         og = out[g * opg:(g + 1) * opg]
         for ky in range(kh):
             for kx in range(kw):
-                patch = xg[:, ky * d: ky * d + (out_h - 1) * s + 1: s,
-                           kx * d: kx * d + (out_w - 1) * s + 1: s]
-                # (opg, ipg) . (ipg, oh, ow) -> (opg, oh, ow)
+                patch = xg[:, _tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
+                # (opg, ipg) . (ipg, oh, Bi, ow, Bj) -> (opg, oh, Bi, ow, Bj)
                 og += np.tensordot(wg[:, :, ky, kx], patch, axes=([1], [0]))
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
     return out
 
 
-def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec) -> Tensor:
-    """Reference convolution on a channel-planar tensor (the oracle path)."""
+def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True):
+    """Reference convolution on a channel-planar tensor (the oracle path).
+    With ``rounded=False`` it returns the float64 (C, H, W) result, bias
+    included, instead of a float32 tensor, so that a following
+    :func:`batchnorm_inference` rounds conv-then-BN once."""
     w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
-    return _store(_conv_planar_core(_padded(x, spec), w, spec), b, x.layout)
+    out_h, out_w = conv_out_shape(spec, x.height, x.width)
+    out = _conv_planar_core(_padded(x, spec), w, spec, spec.dilation)
+    out = _add_bias(out.reshape(spec.out_ch, out_h, out_w), b, x.layout)
+    return Tensor.from_view(out, x.layout) if rounded else out
 
 
 # ---------------------------------------------------------------------------
 # Optimized (interleaved, packed) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_interleaved_core(xp: np.ndarray, pw: PackedWeights,
-                           spec: ConvSpec) -> np.ndarray:
-    """Direct VALID convolution of an already padded float64 (H,W,C) array
-    using the packed kernel stack; returns the float64 (out_h, out_w, out_ch)
-    result.
+def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
+                           step: int) -> np.ndarray:
+    """Direct VALID convolution of every field of an already padded float64
+    (H, Bi, W, Bj, C) field view using the packed kernel stack, kernel taps
+    `step` field rows and columns apart; returns the float64
+    (out_h, Bi, out_w, Bj, out_ch) result.
 
     Tap loop outside, channel contraction inside, as in the reference core; no
     im2col matrix is ever materialized.  Per kernel tap, the strided patch is
-    seen as (out_h, out_w, group, in_ch_per_group) and meets the tap's (group,
-    in_ch_per_group, out_ch_per_group) slice of `pw.taps`:
+    seen as (pixels, group, in_ch_per_group), fields included in the pixels,
+    and meets the tap's (group, in_ch_per_group, out_ch_per_group) slice of
+    `pw.taps`:
 
     * one input channel per group (channel-wise layers): each output takes one
       product per tap, so the tap is a broadcast multiply-add into an
       accumulator kept in the output's own order;
     * otherwise: one batched GEMM over the groups.
     """
-    out_h, out_w = _valid_out_shape(spec, *xp.shape[:2])
+    h, bi, w, bj, _ = xf.shape
+    out_h, out_w = _valid_out_shape(spec, h, w, step)
     kh, kw = spec.kernel
-    d, s = spec.dilation, spec.stride
+    s = spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
+    pixels = (out_h, bi, out_w, bj)
     patches = [(pw.taps[ky, kx],
-                xp[ky * d: ky * d + (out_h - 1) * s + 1: s,
-                   kx * d: kx * d + (out_w - 1) * s + 1: s].reshape(out_h, out_w, G, ipg))
+                xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
+                .reshape(*pixels, G, ipg))
                for ky in range(kh) for kx in range(kw)]
     if ipg == 1:
-        acc = np.zeros((out_h, out_w, G, opg))
+        acc = np.zeros((*pixels, G, opg))
         for tap, patch in patches:
-            # (oh, ow, G, 1) * (G, opg) -> (oh, ow, G, opg)
+            # (pixels, G, 1) * (G, opg) -> (pixels, G, opg)
             acc += patch * tap[:, 0]
     else:
-        acc = np.zeros((G, out_h * out_w, opg))
+        acc = np.zeros((G, math.prod(pixels), opg))
         for tap, patch in patches:
-            # (G, oh*ow, ipg) @ (G, ipg, opg) -> (G, oh*ow, opg)
+            # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
             acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
         acc = acc.transpose(1, 0, 2)
-    out = acc.reshape(out_h, out_w, spec.out_ch)
+    out = acc.reshape(*pixels, spec.out_ch)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
     return out
@@ -294,26 +329,39 @@ def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec) -> Tensor:
     """Optimized convolution: interleaved input, packed weights, interleaved
     output. Numerically matches conv2d_ref within 1e-5 max-abs."""
     pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED)
-    return _store(_conv_interleaved_core(_padded(x, spec), pw, spec), b, x.layout)
+    out_h, out_w = conv_out_shape(spec, x.height, x.width)
+    out = _conv_interleaved_core(_padded(x, spec), pw, spec, spec.dilation)
+    return _store(out.reshape(out_h, out_w, spec.out_ch), b, x.layout)
 
 
 # ---------------------------------------------------------------------------
 # Comb dilated convolution
 # ---------------------------------------------------------------------------
 
+def _size_classes(n: int, d: int) -> list:
+    """(fields, length) classes of the d fields of an n-long axis: fields
+    below n % d are n // d + 1 long, the rest n // d."""
+    r = n % d
+    return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
+
+
 def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
-    """Dilated convolution via comb decomposition.
+    """Dilated convolution via comb decomposition; stride must be 1.
 
-    The input is padded once by ``spec.pad()``, as for any conv; field (i, j)
-    of the padded map holds the pixels with row % d == i and col % d == j.
-    Output field (i, j) is the *dense* (dilation-1, unpadded) convolution of
-    padded field (i, j) with the unmodified kernel.  Executed MACs equal the
-    dilated convolution's theoretical count — no zero-stuffing work, for any
-    d and any map size.  Stride must be 1.
+    Field (i, j) of the padded map holds the pixels with row % d == i and
+    col % d == j, and output field (i, j) is the dense (dilation-1, unpadded)
+    convolution of input field (i, j) with the unmodified kernel.  The input
+    is padded once, up to a multiple of d per side, so its field view holds
+    field (i, j) at ``[.., :, i, :, j]`` and the fields are batch axes of the
+    dense core.  Fields come in at most four size classes (rows ``Hp//d`` or
+    ``Hp//d + 1`` of the padded Hp x Wp map, likewise columns); the core runs
+    once per class, on its fields cropped to their real size, into an output
+    field view that reshapes to the output map.  That is one call when d
+    divides both padded sides, and no output outside the map is computed:
+    executed MACs equal the theoretical count for any d and map size.
 
-    Accepts either a planar tensor with a raw weight array (reference dense
-    kernel per field) or an interleaved tensor with PackedWeights (optimized
-    dense kernel per field).  d=1 degenerates to the plain dense convolution.
+    Planar input takes a raw weight array (reference core), interleaved
+    input PackedWeights (optimized core).  d=1 is the plain convolution.
     """
     if spec.stride != 1:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
@@ -323,14 +371,21 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
     core = _conv_interleaved_core if packed else _conv_planar_core
 
     d = spec.dilation
-    out = np.empty(layout.order(spec.out_ch, *conv_out_shape(spec, x.height, x.width)))
-    xp = _padded(x, spec)
-    dense = replace(spec, dilation=1)
-    for i in range(d):
-        for j in range(d):
-            field = layout.order(slice(None), slice(i, None, d), slice(j, None, d))
-            out[field] = core(xp[field], w, dense)
-    return _store(out, b, layout)
+    kh, kw = spec.kernel
+    out_h, out_w = conv_out_shape(spec, x.height, x.width)
+    hf, wf = -(-out_h // d), -(-out_w // d)
+    xf = _padded(x, spec, d)
+    out = np.empty(_fields(layout, spec.out_ch, (hf, d), (wf, d)))
+    # at stride 1 the padded side is the output side plus d*(k-1)
+    for fi, rows in _size_classes(out_h + d * (kh - 1), d):
+        for fj, cols in _size_classes(out_w + d * (kw - 1), d):
+            if rows >= kh and cols >= kw:
+                src = _fields(layout, slice(None), (slice(rows), fi), (slice(cols), fj))
+                dst = _fields(layout, slice(None), (slice(rows - kh + 1), fi),
+                              (slice(cols - kw + 1), fj))
+                out[dst] = core(xf[src], w, spec, 1)
+    out = out.reshape(layout.order(spec.out_ch, hf * d, wf * d))
+    return _store(out[layout.order(slice(None), slice(out_h), slice(out_w))], b, layout)
 
 
 def zero_stuff_kernel(w: np.ndarray, d: int) -> np.ndarray:
@@ -399,15 +454,18 @@ def fold_batchnorm(w: np.ndarray, b, bn: BnParams) -> tuple:
     return wf, bf
 
 
-def batchnorm_inference(x: Tensor, bn: BnParams) -> Tensor:
+def batchnorm_inference(x, bn: BnParams) -> Tensor:
     """Apply BN in inference form (x*s + t per channel), computed in 64-bit
-    from the float32 (s, t) that fold_batchnorm uses and rounded once."""
+    from the float32 (s, t) that fold_batchnorm uses and rounded once.
+    `x` is a tensor, or the unrounded float64 (C, H, W) result of
+    ``conv2d_ref(..., rounded=False)``."""
+    v, layout = (x.view(), x.layout) if isinstance(x, Tensor) else (x, Layout.CHANNEL_PLANAR)
     s, t = (a.astype(np.float64) for a in bn.scale_shift())
-    shape = x.layout.order(-1, 1, 1)
-    out = x.view() * s.reshape(shape) + t.reshape(shape)
+    shape = layout.order(-1, 1, 1)
+    out = v * s.reshape(shape) + t.reshape(shape)
     add_mults(out.size)
     add_adds(out.size)
-    return Tensor.from_view(out, x.layout)
+    return Tensor.from_view(out, layout)
 
 
 def relu(x: Tensor) -> Tensor:

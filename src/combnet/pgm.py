@@ -1,4 +1,4 @@
-"""16-bit binary PGM (P5) reading and writing.
+"""16-bit binary PGM (P5) reading.
 
 Samples are big-endian per the Netpbm convention ("most significant byte
 first"); files with maxval up to 65535 are accepted and returned as uint16.
@@ -60,16 +60,3 @@ def parse_pgm16(blob: bytes, name: str = "<bytes>") -> np.ndarray:
     dtype = ">u2" if bpp == 2 else "u1"
     img = np.frombuffer(data, dtype=dtype).reshape(height, width)
     return img.astype(np.uint16)
-
-
-def write_pgm16(path, img: np.ndarray) -> None:
-    img = np.asarray(img)
-    if img.ndim != 2:
-        raise InputError(f"PGM image must be 2-D, got shape {img.shape}")
-    if img.min() < 0 or img.max() > 65535:
-        raise InputError("PGM sample values must fit in uint16")
-    h, w = img.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.astype(">u2").tobytes())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeMismatchError
-from .tensor import Layout, Tensor
+from .tensor import Tensor
 
 U16_MAX = 65535.0
 DEFAULT_AMPLITUDE_COEFFS = (0.25, 0.25, 0.25, 0.25)
@@ -104,14 +104,6 @@ def normalize_input(image: np.ndarray, out_hw: tuple | None = None):
     data = sampled.astype(np.float32) / np.float32(U16_MAX)
     tf = InputTransform(crop_w / ow, crop_h / oh, float(left), float(top))
     return Tensor.from_array(data[None]), tf
-
-
-def denormalize_input(t: Tensor) -> np.ndarray:
-    """Inverse of the value mapping (for roundtrip checks)."""
-    if t.layout != Layout.CHANNEL_PLANAR or t.dims[0] != 1:
-        raise ShapeMismatchError("expected a (1,H,W) planar tensor")
-    vals = np.clip(np.rint(t.view()[0] * U16_MAX), 0, U16_MAX)
-    return vals.astype(np.uint16)
 
 
 def decode_heatmaps(heatmaps: np.ndarray, conf_threshold: float = 0.05,

@@ -102,7 +102,9 @@ def bn_fold_suite(seed: int, cases: int = 50) -> SuiteResult:
                       rng.standard_normal(spec.out_ch).astype(np.float32),
                       rng.uniform(0.1, 2.0, spec.out_ch).astype(np.float32))
         t = Tensor.from_array(x)
-        unfolded = batchnorm_inference(conv2d_ref(t, w, b, spec), bn).to_array()
+        # BN on the conv's float64 result, rounded once, as the folded conv is
+        unfolded = batchnorm_inference(conv2d_ref(t, w, b, spec, rounded=False),
+                                       bn).to_array()
         wf, bf = fold_batchnorm(w, b, bn)
         folded = conv2d_ref(t, wf, bf, spec).to_array()
         worst = max(worst, float(np.max(np.abs(folded - unfolded))))

@@ -15,7 +15,6 @@ from combnet.config import NetConfig
 from combnet.errors import ShapeMismatchError
 from combnet.forward import Backend, forward
 from combnet.graph import Mode, build_graph, count_layers, param_entries
-from combnet.pgm import write_pgm16
 from combnet.tensor import Tensor
 from combnet.verify import conv_oracle_suite
 from combnet.weights import WeightStore, init_weights, save_weights
@@ -37,6 +36,11 @@ def small_cfg(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "small.cfg"
     p.write_text("input_h = 96\ninput_w = 96\n")
     return str(p)
+
+
+def write_pgm16(path, img):
+    h, w = img.shape
+    path.write_bytes(f"P5\n{w} {h}\n65535\n".encode("ascii") + img.astype(">u2").tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,12 @@ def test_bench_report_consistency(small_cfg, tmp_path):
     assert sorted(row[1] for row in cw) == ["optimized", "reference"]
     i_mults, i_macs = header.index("mults_counted"), header.index("macs")
     for row in cw:
+        assert int(row[i_mults]) == int(row[i_macs]) > 0
+    # d=3 is the comb with four field size classes; counted at its MACs too
+    d3 = [row for row in rows if row[0].startswith("dilated-3x3-g8-d3-")]
+    assert sorted(row[0] for row in d3) == [
+        f"dilated-3x3-g8-d3-12x12-{kind}" for kind in ("comb", "zerostuffed")]
+    for row in d3:
         assert int(row[i_mults]) == int(row[i_macs]) > 0
     prep = [row for row in rows if row[0] == "prepare-optimized"]
     assert [(row[1], row[i_macs]) for row in prep] == [("optimized", "0")]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from combnet import convops
 from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
                              counting, fold_batchnorm,
@@ -248,9 +249,10 @@ _COMB_SIZE_SPECS = {"": (8, 16, 4), "-cw": (8, 8, 8), "-ipg1": (4, 8, 4)}
 @pytest.mark.parametrize("d,h,w,chans", [
     pytest.param(d, h, h + dw, chans, id=f"{d}-{h}-{h + dw}{tag}")
     for tag, chans in _COMB_SIZE_SPECS.items() for d in (2, 3, 4)
-    for h in range(2 * d + 1, 20) for dw in (0, 1)])
+    for h in range(1, 20) for dw in (0, 1)])
 def test_comb_matches_ref_at_every_size(d, h, w, chans):
-    # fields are uneven wherever d does not divide h or w
+    # fields are uneven wherever d does not divide h or w; below 2d+1 some
+    # fields are smaller than the kernel and give no output
     rng = np.random.default_rng(1000 * d + 10 * h + w)
     in_ch, out_ch, groups = chans
     spec = ConvSpec(in_ch, out_ch, (3, 3), dilation=d, groups=groups, has_bias=True)
@@ -267,6 +269,33 @@ def test_comb_matches_ref_at_every_size(d, h, w, chans):
         packed = comb_dilated_conv(to_interleaved(t), pack_kernels(wt, groups, 4), b, spec)
     assert np.max(np.abs(to_planar(packed).to_array() - ref)) <= 1e-5
     assert ops.mults == mac_count(spec, h, w)
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["planar", "interleaved"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_comb_runs_the_core_once_per_field_size_class(d, packed, monkeypatch):
+    # the fields are batch axes of the dense core: at most four calls (two
+    # row and two column size classes), one when d divides both padded sides
+    name = "_conv_interleaved_core" if packed else "_conv_planar_core"
+    core, calls = getattr(convops, name), []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return core(*args)
+
+    monkeypatch.setattr(convops, name, counted)
+    rng = np.random.default_rng(40 + d)
+    spec = ConvSpec(8, 8, (3, 3), dilation=d, groups=4)
+    wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    w = pack_kernels(wt, 4, 4) if packed else wt
+    for h, w_ in [(16, 16), (16, 17), (13, 15), (1, 2), (2 * d, 19)]:
+        t = Tensor.from_array(rng.standard_normal((8, h, w_)).astype(np.float32))
+        calls.clear()
+        comb_dilated_conv(to_interleaved(t) if packed else t, w, None, spec)
+        assert 1 <= len(calls) <= 4, (h, w_, calls)
+        hp, wp = h + 2 * d, w_ + 2 * d
+        if hp % d == 0 and wp % d == 0:
+            assert len(calls) == 1, (h, w_, calls)
 
 
 def test_comb_rejects_stride():
@@ -319,6 +348,13 @@ def test_fold_two_path_equivalence():
 def test_bn_fold_suite_regression_seed():
     # failed at 1.144e-5 while unfolded BN rounded x*s and +t separately in float32
     assert bn_fold_suite(494923931, 50).passed
+
+
+@pytest.mark.parametrize("seed", [1729, 1744, 2452])
+def test_bn_fold_suite_rounds_the_reference_once(seed):
+    # failed at 1.526e-5 while the reference rounded the conv to float32
+    # before batch norm rounded again
+    assert bn_fold_suite(seed, 50).passed
 
 
 def test_fold_length_mismatch():
