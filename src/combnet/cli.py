@@ -16,6 +16,7 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
+import functools
 import json
 import sys
 
@@ -142,7 +143,10 @@ def cmd_infer(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; parsing does not change it."""
     p = argparse.ArgumentParser(prog="combnet",
                                 description="Compact 2.5D hand-pose network toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -150,13 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("count", help="per-layer parameter/FLOP accounting")
     pc.add_argument("--config")
     pc.add_argument("--csv")
-    pc.set_defaults(fn=cmd_count)
 
     pv = sub.add_parser("verify", help="run oracle-equivalence and gradient suites")
     pv.add_argument("--seed", type=int, default=2024)
     pv.add_argument("--cases", type=int, default=100)
     pv.add_argument("--pairs", type=int, default=20)
-    pv.set_defaults(fn=cmd_verify)
 
     pb = sub.add_parser("bench", help="micro-benchmark the kernels")
     pb.add_argument("--config")
@@ -165,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--iters", type=int, default=10)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--csv")
-    pb.set_defaults(fn=cmd_bench)
 
     pi = sub.add_parser("infer", help="single-frame inference to JSON")
     pi.add_argument("--config")
@@ -177,14 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--backend", choices=["reference", "optimized"],
                     default="optimized")
     pi.add_argument("--out", help="output JSON path (default: stdout)")
-    pi.set_defaults(fn=cmd_infer)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the shared parser, so that a
+    # command replaced on this module (as a tracer does) is the one that runs
+    commands = {"count": cmd_count, "verify": cmd_verify, "bench": cmd_bench,
+                "infer": cmd_infer}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

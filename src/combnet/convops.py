@@ -17,14 +17,14 @@ work).  Both cores take a padded map as a field view whose field axes are
 batch axes: unit for the plain convolutions, one class of equal-sized
 fields per call for the comb.
 
-All kernels accumulate in 64-bit and store 32-bit.  An optional instrumented
-counter records the multiplies/adds the kernels actually execute so that
-analytic MAC/FLOP accounting can be cross-checked exactly.
+All kernels accumulate in 64-bit and store 32-bit; the optimized ones can
+fold a following residual add and ReLU into that one store.  An optional
+instrumented counter records the multiplies/adds the kernels actually
+execute so that analytic MAC/FLOP accounting can be cross-checked exactly.
 """
 
 from __future__ import annotations
 
-import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -167,10 +167,12 @@ def add_adds(n: int):
 # Shared entry check and store
 # ---------------------------------------------------------------------------
 
-def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
+def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
+                residual=None):
     """Validate a conv call; return (weights, float32 bias or None).
     Planar input takes a raw (out_ch, in_ch/groups, kh, kw) array,
-    interleaved input takes PackedWeights."""
+    interleaved input takes PackedWeights. A residual must be a tensor of
+    the output's dims in the input's layout."""
     if x.layout != layout:
         raise LayoutMismatchError(f"{name} expects a channel-{layout.value} tensor")
     if x.channels != spec.in_ch:
@@ -194,6 +196,12 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
         b = np.asarray(b, dtype=np.float32)
         if b.shape != (spec.out_ch,):
             raise ShapeMismatchError(f"bias shape {b.shape} != ({spec.out_ch},)")
+    if residual is not None:
+        out_dims = (spec.out_ch, *conv_out_shape(spec, x.height, x.width))
+        if residual.layout != layout or residual.dims != out_dims:
+            raise ShapeMismatchError(
+                f"residual {residual.dims} {residual.layout.value} != "
+                f"output {out_dims} {layout.value}")
     return w, b
 
 
@@ -206,13 +214,17 @@ def _fields(layout: Layout, c, h: tuple, w: tuple) -> tuple:
 
 def _padded(x: Tensor, spec: ConvSpec, d: int = 1) -> np.ndarray:
     """The input in float64 and its own layout, zero-padded by spec.pad() and
-    then at the bottom and right up to a multiple of d, as a d x d field view."""
+    then at the bottom and right up to a multiple of d, as a d x d field view.
+    An input that needs no padding is only cast."""
     ph, pw = spec.pad()
     c, h, w = x.dims
     hf, wf = -(-(h + 2 * ph) // d), -(-(w + 2 * pw) // d)
+    fields = _fields(x.layout, c, (hf, d), (wf, d))
+    if (hf * d, wf * d) == (h, w):
+        return x.view().astype(np.float64).reshape(fields)
     xp = np.zeros(x.layout.order(c, hf * d, wf * d))
     xp[x.layout.order(slice(None), slice(ph, ph + h), slice(pw, pw + w))] = x.view()
-    return xp.reshape(_fields(x.layout, c, (hf, d), (wf, d)))
+    return xp.reshape(fields)
 
 
 def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
@@ -223,9 +235,20 @@ def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
     return out
 
 
-def _store(out: np.ndarray, b, layout: Layout) -> Tensor:
-    """Add the bias in 64-bit and round the result to a float32 tensor."""
-    return Tensor.from_view(_add_bias(out, b, layout), layout)
+def _store(out: np.ndarray, b, layout: Layout, relu: bool, residual) -> Tensor:
+    """The optimized convolutions' epilogue, one float32 array worked in
+    place: round(acc + bias) to float32, add the residual tensor in float32,
+    then the ReLU. These are the float32 operations, in the order, of a
+    separate conv, residual add and :func:`relu`, so results and counts
+    match that sequence exactly."""
+    r = _add_bias(out, b, layout).astype(np.float32)
+    if residual is not None:
+        r += residual.view()
+        add_adds(r.size)
+    if relu:
+        np.maximum(r, np.float32(0.0), out=r)
+        add_adds(r.size)
+    return Tensor.from_view(r, layout)
 
 
 def _tap(k: int, step: int, s: int, n: int) -> slice:
@@ -309,15 +332,18 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
                 .reshape(*pixels, G, ipg))
                for ky in range(kh) for kx in range(kw)]
     if ipg == 1:
-        acc = np.zeros((*pixels, G, opg))
-        for tap, patch in patches:
+        def product(tap, patch):
             # (pixels, G, 1) * (G, opg) -> (pixels, G, opg)
-            acc += patch * tap[:, 0]
+            return patch * tap[:, 0]
     else:
-        acc = np.zeros((G, math.prod(pixels), opg))
-        for tap, patch in patches:
+        def product(tap, patch):
             # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
-            acc += np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
+            return np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
+    # the first tap's product is the accumulator
+    acc = product(*patches[0])
+    for tap, patch in patches[1:]:
+        acc += product(tap, patch)
+    if ipg > 1:
         acc = acc.transpose(1, 0, 2)
     out = acc.reshape(*pixels, spec.out_ch)
     add_mults(out.size * ipg * kh * kw)
@@ -325,13 +351,17 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     return out
 
 
-def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec) -> Tensor:
+def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
+                  relu: bool = False, residual: Tensor | None = None) -> Tensor:
     """Optimized convolution: interleaved input, packed weights, interleaved
-    output. Numerically matches conv2d_ref within 1e-5 max-abs."""
-    pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED)
+    output. Numerically matches conv2d_ref within 1e-5 max-abs. `residual`
+    (added to the float32 result) and `relu` (applied last) fuse a following
+    residual add and ReLU into the store."""
+    pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED,
+                        residual)
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
     out = _conv_interleaved_core(_padded(x, spec), pw, spec, spec.dilation)
-    return _store(out.reshape(out_h, out_w, spec.out_ch), b, x.layout)
+    return _store(out.reshape(out_h, out_w, spec.out_ch), b, x.layout, relu, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +375,8 @@ def _size_classes(n: int, d: int) -> list:
     return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
 
 
-def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
+def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec, *, relu: bool = False,
+                      residual: Tensor | None = None) -> Tensor:
     """Dilated convolution via comb decomposition; stride must be 1.
 
     Field (i, j) of the padded map holds the pixels with row % d == i and
@@ -362,12 +393,13 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
 
     Planar input takes a raw weight array (reference core), interleaved
     input PackedWeights (optimized core).  d=1 is the plain convolution.
+    `relu` and `residual` fuse the epilogue as in :func:`conv2d_packed`.
     """
     if spec.stride != 1:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
     packed = isinstance(w, PackedWeights)
     layout = Layout.CHANNEL_INTERLEAVED if packed else Layout.CHANNEL_PLANAR
-    w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout)
+    w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout, residual)
     core = _conv_interleaved_core if packed else _conv_planar_core
 
     d = spec.dilation
@@ -385,7 +417,8 @@ def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec) -> Tensor:
                               (slice(cols - kw + 1), fj))
                 out[dst] = core(xf[src], w, spec, 1)
     out = out.reshape(layout.order(spec.out_ch, hf * d, wf * d))
-    return _store(out[layout.order(slice(None), slice(out_h), slice(out_w))], b, layout)
+    return _store(out[layout.order(slice(None), slice(out_h), slice(out_w))], b, layout,
+                  relu, residual)
 
 
 def zero_stuff_kernel(w: np.ndarray, d: int) -> np.ndarray:

@@ -92,9 +92,10 @@ class Tensor:
 
     @staticmethod
     def from_view(v: np.ndarray, layout: Layout) -> "Tensor":
-        """Inverse of :meth:`view`: the tensor stored as `v`, rounded to float32."""
+        """Inverse of :meth:`view`: the tensor stored as `v`, rounded to float32.
+        A contiguous float32 `v` is taken over, not copied, and made read-only."""
         dims = tuple([v.shape[a] for a in layout.chw_axes])
-        return Tensor(dims, layout, v.astype(np.float32).reshape(-1))
+        return Tensor(dims, layout, np.asarray(v, dtype=np.float32).reshape(-1))
 
     # -- shape helpers -----------------------------------------------------
 
@@ -150,16 +151,17 @@ def to_planar(t: Tensor) -> Tensor:
 
 @dataclass(frozen=True, eq=False)
 class PackedWeights:
-    """Kernel stack reordered for export and for the interleaved convolution.
+    """Kernel stack packed for the interleaved convolution.
 
-    Packing order of `data` (outer to inner): group, lane-block of output
-    channels, kernel row, kernel column, input channel within group, lane.
-    The last block of a group is ragged when out_ch/groups is not a lane
-    multiple.  `taps` is the same stack as the optimized core's float64
-    per-tap operand, (kh, kw, group, in_ch_per_group, out_ch_per_group), derived
-    once from the unpacked stack: `unpacked` when the caller has it (as
-    :func:`pack_kernels` does), else unpacked from `data`.  Packed stacks
-    compare by value (dims, groups, lane width, data) and are unhashable.
+    `taps` is the one stored copy: the stack as the optimized core's float64
+    per-tap operand, (kh, kw, group, in_ch_per_group, out_ch_per_group).
+    `data` is the embedded export order, computed on demand (outer to
+    inner): group, lane-block of output channels, kernel row, kernel column,
+    input channel within group, lane. The last block of a group is ragged
+    when out_ch/groups is not a lane multiple.  Build a stack from `taps`
+    (as :func:`pack_kernels` does) or from export-order data, the seventh
+    argument.  Packed stacks compare by value (dims, groups, lane width,
+    taps) and are unhashable.
     """
 
     out_ch: int
@@ -168,32 +170,54 @@ class PackedWeights:
     kw: int
     groups: int
     lane_width: int
-    data: np.ndarray = field(repr=False)
-    unpacked: InitVar[np.ndarray | None] = None
-    taps: np.ndarray = field(init=False, repr=False)
+    packed: InitVar[np.ndarray | None] = None
+    taps: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, unpacked):
-        object.__setattr__(self, "data", _freeze(self.data))
+    def __post_init__(self, packed):
         if self.groups < 1 or self.out_ch % self.groups:
             raise ConfigError(f"groups={self.groups} does not divide out_ch={self.out_ch}")
-        if self.data.size != self.out_ch * self.in_ch_per_group * self.kh * self.kw:
-            raise ShapeMismatchError(f"packed data length {self.data.size} does not "
-                                     f"match its kernel stack dims")
-        w = (unpack_kernels(self) if unpacked is None else unpacked).reshape(
-            self.groups, -1, self.in_ch_per_group, self.kh, self.kw)
-        taps = np.ascontiguousarray(w.transpose(3, 4, 0, 2, 1), dtype=np.float64)
+        if (packed is None) == (self.taps is None):
+            raise ConfigError("PackedWeights takes exactly one of export-order data and taps")
+        shape = (self.kh, self.kw, self.groups, self.in_ch_per_group,
+                 self.out_ch // self.groups)
+        if packed is not None:
+            packed = np.asarray(packed, dtype=np.float32).reshape(-1)
+            if packed.size != math.prod(shape):
+                raise ShapeMismatchError(f"packed data length {packed.size} does not "
+                                         f"match its kernel stack dims")
+            flat = np.empty(packed.size, dtype=np.float32)
+            flat[_packing_permutation(*self._dims())] = packed
+            taps = _taps(flat.reshape(self._dims()[:4]), self.groups)
+        else:
+            taps = np.ascontiguousarray(self.taps, dtype=np.float64)
+            if taps.shape != shape:
+                raise ShapeMismatchError(f"taps shape {taps.shape} != {shape}")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The stack in export order, flat float32 (a new read-only array)."""
+        return _freeze(unpack_kernels(self).reshape(-1)[_packing_permutation(*self._dims())])
 
     def __eq__(self, other):
         if not isinstance(other, PackedWeights):
             return NotImplemented
         return (self._dims() == other._dims()
-                and np.array_equal(self.data, other.data))
+                and np.array_equal(self.taps, other.taps))
 
     def _dims(self) -> tuple:
         return (self.out_ch, self.in_ch_per_group, self.kh, self.kw,
                 self.groups, self.lane_width)
+
+
+def _taps(w: np.ndarray, groups: int) -> np.ndarray:
+    """The float64 tap operand of a (out_ch, in_ch_per_group, kh, kw) stack:
+    (kh, kw, group, in_ch_per_group, out_ch_per_group)."""
+    out_ch, ipg, kh, kw = w.shape
+    return np.ascontiguousarray(
+        w.reshape(groups, out_ch // groups, ipg, kh, kw).transpose(3, 4, 0, 2, 1),
+        dtype=np.float64)
 
 
 def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
@@ -210,8 +234,9 @@ def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
 
 
 def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
-    """Reorder a (out_ch, in_ch_per_group, kh, kw) weight array for the
-    optimized backend. Pure permutation: no values created or destroyed."""
+    """Pack a (out_ch, in_ch_per_group, kh, kw) weight array for the
+    optimized backend: one transpose to the tap operand, no values created or
+    destroyed."""
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 4:
         raise ShapeMismatchError(f"weights must be rank 4, got {w.ndim}")
@@ -220,14 +245,9 @@ def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
         raise ConfigError(f"groups={groups} does not divide out_ch={out_ch}")
     if lane_width < 1:
         raise ConfigError(f"lane_width must be positive, got {lane_width}")
-    perm = _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width)
-    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, w.reshape(-1)[perm], w)
+    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, taps=_taps(w, groups))
 
 
 def unpack_kernels(pw: PackedWeights) -> np.ndarray:
     """Invert :func:`pack_kernels`, returning (out_ch, in_ch_per_group, kh, kw)."""
-    perm = _packing_permutation(pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw,
-                                pw.groups, pw.lane_width)
-    flat = np.empty(pw.data.size, dtype=np.float32)
-    flat[perm] = pw.data
-    return flat.reshape(pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw)
+    return pw.taps.transpose(2, 4, 3, 0, 1).reshape(pw._dims()[:4]).astype(np.float32)

@@ -72,6 +72,28 @@ def test_count_reference_budget():
             assert abs(pct) <= 25.0
 
 
+def test_main_runs_twice_in_one_process(capsys):
+    # the parser is built once per process; a second call parses alike
+    from combnet import cli
+    assert cli.build_parser() is cli.build_parser()
+    outs = []
+    for _ in range(2):
+        assert cli.main(["count"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "total (inference)" in outs[0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--no-such-flag"])
+    assert exc.value.code == 2
+
+
+def test_main_runs_the_command_the_module_names_now(monkeypatch):
+    # a command wrapped after the parser was built (as a tracer does) runs
+    from combnet import cli
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_count", lambda args: 7)
+    assert cli.main(["count"]) == 7
+
+
 def test_count_rows_sum_to_totals(tmp_path):
     csv = tmp_path / "count.csv"
     r = run_cli("count", "--csv", str(csv))

@@ -12,7 +12,7 @@ from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import ConfigError, ShapeMismatchError, UnsupportedConfigError
 from combnet.tensor import Tensor, pack_kernels, to_interleaved, to_planar
-from combnet.verify import bn_fold_suite
+from combnet.verify import _random_conv_case, bn_fold_suite
 
 
 def brute_force_conv(x, w, b, spec):
@@ -303,6 +303,55 @@ def test_comb_rejects_stride():
     with pytest.raises(UnsupportedConfigError):
         comb_dilated_conv(Tensor.from_array(np.zeros((1, 8, 8), np.float32)),
                           np.zeros((1, 1, 3, 3), np.float32), None, spec)
+
+
+def _separate_epilogue(conv, relu_, residual):
+    """The conv, then the residual add and the ReLU as separate passes."""
+    a = conv()
+    if residual is not None:
+        a = Tensor(a.dims, a.layout, a.data + residual.data)
+        convops.add_adds(a.data.size)
+    return relu(a) if relu_ else a
+
+
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+@pytest.mark.parametrize("relu_", [False, True], ids=["linear", "relu"])
+def test_fused_epilogue_matches_separate_passes(relu_, with_residual):
+    # bias, residual add and ReLU in the one store give the bits and the
+    # counts of the separate passes, ReLU last, for the packed conv and the
+    # interleaved comb
+    rng = np.random.default_rng(77)
+    checked = 0
+    for _ in range(60):
+        spec, x, w, b = _random_conv_case(rng)
+        t = to_interleaved(Tensor.from_array(x))
+        pw = pack_kernels(w, spec.groups, 4)
+        out_dims = (spec.out_ch, *convops.conv_out_shape(spec, t.height, t.width))
+        residual = (to_interleaved(Tensor.from_array(
+            rng.standard_normal(out_dims).astype(np.float32))) if with_residual else None)
+        kernels = [conv2d_packed] + [comb_dilated_conv] * (spec.stride == 1)
+        for kernel in kernels:
+            with counting() as fused_ops:
+                fused = kernel(t, pw, b, spec, relu=relu_, residual=residual)
+            with counting() as separate_ops:
+                separate = _separate_epilogue(lambda: kernel(t, pw, b, spec),
+                                              relu_, residual)
+            assert fused.dims == separate.dims and fused.layout == separate.layout
+            assert np.array_equal(fused.data, separate.data), spec
+            assert ((fused_ops.mults, fused_ops.adds)
+                    == (separate_ops.mults, separate_ops.adds)), spec
+            checked += 1
+    assert checked > 60
+
+
+def test_fused_epilogue_rejects_mismatched_residual():
+    spec = ConvSpec(4, 4, (3, 3), groups=4)
+    t = to_interleaved(Tensor.from_array(np.ones((4, 6, 6), np.float32)))
+    pw = pack_kernels(np.ones((4, 1, 3, 3), np.float32), 4, 4)
+    for residual in (to_interleaved(Tensor.from_array(np.ones((4, 5, 6), np.float32))),
+                     Tensor.from_array(np.ones((4, 6, 6), np.float32))):
+        with pytest.raises(ShapeMismatchError, match="residual"):
+            conv2d_packed(t, pw, None, spec, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
 
+from combnet import forward as forward_module
+from combnet import tensor
 from combnet.config import NetConfig
+from combnet.convops import counting
 from combnet.forward import Backend, Mode, forward, prepare_optimized
 from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.graph import build_graph
 from combnet.tensor import Tensor
-from combnet.weights import init_weights
+from combnet.weights import WeightStore, init_weights
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +65,7 @@ def test_inference_plan_packs_only_inference_convs(setup96):
                  if n.kind == "conv" and n.name in g.inference_names}
     assert len(inf_convs) == 36
     plan = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
-    assert set(plan) == inf_convs
+    assert set(plan.convs) == inf_convs
     a = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS, prepared=plan)
     b = forward(g, ws, img, Backend.OPTIMIZED, Mode.INFERENCE_HEADS,
                 prepared=prepare_optimized(g, ws))
@@ -88,3 +93,120 @@ def test_missing_weights_rejected(setup96):
     del ws.entries["dec.s2.w"]
     with pytest.raises(ShapeMismatchError):
         forward(g, ws, img)
+
+
+# ---------------------------------------------------------------------------
+# the optimized plan
+# ---------------------------------------------------------------------------
+
+def _heads(h):
+    return [getattr(h, k) for k in h.__dataclass_fields__ if getattr(h, k) is not None]
+
+
+def _assert_same_heads(a, b):
+    for x, y in zip(_heads(a), _heads(b), strict=True):
+        if isinstance(x, tuple):
+            assert all(np.array_equal(p, q) for p, q in zip(x, y, strict=True))
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("dec.s2.w", "weight store invalid: missing entry dec.s2.w"),
+    ("head.vis.b", "weight store invalid: missing entry head.vis.b"),
+    ("t1.conv.w", r"weight store invalid: entry t1.conv.w has shape \(2, 3\), "
+                  r"expected \(16, 1, 3, 3\)"),
+    ("head.vis.w", r"weight store invalid: entry head.vis.w has shape \(2, 3\), "
+                   r"expected \(18, 64\)"),
+])
+def test_plan_build_validates_the_store(setup96, entry, message):
+    g, _, _ = setup96
+    ws = init_weights(g, 3)
+    if "missing" in message:
+        del ws.entries[entry]
+    else:
+        ws.set(entry, np.zeros((2, 3), np.float32))
+    with pytest.raises(ShapeMismatchError, match=message):
+        prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
+
+
+def test_forward_with_a_plan_reads_and_validates_no_weights(setup96, monkeypatch):
+    g, ws, img = setup96
+    calls = []
+    validate = forward_module.validate_weights
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(forward_module, "validate_weights", counted)
+    plan = prepare_optimized(g, ws)
+    assert len(calls) == 1
+    a = forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
+    # an empty store: every weight the pass reads comes from the plan
+    b = forward(g, WeightStore(), img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
+    assert len(calls) == 1
+    _assert_same_heads(a, b)
+
+
+def test_plan_is_immutable_and_detached_from_the_store(setup96):
+    g, _, img = setup96
+    ws = init_weights(g, 4)
+    plan = prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
+    before = forward(g, ws, img, Backend.OPTIMIZED, prepared=plan)
+    with pytest.raises(TypeError):
+        plan.convs["t1.conv"] = None
+    step = plan.convs["t1.conv"]
+    w, b = plan.linears["head.vis"]
+    for arr in (step.weights.taps, step.bias, w, b):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    for arr in ws.entries.values():
+        arr[...] = 0
+    _assert_same_heads(before, forward(g, ws, img, Backend.OPTIMIZED, prepared=plan))
+
+
+def test_plan_folds_residual_adds_and_never_builds_the_lane_order(setup96, monkeypatch):
+    g, ws, img = setup96
+
+    def forbidden(*args):
+        raise AssertionError("called on the optimized path")
+
+    monkeypatch.setattr(tensor, "_packing_permutation", forbidden)
+    plan = prepare_optimized(g, ws)
+    adds = [n for n in g.nodes if n.kind == "add"]
+    assert adds
+    for add in adds:
+        step = plan.convs[add.inputs[0]]
+        assert (step.out, step.residual, step.relu) == (add.name, add.inputs[1], True)
+    # the optimized pass runs no separate ReLU
+    monkeypatch.setattr(forward_module, "relu", forbidden)
+    forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
+
+
+def test_two_threads_share_one_plan(setup96):
+    g, ws, img = setup96
+    plan = prepare_optimized(g, ws)
+    with counting() as ops:
+        want = forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
+    results, errors = [], []
+
+    def work():
+        try:
+            with counting() as mine:
+                heads = [forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS,
+                                 prepared=plan) for _ in range(5)]
+            results.append((heads, mine.mults, mine.adds))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors and len(results) == 2
+    for heads, mults, adds in results:
+        for h in heads:
+            _assert_same_heads(want, h)
+        assert (mults, adds) == (5 * ops.mults, 5 * ops.adds)
