@@ -52,10 +52,18 @@ def _load_cfg(args) -> NetConfig:
     return load_config(args.config) if args.config else REFERENCE_CONFIG
 
 
+def _write_text(path, text: str):
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_count(args) -> int:
     cfg = _load_cfg(args)
     g = build_graph(cfg)
-    rep = validate_config(g)
     rows, total = count_layers(g, Mode.INFERENCE_HEADS)
     _, full = count_layers(g, Mode.ALL_HEADS)
 
@@ -71,15 +79,12 @@ def cmd_count(args) -> int:
                  f"{(total.params / PARAM_TARGET - 1) * 100:+.1f}%")
     lines.append(f"FLOPs  vs {FLOP_TARGET / 1e9:.3f}G target: "
                  f"{(total.flops / FLOP_TARGET - 1) * 100:+.1f}%")
-    lines += [f"warning: {m}" for m in rep.warnings]
-    lines += [f"invariant violation: {m}" for m in rep.errors]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+    lines += [f"warning: {m}" for m in validate_config(g)]
     if args.csv:
         csv_lines = ["layer,params,macs,flops"]
         csv_lines += [f"{r.name},{r.params},{r.macs},{r.flops}" for r in rows + [total]]
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+        _write_text(args.csv, "\n".join(csv_lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -95,10 +100,9 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     backends = ("reference", "optimized") if args.backend == "both" else (args.backend,)
     report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
-    print(report.to_text(), end="")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write_text(args.csv, report.to_csv())
+    print(report.to_text(), end="")
     return 0
 
 
@@ -136,8 +140,7 @@ def cmd_infer(args) -> int:
     doc = result_document(hands, early_out)
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

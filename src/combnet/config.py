@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .graph import TIER3_GROUPS
 
 
 def _is_int(v) -> bool:
@@ -20,7 +21,10 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -28,12 +32,8 @@ class NetConfig:
     # resolution / architecture
     input_h: int = 128
     input_w: int = 128
-    tier3_channels: int = 64
-    tier2_groups: int = 4
-    tier3_groups: int = 8
     tier2_bottleneck: int = 16   # width of the 1x1 reduce inside a Tier-2 unit
     tier3_bottleneck: int = 32   # width of the 3x3 inside a ladder block
-    ladder_dilations: tuple = (1, 2, 3, 4)
     keypoints: int = 16
     aux_keypoints: int = 18
     hands: int = 2
@@ -61,8 +61,11 @@ class NetConfig:
             if f.type == "tuple" and not (isinstance(v, tuple) and v
                                           and all(_is_real(e) for e in v)):
                 raise ConfigError(f"{f.name} must be a list of numbers, got {v!r}")
-        if not all(_is_int(d) and d >= 1 for d in self.ladder_dilations):
-            raise ConfigError("ladder_dilations must be integers >= 1")
+            # stored as floats, so equal configs print and hash alike (100 == 100.0)
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(v))
+        object.__setattr__(self, "amplitude_coeffs",
+                           tuple(float(e) for e in self.amplitude_coeffs))
         if not all(_is_int(i) for i in self.fingertip_indices):
             raise ConfigError("fingertip_indices must be integers")
         if not 0 <= self.z_min_mm < self.z_max_mm:
@@ -70,10 +73,10 @@ class NetConfig:
         if self.input_h % 8 or self.input_w % 8:
             raise ConfigError(
                 f"input resolution {self.input_h}x{self.input_w} must be divisible by 8")
-        if self.tier3_channels % self.tier3_groups:
-            raise ConfigError("tier3 groups must divide tier3 channels")
-        if self.tier3_bottleneck % self.tier3_groups:
+        if self.tier3_bottleneck % TIER3_GROUPS:
             raise ConfigError("tier3 groups must divide the ladder bottleneck width")
+        if self.keypoints % self.hands:
+            raise ConfigError(f"hands={self.hands} must divide keypoints={self.keypoints}")
         if self.depth_window % 2 == 0 or self.depth_window < 1:
             raise ConfigError("depth_window must be odd and positive")
         if len(self.amplitude_coeffs) != 4:

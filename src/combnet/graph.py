@@ -1,12 +1,12 @@
 """Declarative construction of the hand-pose network graph, plus
-configuration validation and parameter/FLOP accounting.
+lane-alignment checks and parameter/FLOP accounting.
 
 A pass covers the deployed inference subgraph or every node including the
 training-only heads (:class:`Mode`); :meth:`GraphSpec.nodes_for` alone says
 which nodes that is. :func:`param_entries` alone lists a node's stored
 weight entries (names and shapes).
 
-Encoder: three tiers of 16, 32 and ``tier3_channels`` (64) channels.
+Encoder: three tiers of 16, 32 and 64 channels.
 Tier-1 is a single 3x3 stride-2 Conv-BN-ReLU. Tier-2 is two 131 bottleneck
 units (1x1 reduce, 3x3 grouped stride on the first unit, 1x1 expand) whose
 outputs are concatenated — the unit input itself is never concatenated.
@@ -20,28 +20,36 @@ Heads: primary heatmaps, keypoint/hand visibility (GAP + linear), and —
 training only — auxiliary keypoint decoder (ungrouped), hand orientation
 (8 classes per hand), discrete pose (9 per hand), segmentation (3 classes)
 over a small spatial path, and deep-supervision heatmap heads at 1/8, 1/4,
-1/2 resolution. The deployed network fixes the tier-1/tier-2 widths and
-these label spaces, so they are the module constants below, not config keys.
+1/2 resolution. The deployed network fixes the tier widths, the tier-2 and
+tier-3 grouping factors, the ladder dilations and these label spaces, so
+they are the module constants below, not config keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .config import NetConfig
 from .convops import ConvSpec, conv_out_shape
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from .config import NetConfig
 
 __all__ = [
     "Mode", "Node", "GraphSpec", "build_graph", "param_entries",
     "validate_config", "count_layers", "node_param_count",
-    "node_flop_count", "ValidationReport", "CountRow",
+    "node_flop_count", "CountRow",
 ]
 
 TIER1_CHANNELS = 16
 TIER2_CHANNELS = 32
+TIER3_CHANNELS = 64
+TIER2_GROUPS = 4
+TIER3_GROUPS = 8
+LADDER_DILATIONS = (1, 2, 3, 4)
 ORIENTATION_CLASSES = 8
 POSE_CLASSES = 9
 SEG_CLASSES = 3
@@ -148,8 +156,8 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     width is the keypoint count.
     """
     b = _Builder()
-    c1, c2, c3 = TIER1_CHANNELS, TIER2_CHANNELS, cfg.tier3_channels
-    g2, g3 = cfg.tier2_groups, cfg.tier3_groups
+    c1, c2, c3 = TIER1_CHANNELS, TIER2_CHANNELS, TIER3_CHANNELS
+    g2, g3 = TIER2_GROUPS, TIER3_GROUPS
     K, A = cfg.keypoints, cfg.aux_keypoints
     dc = K
 
@@ -177,7 +185,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b3 = cfg.tier3_bottleneck
     src = "t3.entry"
     for u in (1, 2):
-        for k, dil in enumerate(cfg.ladder_dilations, start=1):
+        for k, dil in enumerate(LADDER_DILATIONS, start=1):
             p = f"t3.u{u}.b{k}"
             b.conv(f"{p}.reduce", src, ConvSpec(c3, b3, (1, 1)))
             b.conv(f"{p}.conv", f"{p}.reduce",
@@ -242,45 +250,22 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    warnings: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-
-
-def validate_config(g: GraphSpec) -> ValidationReport:
-    """Report lane-alignment warnings and architecture-invariant violations.
-    Never raises; the caller decides what is fatal.
-
-    Alignment applies to the deployed (inference) convolutions: a conv whose
-    filters-per-group count is not a lane multiple under-fills the vector
-    registers.  Channel-wise convs (one filter per group) are exempt — they
-    can never satisfy the rule and the decoder ships that way regardless.
-    """
+def validate_config(g: GraphSpec) -> list:
+    """Lane-alignment warnings, one string per deployed (inference) conv
+    whose filters-per-group count is not a lane multiple and so under-fills
+    the vector registers. Channel-wise convs (one filter per group) are
+    exempt — they can never satisfy the rule and the decoder ships that way
+    regardless."""
     lane = g.config.lane_width
-    rep = ValidationReport()
+    warnings = []
     for node in g.nodes_for(Mode.INFERENCE_HEADS):
         if node.kind != "conv":
             continue
-        spec = node.conv
-        fpg = spec.out_ch // spec.groups
-        if fpg == 1:
-            continue
-        if fpg % lane:
-            rep.warnings.append(
+        fpg = node.conv.out_ch // node.conv.groups
+        if fpg != 1 and fpg % lane:
+            warnings.append(
                 f"{node.name}: {fpg} filters/group is not a multiple of {lane} lanes")
-
-    cfg = g.config
-    if cfg.tier3_channels != 64:
-        rep.errors.append(f"tier-3 emits {cfg.tier3_channels} channels, expected 64")
-    if cfg.tier2_groups != 4:
-        rep.errors.append(f"tier-2 grouping factor is {cfg.tier2_groups}, expected 4")
-    if cfg.tier3_groups != 8:
-        rep.errors.append(f"tier-3 grouping factor is {cfg.tier3_groups}, expected 8")
-    if tuple(cfg.ladder_dilations) != (1, 2, 3, 4):
-        rep.errors.append(
-            f"ladder dilations {tuple(cfg.ladder_dilations)} != (1, 2, 3, 4)")
-    return rep
+    return warnings
 
 
 # ---------------------------------------------------------------------------

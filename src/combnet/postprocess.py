@@ -152,6 +152,8 @@ def gate_visibility(kps: list, vis_logits: np.ndarray, kp_threshold: float = 0.5
     if vis.size != K + hands:
         raise ShapeMismatchError(
             f"{vis.size} visibility logits for {K} keypoints + {hands} hands")
+    if hands < 1 or K % hands:
+        raise ShapeMismatchError(f"{K} keypoints do not split evenly over {hands} hands")
     per_hand = K // hands
     hand_results = []
     for hand in range(hands):

@@ -15,7 +15,7 @@ knows the two axis orders and the packing order; other modules go through
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -158,10 +158,9 @@ class PackedWeights:
     `data` is the embedded export order, computed on demand (outer to
     inner): group, lane-block of output channels, kernel row, kernel column,
     input channel within group, lane. The last block of a group is ragged
-    when out_ch/groups is not a lane multiple.  Build a stack from `taps`
-    (as :func:`pack_kernels` does) or from export-order data, the seventh
-    argument.  Packed stacks compare by value (dims, groups, lane width,
-    taps) and are unhashable.
+    when out_ch/groups is not a lane multiple.  :func:`pack_kernels` builds
+    a stack from a weight array.  Packed stacks compare by value (dims,
+    groups, lane width, taps) and are unhashable.
     """
 
     out_ch: int
@@ -170,28 +169,16 @@ class PackedWeights:
     kw: int
     groups: int
     lane_width: int
-    packed: InitVar[np.ndarray | None] = None
-    taps: np.ndarray | None = field(default=None, repr=False)
+    taps: np.ndarray = field(repr=False)
 
-    def __post_init__(self, packed):
+    def __post_init__(self):
         if self.groups < 1 or self.out_ch % self.groups:
             raise ConfigError(f"groups={self.groups} does not divide out_ch={self.out_ch}")
-        if (packed is None) == (self.taps is None):
-            raise ConfigError("PackedWeights takes exactly one of export-order data and taps")
         shape = (self.kh, self.kw, self.groups, self.in_ch_per_group,
                  self.out_ch // self.groups)
-        if packed is not None:
-            packed = np.asarray(packed, dtype=np.float32).reshape(-1)
-            if packed.size != math.prod(shape):
-                raise ShapeMismatchError(f"packed data length {packed.size} does not "
-                                         f"match its kernel stack dims")
-            flat = np.empty(packed.size, dtype=np.float32)
-            flat[_packing_permutation(*self._dims())] = packed
-            taps = _taps(flat.reshape(self._dims()[:4]), self.groups)
-        else:
-            taps = np.ascontiguousarray(self.taps, dtype=np.float64)
-            if taps.shape != shape:
-                raise ShapeMismatchError(f"taps shape {taps.shape} != {shape}")
+        taps = np.ascontiguousarray(self.taps, dtype=np.float64)
+        if taps.shape != shape:
+            raise ShapeMismatchError(f"taps shape {taps.shape} != {shape}")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
@@ -245,7 +232,7 @@ def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
         raise ConfigError(f"groups={groups} does not divide out_ch={out_ch}")
     if lane_width < 1:
         raise ConfigError(f"lane_width must be positive, got {lane_width}")
-    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, taps=_taps(w, groups))
+    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, _taps(w, groups))
 
 
 def unpack_kernels(pw: PackedWeights) -> np.ndarray:

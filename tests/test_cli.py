@@ -135,7 +135,9 @@ def test_count_invalid_config_exit_3(tmp_path):
                                   "training_heads = false", "decoder_channels = 16",
                                   "tier1_channels = 16", "tier2_channels = 32",
                                   "orientation_classes = 8", "pose_classes = 9",
-                                  "seg_classes = 3", "bn_eps = 1e-05"])
+                                  "seg_classes = 3", "bn_eps = 1e-05",
+                                  "tier3_channels = 64", "ladder_dilations = 1, 2, 3, 4",
+                                  "hands = 3"])
 def test_count_out_of_range_config_exit_3(tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
@@ -146,9 +148,22 @@ def test_count_out_of_range_config_exit_3(tmp_path, line):
     assert "Traceback" not in r.stderr
 
 
+def assert_unwritable_output_exit_2(r, path):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(f"input error: cannot write {path}: ")
+
+
+def test_count_unwritable_csv_exit_2(tmp_path):
+    csv = tmp_path / "missing" / "count.csv"
+    assert_unwritable_output_exit_2(run_cli("count", "--csv", str(csv)), csv)
+
+
 def test_count_doubled_tier3_heavier(tmp_path):
     big = tmp_path / "big.cfg"
-    big.write_text("tier3_channels = 128\ntier3_bottleneck = 64\n")
+    big.write_text("tier3_bottleneck = 64\n")
     base = run_cli("count").stdout
     grown = run_cli("count", "--config", str(big)).stdout
 
@@ -182,10 +197,10 @@ def test_verify_detects_injected_fault():
     from combnet.tensor import PackedWeights
 
     def perturb(pw):
-        data = pw.data.copy()
-        data[0] += 1e-2
+        taps = pw.taps.copy()
+        taps[0, 0, 0, 0, 0] += 1e-2
         return PackedWeights(pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw,
-                             pw.groups, pw.lane_width, data)
+                             pw.groups, pw.lane_width, taps)
 
     results = conv_oracle_suite(5, cases=10, perturb_packed=perturb)
     packed = next(r for r in results if "packed" in r.name)
@@ -256,6 +271,13 @@ def test_count_argument_below_one_exit_3(args):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("config error: ")
+
+
+def test_bench_unwritable_csv_exit_2(small_cfg, tmp_path):
+    csv = tmp_path / "missing" / "bench.csv"
+    r = run_cli("bench", "--config", small_cfg, "--backend", "reference", "--iters", "1",
+                "--csv", str(csv))
+    assert_unwritable_output_exit_2(r, csv)
 
 
 def test_bench_unknown_backend_rejected(small_cfg):
@@ -371,6 +393,15 @@ def test_infer_missing_depth_no_partial_output(small_cfg, infer_inputs, tmp_path
                 "--out", str(out))
     assert r.returncode == 2
     assert not out.exists()
+
+
+def test_infer_out_is_a_directory_exit_2(small_cfg, infer_inputs, tmp_path):
+    r = run_cli("infer", "--config", small_cfg,
+                "--weights", str(infer_inputs / "w.cnwb"),
+                "--amplitude", str(infer_inputs / "amp.pgm"),
+                "--depth", str(infer_inputs / "depth.pgm"),
+                "--out", str(tmp_path))
+    assert_unwritable_output_exit_2(r, tmp_path)
 
 
 def test_infer_corrupt_weights_exit_2(small_cfg, infer_inputs, tmp_path):

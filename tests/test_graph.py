@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,12 @@ from combnet.config import NetConfig, REFERENCE_CONFIG, load_config, parse_confi
 from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError
 from combnet.forward import Backend, Mode, forward
-from combnet.graph import (Node, build_graph, count_layers, node_flop_count,
-                           node_param_count, validate_config)
+from combnet.graph import (LADDER_DILATIONS, Node, build_graph, count_layers,
+                           node_flop_count, node_param_count, validate_config)
 from combnet.tensor import Tensor
 from combnet.weights import init_weights
+
+REFERENCE_CFG = Path(__file__).parent.parent / "configs" / "reference.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -72,35 +75,21 @@ def test_group_inconsistency_rejected():
 # ---------------------------------------------------------------------------
 
 def test_reference_config_has_zero_warnings():
-    rep = validate_config(build_graph(REFERENCE_CONFIG))
-    assert rep.warnings == []
-    assert rep.errors == []
+    assert validate_config(build_graph(REFERENCE_CONFIG)) == []
 
 
 def test_six_filters_per_group_warns():
     # ladder 3x3 convs get 48/8 = 6 filters/group
     g = build_graph(NetConfig(tier3_bottleneck=48))
-    rep = validate_config(g)
-    assert len(rep.warnings) == 8
-    assert all("6 filters/group" in w for w in rep.warnings)
+    warnings = validate_config(g)
+    assert len(warnings) == 8
+    assert all("6 filters/group" in w for w in warnings)
 
 
 def test_channelwise_convs_exempt_from_lane_warning():
-    rep = validate_config(build_graph(NetConfig(lane_width=16)))
+    warnings = validate_config(build_graph(NetConfig(lane_width=16)))
     # decoder/stage/head convs are channel-wise (1 filter/group): never warned
-    assert not any("dec." in w or "head.kp" in w for w in rep.warnings)
-
-
-def test_tier2_groups_invariant_violation():
-    g = build_graph(NetConfig(tier2_groups=8))
-    rep = validate_config(g)
-    assert any("tier-2 grouping factor" in e for e in rep.errors)
-
-
-def test_tier_channel_invariant_violation():
-    g = build_graph(NetConfig(tier3_channels=128))
-    rep = validate_config(g)
-    assert any("tier-3" in e and "128" in e for e in rep.errors)
+    assert not any("dec." in w or "head.kp" in w for w in warnings)
 
 
 def test_tier2_never_concatenates_input(g96):
@@ -111,8 +100,7 @@ def test_tier2_never_concatenates_input(g96):
 
 @pytest.mark.parametrize("cfg", [
     REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96),
-    NetConfig(tier3_bottleneck=48), NetConfig(tier2_groups=8),
-    NetConfig(tier3_channels=128), NetConfig(ladder_dilations=(1, 2, 4, 8))])
+    NetConfig(tier3_bottleneck=48)])
 def test_built_graph_structure(cfg):
     g = build_graph(cfg)
 
@@ -127,7 +115,7 @@ def test_built_graph_structure(cfg):
     # tier 3: every ladder block is a residual 1-3-1 bottleneck
     src = "t3.entry"
     for u in (1, 2):
-        for k in range(1, len(cfg.ladder_dilations) + 1):
+        for k in range(1, len(LADDER_DILATIONS) + 1):
             p = f"t3.u{u}.b{k}"
             assert kernels(p) == [1, 3, 1]
             assert g.node(f"{p}.add").inputs == (f"{p}.expand", src)
@@ -191,7 +179,7 @@ def test_reference_flops_within_budget():
 
 def test_doubled_tier3_channels_strictly_heavier():
     base = count_layers(build_graph(REFERENCE_CONFIG), Mode.INFERENCE_HEADS)[1].params
-    big = count_layers(build_graph(NetConfig(tier3_channels=128, tier3_bottleneck=64)),
+    big = count_layers(build_graph(NetConfig(tier3_bottleneck=64)),
                        Mode.INFERENCE_HEADS)[1].params
     assert big > base
 
@@ -232,8 +220,37 @@ def test_parse_config_roundtrip():
 
 
 def test_shipped_config_file_is_the_reference_config():
-    cfg = load_config(Path(__file__).parent.parent / "configs" / "reference.cfg")
+    cfg = load_config(REFERENCE_CFG)
     assert cfg == REFERENCE_CONFIG
+
+
+def test_shipped_config_file_names_every_field_once():
+    text = REFERENCE_CFG.read_text()
+    keys = [line.split("#", 1)[0].partition("=")[0].strip() for line in text.splitlines()]
+    keys = [k for k in keys if k]
+    assert sorted(keys) == sorted(f.name for f in fields(NetConfig))
+
+
+@pytest.mark.parametrize("ints, floats", [
+    ("z_min_mm = 100", "z_min_mm = 100.0"),
+    ("orientation_eps = 0", "orientation_eps = 0.0"),
+    ("amplitude_coeffs = 1, 0, 0, 0", "amplitude_coeffs = 1.0, 0.0, 0.0, 0.0")])
+def test_equal_configs_hash_equally(ints, floats):
+    a, b = parse_config(ints), parse_config(floats)
+    assert a == b
+    assert a.config_hash() == b.config_hash()
+    assert parse_config("z_min_mm = 100").config_hash() == REFERENCE_CONFIG.config_hash()
+
+
+def test_hands_must_divide_keypoints():
+    with pytest.raises(ConfigError, match="hands=3 must divide keypoints=16"):
+        NetConfig(hands=3)
+    assert NetConfig(hands=4).keypoints == 16
+
+
+def test_int_beyond_float_range_is_a_config_error():
+    with pytest.raises(ConfigError, match="z_max_mm must be a finite number"):
+        parse_config("z_max_mm = 1" + "0" * 400 + "\n")
 
 
 def test_parse_config_overrides_and_comments():

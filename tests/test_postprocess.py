@@ -171,6 +171,11 @@ def test_gate_never_flips_invisible_to_visible():
     assert sum(kp.visible for kp in flat) == 11
 
 
+def test_gate_rejects_keypoints_that_do_not_split_over_hands():
+    with pytest.raises(ShapeMismatchError, match="16 keypoints do not split evenly"):
+        gate_visibility(kps16(), np.zeros(19), hands=3)
+
+
 def test_gate_suppression_monotone_in_threshold():
     rng = np.random.default_rng(4)
     vis = rng.standard_normal(18)

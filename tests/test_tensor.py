@@ -150,22 +150,14 @@ def test_packed_weights_compare_by_value():
         hash(pw)
 
 
-def test_packed_weights_from_export_data_equal_the_packed_stack():
-    w = np.random.default_rng(3).standard_normal((12, 2, 3, 3)).astype(np.float32)
-    pw = pack_kernels(w, 2, 4)
-    again = PackedWeights(12, 2, 3, 3, 2, 4, pw.data)
-    assert again == pw and np.array_equal(again.taps, pw.taps)
-    with pytest.raises(ConfigError):
-        PackedWeights(12, 2, 3, 3, 2, 4, pw.data, taps=pw.taps)
-    with pytest.raises(ShapeMismatchError):
-        PackedWeights(12, 2, 3, 3, 2, 4, taps=pw.taps[0])
-
-
 def test_packed_weights_reject_inconsistent_dims():
     with pytest.raises(ShapeMismatchError):
-        PackedWeights(4, 2, 3, 3, 1, 4, np.zeros(71, np.float32))
+        PackedWeights(4, 2, 3, 3, 1, 4, np.zeros((3, 3, 1, 2, 3)))
     with pytest.raises(ConfigError):
-        PackedWeights(6, 1, 1, 1, 4, 4, np.zeros(6, np.float32))
+        PackedWeights(6, 1, 1, 1, 4, 4, np.zeros((1, 1, 4, 1, 1)))
+    pw = pack_kernels(np.zeros((12, 2, 3, 3), np.float32), 2, 4)
+    with pytest.raises(ShapeMismatchError):
+        PackedWeights(12, 2, 3, 3, 2, 4, pw.taps[0])
 
 
 def test_pack_rejects_bad_groups():
