@@ -99,6 +99,8 @@ def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args)
     backends = ("reference", "optimized") if args.backend == "both" else (args.backend,)
+    if args.csv:
+        _write_text(args.csv, "")  # an unwritable path fails before the run
     report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
     if args.csv:
         _write_text(args.csv, report.to_csv())

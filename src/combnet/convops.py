@@ -10,12 +10,14 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
   channel per group (channel-wise layers) each output takes one product per
   tap, so the tap is a broadcast multiply-add instead.
 
-Dilated convolutions additionally get :func:`comb_dilated_conv`, which pads
-the input once and convolves the d*d strided pixel fields of the padded map
-densely — the dilated result at dense-convolution cost (no zero-stuffing
-work).  Both cores take a padded map as a field view whose field axes are
-batch axes: unit for the plain convolutions, one class of equal-sized
-fields per call for the comb.
+Dilated convolutions on the optimized path additionally get
+:func:`comb_dilated_conv`, which pads the interleaved input once and
+convolves the d*d strided pixel fields of the padded map densely with the
+packed stack — the dilated result at dense-convolution cost (no
+zero-stuffing work).  The optimized core takes its padded map as a field
+view whose field axes are batch axes: unit for :func:`conv2d_packed`, one
+class of equal-sized fields per call for the comb.  The reference core
+takes a plain padded map, kernel taps `dilation` apart.
 
 All kernels accumulate in 64-bit and store 32-bit; the optimized ones can
 fold a following residual add and ReLU into that one store.  An optional
@@ -188,6 +190,9 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
         if w.groups != spec.groups:
             raise ConfigError(f"packed groups={w.groups} != spec groups={spec.groups}")
     else:
+        if isinstance(w, PackedWeights):
+            raise ConfigError(f"{name} on planar input takes a weight array, "
+                              f"got PackedWeights")
         w = np.asarray(w, dtype=np.float32)
         if tuple(w.shape) != spec.weight_shape():
             raise ShapeMismatchError(
@@ -205,26 +210,18 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
     return w, b
 
 
-def _fields(layout: Layout, c, h: tuple, w: tuple) -> tuple:
-    """Per-axis items of a field view, (C, H, Bi, W, Bj) planar or
-    (H, Bi, W, Bj, C) interleaved, from the (H, Bi) and (W, Bj) pairs: map
-    row y is row y // Bi of row field y % Bi, and likewise for columns."""
-    return tuple(a for axis in layout.order((c,), h, w) for a in axis)
-
-
 def _padded(x: Tensor, spec: ConvSpec, d: int = 1) -> np.ndarray:
     """The input in float64 and its own layout, zero-padded by spec.pad() and
-    then at the bottom and right up to a multiple of d, as a d x d field view.
-    An input that needs no padding is only cast."""
+    then at the bottom and right up to a multiple of d. An input that needs
+    no padding is only cast."""
     ph, pw = spec.pad()
     c, h, w = x.dims
-    hf, wf = -(-(h + 2 * ph) // d), -(-(w + 2 * pw) // d)
-    fields = _fields(x.layout, c, (hf, d), (wf, d))
-    if (hf * d, wf * d) == (h, w):
-        return x.view().astype(np.float64).reshape(fields)
-    xp = np.zeros(x.layout.order(c, hf * d, wf * d))
+    hp, wp = -(-(h + 2 * ph) // d) * d, -(-(w + 2 * pw) // d) * d
+    if (hp, wp) == (h, w):
+        return x.view().astype(np.float64)
+    xp = np.zeros(x.layout.order(c, hp, wp))
     xp[x.layout.order(slice(None), slice(ph, ph + h), slice(pw, pw + w))] = x.view()
-    return xp.reshape(fields)
+    return xp
 
 
 def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
@@ -235,25 +232,25 @@ def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
     return out
 
 
-def _store(out: np.ndarray, b, layout: Layout, relu: bool, residual) -> Tensor:
-    """The optimized convolutions' epilogue, one float32 array worked in
-    place: round(acc + bias) to float32, add the residual tensor in float32,
-    then the ReLU. These are the float32 operations, in the order, of a
-    separate conv, residual add and :func:`relu`, so results and counts
-    match that sequence exactly."""
-    r = _add_bias(out, b, layout).astype(np.float32)
+def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
+    """The optimized convolutions' epilogue on a float64 (H, W, C) result,
+    one float32 array worked in place: round(acc + bias) to float32, add the
+    residual tensor in float32, then the ReLU. These are the float32
+    operations, in the order, of a separate conv, residual add and
+    :func:`relu`, so results and counts match that sequence exactly."""
+    r = _add_bias(out, b, Layout.CHANNEL_INTERLEAVED).astype(np.float32)
     if residual is not None:
         r += residual.view()
         add_adds(r.size)
     if relu:
         np.maximum(r, np.float32(0.0), out=r)
         add_adds(r.size)
-    return Tensor.from_view(r, layout)
+    return Tensor.from_view(r, Layout.CHANNEL_INTERLEAVED)
 
 
 def _tap(k: int, step: int, s: int, n: int) -> slice:
-    """Rows (or columns) of a field view that kernel tap k reads for n outputs,
-    with taps `step` field rows apart and output stride s."""
+    """Rows (or columns) that kernel tap k reads for n outputs, with taps
+    `step` rows apart and output stride s."""
     return slice(k * step, k * step + (n - 1) * s + 1, s)
 
 
@@ -261,26 +258,25 @@ def _tap(k: int, step: int, s: int, n: int) -> slice:
 # Reference (planar) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_planar_core(xf: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                      step: int) -> np.ndarray:
-    """Direct VALID convolution of every field of an already padded float64
-    (C, H, Bi, W, Bj) field view, kernel taps `step` field rows and columns
-    apart; returns the float64 (out_ch, out_h, Bi, out_w, Bj) result. Tap
-    loop outside, channel contraction inside."""
-    _, h, bi, w_, bj = xf.shape
-    out_h, out_w = _valid_out_shape(spec, h, w_, step)
-    out = np.zeros((spec.out_ch, out_h, bi, out_w, bj))
+def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Direct VALID convolution of an already padded float64 (C, H, W) map,
+    kernel taps spec.dilation apart; returns the float64 (out_ch, out_h,
+    out_w) result. Tap loop outside, channel contraction inside."""
+    _, h, w_ = xp.shape
+    d = spec.dilation
+    out_h, out_w = _valid_out_shape(spec, h, w_, d)
+    out = np.zeros((spec.out_ch, out_h, out_w))
     kh, kw = spec.kernel
     s = spec.stride
     ipg, opg = spec.in_per_group, spec.out_per_group
     for g in range(spec.groups):
-        xg = xf[g * ipg:(g + 1) * ipg]
+        xg = xp[g * ipg:(g + 1) * ipg]
         wg = w[g * opg:(g + 1) * opg].astype(np.float64)
         og = out[g * opg:(g + 1) * opg]
         for ky in range(kh):
             for kx in range(kw):
-                patch = xg[:, _tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
-                # (opg, ipg) . (ipg, oh, Bi, ow, Bj) -> (opg, oh, Bi, ow, Bj)
+                patch = xg[:, _tap(ky, d, s, out_h), _tap(kx, d, s, out_w)]
+                # (opg, ipg) . (ipg, oh, ow) -> (opg, oh, ow)
                 og += np.tensordot(wg[:, :, ky, kx], patch, axes=([1], [0]))
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
@@ -293,9 +289,7 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
     included, instead of a float32 tensor, so that a following
     :func:`batchnorm_inference` rounds conv-then-BN once."""
     w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
-    out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    out = _conv_planar_core(_padded(x, spec), w, spec, spec.dilation)
-    out = _add_bias(out.reshape(spec.out_ch, out_h, out_w), b, x.layout)
+    out = _add_bias(_conv_planar_core(_padded(x, spec), w, spec), b, x.layout)
     return Tensor.from_view(out, x.layout) if rounded else out
 
 
@@ -360,8 +354,10 @@ def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
     pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED,
                         residual)
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    out = _conv_interleaved_core(_padded(x, spec), pw, spec, spec.dilation)
-    return _store(out.reshape(out_h, out_w, spec.out_ch), b, x.layout, relu, residual)
+    # unit field axes: the whole padded map is the one field
+    out = _conv_interleaved_core(_padded(x, spec)[:, None, :, None], pw, spec,
+                                 spec.dilation)
+    return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -375,50 +371,46 @@ def _size_classes(n: int, d: int) -> list:
     return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
 
 
-def comb_dilated_conv(x: Tensor, w, b, spec: ConvSpec, *, relu: bool = False,
-                      residual: Tensor | None = None) -> Tensor:
-    """Dilated convolution via comb decomposition; stride must be 1.
+def comb_dilated_conv(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
+                      relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    """Dilated convolution via comb decomposition on the optimized path:
+    interleaved input, packed weights, interleaved output; stride must be 1.
 
     Field (i, j) of the padded map holds the pixels with row % d == i and
     col % d == j, and output field (i, j) is the dense (dilation-1, unpadded)
     convolution of input field (i, j) with the unmodified kernel.  The input
-    is padded once, up to a multiple of d per side, so its field view holds
-    field (i, j) at ``[.., :, i, :, j]`` and the fields are batch axes of the
-    dense core.  Fields come in at most four size classes (rows ``Hp//d`` or
-    ``Hp//d + 1`` of the padded Hp x Wp map, likewise columns); the core runs
-    once per class, on its fields cropped to their real size, into an output
-    field view that reshapes to the output map.  That is one call when d
-    divides both padded sides, and no output outside the map is computed:
-    executed MACs equal the theoretical count for any d and map size.
+    is padded once, up to a multiple of d per side, and reshaped to the
+    (H/d, d, W/d, d, C) field view, which holds field (i, j) at
+    ``[:, i, :, j]``, so the fields are batch axes of the dense core.  Fields
+    come in at most four size classes (rows ``Hp//d`` or ``Hp//d + 1`` of the
+    padded Hp x Wp map, likewise columns); the core runs once per class, on
+    its fields cropped to their real size, into an output field view that
+    reshapes to the output map.  That is one call when d divides both padded
+    sides, and no output outside the map is computed: executed MACs equal the
+    theoretical count for any d and map size.
 
-    Planar input takes a raw weight array (reference core), interleaved
-    input PackedWeights (optimized core).  d=1 is the plain convolution.
-    `relu` and `residual` fuse the epilogue as in :func:`conv2d_packed`.
+    d=1 is the plain convolution.  `relu` and `residual` fuse the epilogue
+    as in :func:`conv2d_packed`.
     """
     if spec.stride != 1:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
-    packed = isinstance(w, PackedWeights)
-    layout = Layout.CHANNEL_INTERLEAVED if packed else Layout.CHANNEL_PLANAR
-    w, b = _check_conv("comb_dilated_conv", x, w, b, spec, layout, residual)
-    core = _conv_interleaved_core if packed else _conv_planar_core
-
+    pw, b = _check_conv("comb_dilated_conv", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED,
+                        residual)
     d = spec.dilation
     kh, kw = spec.kernel
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
     hf, wf = -(-out_h // d), -(-out_w // d)
-    xf = _padded(x, spec, d)
-    out = np.empty(_fields(layout, spec.out_ch, (hf, d), (wf, d)))
+    xp = _padded(x, spec, d)
+    xf = xp.reshape(xp.shape[0] // d, d, xp.shape[1] // d, d, spec.in_ch)
+    out = np.empty((hf, d, wf, d, spec.out_ch))
     # at stride 1 the padded side is the output side plus d*(k-1)
     for fi, rows in _size_classes(out_h + d * (kh - 1), d):
         for fj, cols in _size_classes(out_w + d * (kw - 1), d):
             if rows >= kh and cols >= kw:
-                src = _fields(layout, slice(None), (slice(rows), fi), (slice(cols), fj))
-                dst = _fields(layout, slice(None), (slice(rows - kh + 1), fi),
-                              (slice(cols - kw + 1), fj))
-                out[dst] = core(xf[src], w, spec, 1)
-    out = out.reshape(layout.order(spec.out_ch, hf * d, wf * d))
-    return _store(out[layout.order(slice(None), slice(out_h), slice(out_w))], b, layout,
-                  relu, residual)
+                out[:rows - kh + 1, fi, :cols - kw + 1, fj] = _conv_interleaved_core(
+                    xf[:rows, fi, :cols, fj], pw, spec, 1)
+    out = out.reshape(hf * d, wf * d, spec.out_ch)
+    return _store(out[:out_h, :out_w], b, relu, residual)
 
 
 def zero_stuff_kernel(w: np.ndarray, d: int) -> np.ndarray:

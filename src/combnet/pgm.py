@@ -44,7 +44,9 @@ def parse_pgm16(blob: bytes, name: str = "<bytes>") -> np.ndarray:
     fields = []
     for _ in range(3):
         tok, pos = _next_token(blob, pos)
-        if not tok.isdigit():
+        # no pixel data can satisfy a 19-digit dimension, and int() refuses
+        # thousands of digits
+        if not tok.isdigit() or len(tok) > 18:
             raise InputError(f"{name}: malformed PGM header")
         fields.append(int(tok))
     width, height, maxval = fields

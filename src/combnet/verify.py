@@ -69,22 +69,24 @@ def _random_conv_case(rng, stride_one=False):
 def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
     """conv2d_packed and comb_dilated_conv vs conv2d_ref over randomized
     specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2, packed at
-    the reference config's lane width. `perturb_packed` is a fault-injection hook used to prove the suite
-    detects real deviations."""
+    the reference config's lane width; the comb runs on the stride-1 cases
+    with the same packed stack. `perturb_packed` is a fault-injection hook
+    used to prove the suite detects real deviations."""
     rng = np.random.default_rng(seed)
     packed_dev, comb_dev = 0.0, 0.0
     n_comb = 0
     for _ in range(cases):
         spec, x, w, b = _random_conv_case(rng)
-        ref = conv2d_ref(Tensor.from_array(x), w, b, spec).to_array()
+        t = Tensor.from_array(x)
+        ref = conv2d_ref(t, w, b, spec).to_array()
         pw = pack_kernels(w, spec.groups, REFERENCE_CONFIG.lane_width)
         if perturb_packed is not None:
             pw = perturb_packed(pw)
-        got = to_planar(conv2d_packed(to_interleaved(Tensor.from_array(x)),
-                                      pw, b, spec)).to_array()
+        ti = to_interleaved(t)
+        got = to_planar(conv2d_packed(ti, pw, b, spec)).to_array()
         packed_dev = max(packed_dev, float(np.max(np.abs(got - ref))))
         if spec.stride == 1:
-            comb = comb_dilated_conv(Tensor.from_array(x), w, b, spec).to_array()
+            comb = to_planar(comb_dilated_conv(ti, pw, b, spec)).to_array()
             comb_dev = max(comb_dev, float(np.max(np.abs(comb - ref))))
             n_comb += 1
     return [SuiteResult("conv packed vs reference", cases, packed_dev, 1e-5),

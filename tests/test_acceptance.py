@@ -18,7 +18,7 @@ from combnet.forward import Backend, Mode, forward
 from combnet.graph import build_graph, count_layers
 from combnet.losses import (KeypointTarget, LossBundle, handpose_ce, keypoint_ce,
                             orientation_ce_soft, seg_ce, total_loss)
-from combnet.tensor import Tensor
+from combnet.tensor import Tensor, pack_kernels, to_interleaved
 from combnet.verify import (backend_e2e_suite, bn_fold_suite, conv_oracle_suite,
                             loss_gradient_suite)
 from combnet.weights import init_weights, save_weights
@@ -81,8 +81,10 @@ def test_criterion_3_zero_overhead():
         x = Tensor.from_array(rng.standard_normal((32, 12, 12)).astype(np.float32))
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         macs = mac_count(spec, 12, 12)
+        xi = to_interleaved(x)
+        pw = pack_kernels(w, spec.groups, REFERENCE_CONFIG.lane_width)
         with counting() as ops:
-            comb_dilated_conv(x, w, None, spec)
+            comb_dilated_conv(xi, pw, None, spec)
         assert ops.mults == macs, f"d={d}: comb executed {ops.mults} != {macs}"
         # the naive baseline pays the zero-stuffed footprint: ((d(k-1)+1)/k)^2
         with counting() as ops_stuffed:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -5,11 +6,15 @@ import struct
 import subprocess
 import sys
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from combnet import cli
 from combnet.bench import run_benchmarks
 from combnet.config import NetConfig
 from combnet.errors import ShapeMismatchError
@@ -193,7 +198,7 @@ def test_verify_env_seed_overrides_flag():
 
 
 def test_verify_detects_injected_fault():
-    # perturbing the packed weights by 1e-2 must fail the equivalence suite
+    # perturbing the packed weights by 1e-2 must fail both equivalence suites
     from combnet.tensor import PackedWeights
 
     def perturb(pw):
@@ -205,6 +210,9 @@ def test_verify_detects_injected_fault():
     results = conv_oracle_suite(5, cases=10, perturb_packed=perturb)
     packed = next(r for r in results if "packed" in r.name)
     assert not packed.passed
+    # the comb runs on the same packed stack, so it sees the fault too
+    comb = next(r for r in results if r.name == "conv comb vs reference")
+    assert comb.cases > 0 and not comb.passed
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +286,20 @@ def test_bench_unwritable_csv_exit_2(small_cfg, tmp_path):
     r = run_cli("bench", "--config", small_cfg, "--backend", "reference", "--iters", "1",
                 "--csv", str(csv))
     assert_unwritable_output_exit_2(r, csv)
+
+
+def test_bench_unwritable_csv_fails_before_the_run(small_cfg, tmp_path, monkeypatch,
+                                                    capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the benchmark ran before the CSV path was checked")
+
+    monkeypatch.setattr(cli, "run_benchmarks", not_called)
+    csv = tmp_path / "missing" / "bench.csv"
+    assert cli.main(["bench", "--config", small_cfg, "--csv", str(csv)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"input error: cannot write {csv}: ")
 
 
 def test_bench_unknown_backend_rejected(small_cfg):
@@ -442,3 +464,45 @@ def test_infer_backends_agree(small_cfg, infer_inputs):
         assert ha["present"] == hb["present"]
         for ka, kb in zip(ha["keypoints"], hb["keypoints"]):
             assert (ka["u"], ka["v"]) == (kb["u"], kb["v"])
+
+
+@st.composite
+def pgm_blobs(draw):
+    """Bounded PGM-like bytes: arbitrary bytes with or without the P5 magic,
+    or a P5 header with small (possibly zero) dims, a maxval on either side
+    of 255 or out of range, and pixel data a little short, exact or long."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([b"", b"P5", b"P5\n"])) + draw(st.binary(max_size=64))
+    w, h = draw(st.integers(0, 32)), draw(st.integers(0, 32))
+    maxval = draw(st.sampled_from([0, 1, 255, 256, 65535, 65536]))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t\r\n", b"\n# comment\n"]))
+    end = draw(st.sampled_from([b"\n", b" ", b""]))
+    head = b"P5" + sep + sep.join(str(v).encode() for v in (w, h, maxval)) + end
+    need = w * h * (2 if maxval > 255 else 1)
+    pixels = draw(st.binary(min_size=max(0, need - 2), max_size=need + 2))
+    return head + pixels
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=pgm_blobs(), role=st.sampled_from(["amplitude", "depth"]))
+@example(blob=b"P5 " + b"9" * 5000 + b" 1 255\n", role="amplitude")
+def test_infer_fuzzed_pgm_exits_cleanly(small_cfg, infer_inputs, blob, role):
+    # any PGM bytes, as either input image, end in a documented exit code:
+    # JSON on stdout and nothing on stderr, or one stderr line and no stdout
+    fuzzed = infer_inputs / "fuzzed.pgm"
+    fuzzed.write_bytes(blob)
+    images = {"amplitude": infer_inputs / "amp.pgm", "depth": infer_inputs / "depth.pgm",
+              role: fuzzed}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(["infer", "--config", small_cfg,
+                       "--weights", str(infer_inputs / "w.cnwb"),
+                       "--amplitude", str(images["amplitude"]),
+                       "--depth", str(images["depth"])])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1

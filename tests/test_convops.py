@@ -10,7 +10,8 @@ from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              counting, fold_batchnorm,
                              mac_count, relu, upsample_nearest_2x,
                              zero_stuff_kernel, zero_stuffed_spec)
-from combnet.errors import ConfigError, ShapeMismatchError, UnsupportedConfigError
+from combnet.errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
+                            UnsupportedConfigError)
 from combnet.tensor import Tensor, pack_kernels, to_interleaved, to_planar
 from combnet.verify import _random_conv_case, bn_fold_suite
 
@@ -48,6 +49,12 @@ def run_ref(x, w, b, spec):
 def run_packed(x, w, b, spec, lane=4):
     t = to_interleaved(Tensor.from_array(x))
     out = conv2d_packed(t, pack_kernels(w, spec.groups, lane), b, spec)
+    return to_planar(out).to_array()
+
+
+def run_comb(x, w, b, spec, lane=4):
+    t = to_interleaved(Tensor.from_array(x))
+    out = comb_dilated_conv(t, pack_kernels(w, spec.groups, lane), b, spec)
     return to_planar(out).to_array()
 
 
@@ -177,6 +184,22 @@ def test_packed_rejects_raw_weight_array():
         conv2d_packed(x, np.zeros(spec.weight_shape(), np.float32), None, spec)
 
 
+@pytest.mark.parametrize("kernel,interleaved,packed,error,match", [
+    (conv2d_ref, False, True, ConfigError, "PackedWeights"),
+    (comb_dilated_conv, True, False, ConfigError, "PackedWeights"),
+    (comb_dilated_conv, False, True, LayoutMismatchError, "interleaved"),
+], ids=["ref-packed", "comb-raw", "comb-planar"])
+def test_conv_rejects_wrong_weights_or_layout(kernel, interleaved, packed, error, match):
+    # each kernel takes one layout and one weight type; anything else is a
+    # CombnetError naming what it wants, not a TypeError from numpy
+    spec = ConvSpec(4, 4, (3, 3), dilation=2, groups=2)
+    t = Tensor.from_array(np.zeros((4, 6, 6), np.float32))
+    w = np.zeros(spec.weight_shape(), np.float32)
+    with pytest.raises(error, match=match):
+        kernel(to_interleaved(t) if interleaved else t,
+               pack_kernels(w, 2, 4) if packed else w, None, spec)
+
+
 def test_conv_linearity_zero_bias():
     rng = np.random.default_rng(4)
     spec = ConvSpec(3, 6, (3, 3), groups=3)
@@ -201,7 +224,7 @@ def test_comb_d1_bit_exact():
     x = rng.standard_normal((4, 9, 9)).astype(np.float32)
     w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     b = rng.standard_normal(8).astype(np.float32)
-    comb = comb_dilated_conv(Tensor.from_array(x), w, b, spec).to_array()
+    comb = run_comb(x, w, b, spec)
     np.testing.assert_array_equal(comb, run_ref(x, w, b, spec))
 
 
@@ -210,7 +233,7 @@ def test_comb_d2_matches_zero_stuffed_oracle():
     x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
     rng = np.random.default_rng(6)
     w = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
-    comb = comb_dilated_conv(Tensor.from_array(x), w, None, spec).to_array()
+    comb = run_comb(x, w, None, spec)
     stuffed = run_ref(x, zero_stuff_kernel(w, 2), None, zero_stuffed_spec(spec))
     np.testing.assert_allclose(comb, stuffed, atol=1e-6)
 
@@ -223,7 +246,7 @@ def test_comb_equals_ref_and_macs_independent_of_d(d):
     w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     ref = run_ref(x, w, None, spec)
     with counting() as ops:
-        comb = comb_dilated_conv(Tensor.from_array(x), w, None, spec).to_array()
+        comb = run_comb(x, w, None, spec)
     assert np.max(np.abs(comb - ref)) <= 1e-6
     assert mac_count(spec, 12, 12) == 165_888  # 12*12*32*(32/8)*9, for any d
     assert ops.mults == 165_888
@@ -260,38 +283,31 @@ def test_comb_matches_ref_at_every_size(d, h, w, chans):
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     b = rng.standard_normal(out_ch).astype(np.float32)
     ref = run_ref(x, wt, b, spec)
-    t = Tensor.from_array(x)
     with counting() as ops:
-        planar = comb_dilated_conv(t, wt, b, spec).to_array()
-    assert np.max(np.abs(planar - ref)) <= 1e-6
-    assert ops.mults == mac_count(spec, h, w)
-    with counting() as ops:
-        packed = comb_dilated_conv(to_interleaved(t), pack_kernels(wt, groups, 4), b, spec)
-    assert np.max(np.abs(to_planar(packed).to_array() - ref)) <= 1e-5
+        packed = run_comb(x, wt, b, spec)
+    assert np.max(np.abs(packed - ref)) <= 1e-6
     assert ops.mults == mac_count(spec, h, w)
 
 
-@pytest.mark.parametrize("packed", [False, True], ids=["planar", "interleaved"])
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_comb_runs_the_core_once_per_field_size_class(d, packed, monkeypatch):
+@pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-interleaved") for d in (2, 3, 4)])
+def test_comb_runs_the_core_once_per_field_size_class(d, monkeypatch):
     # the fields are batch axes of the dense core: at most four calls (two
     # row and two column size classes), one when d divides both padded sides
-    name = "_conv_interleaved_core" if packed else "_conv_planar_core"
-    core, calls = getattr(convops, name), []
+    core, calls = convops._conv_interleaved_core, []
 
     def counted(*args):
         calls.append(args[0].shape)
         return core(*args)
 
-    monkeypatch.setattr(convops, name, counted)
+    monkeypatch.setattr(convops, "_conv_interleaved_core", counted)
     rng = np.random.default_rng(40 + d)
     spec = ConvSpec(8, 8, (3, 3), dilation=d, groups=4)
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-    w = pack_kernels(wt, 4, 4) if packed else wt
+    pw = pack_kernels(wt, 4, 4)
     for h, w_ in [(16, 16), (16, 17), (13, 15), (1, 2), (2 * d, 19)]:
         t = Tensor.from_array(rng.standard_normal((8, h, w_)).astype(np.float32))
         calls.clear()
-        comb_dilated_conv(to_interleaved(t) if packed else t, w, None, spec)
+        comb_dilated_conv(to_interleaved(t), pw, None, spec)
         assert 1 <= len(calls) <= 4, (h, w_, calls)
         hp, wp = h + 2 * d, w_ + 2 * d
         if hp % d == 0 and wp % d == 0:
