@@ -1,7 +1,7 @@
 """Micro-benchmark harness: full-forward timings per backend, the optimized
 plan's preparation, plus the layer classes the optimized engine targets
-(grouped tier-2 conv, channel-wise decoder conv, dilated tier-3 conv via comb
-vs the naive zero-stuffed baseline).
+(grouped tier-2 conv, channel-wise decoder conv, one-channel tier-1 stem,
+dilated tier-3 conv via comb vs the naive zero-stuffed baseline).
 
 MAC figures come from the analytic counter, never re-estimated from timings;
 the headline number per case is the median over iterations after warm-up.
@@ -25,7 +25,8 @@ from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import TIER2_CHANNELS, TIER2_GROUPS, TIER3_GROUPS, build_graph, count_layers
+from .graph import (TIER1_CHANNELS, TIER2_CHANNELS, TIER2_GROUPS, TIER3_GROUPS,
+                    build_graph, count_layers)
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -154,6 +155,9 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
     dc = cfg.keypoints
     add_conv_cases(f"channelwise-3x3-{h2}x{h2}", ConvSpec(dc, dc, (3, 3), groups=dc), h2)
+    # the one-input-channel tier-1 stem at input resolution
+    h = cfg.input_h
+    add_conv_cases(f"stem-3x3-s2-{h}x{h}", ConvSpec(1, TIER1_CHANNELS, (3, 3), stride=2), h)
 
     # dilated conv: comb vs naive zero-stuffed baseline (canonical 12x12 case
     # plus the graph's own tier-3 resolution when different)

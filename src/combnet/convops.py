@@ -4,11 +4,18 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
 
 * :func:`conv2d_ref` — direct tap-loop convolution on channel-planar data.
   Serves as the oracle for everything else.
-* :func:`conv2d_packed` — the optimized path: channel-interleaved input and,
-  per kernel tap, one batched GEMM over all groups with the packed kernel
-  stack's float64 tap operand (``PackedWeights.taps``).  With one input
-  channel per group (channel-wise layers) each output takes one product per
-  tap, so the tap is a broadcast multiply-add instead.
+* :func:`conv2d_packed` — the optimized path: channel-interleaved input and
+  the packed kernel stack's float64 tap operand (``PackedWeights.taps``),
+  in one of three formulations chosen from the spec:
+
+  - several input channels per group: per kernel tap, one batched GEMM over
+    all groups;
+  - depthwise (one input and one output channel per group: the decoder and
+    primary head): per tap, a multiply by the tap's weights tiled along an
+    output row, into one reused product buffer, in bands of output rows;
+  - one input channel and several outputs per group (the tier-1 stem): the
+    kernel taps stacked as the contraction axis of one GEMM per group, the
+    only im2col matrix the engine builds.
 
 Dilated convolutions on the optimized path additionally get
 :func:`comb_dilated_conv`, which pads the interleaved input once and
@@ -297,6 +304,12 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
 # Optimized (interleaved, packed) convolution
 # ---------------------------------------------------------------------------
 
+# Output rows per depthwise band: the band's accumulator and product buffer
+# stay in a core's L2 across the taps (128-256 KB measured best from 32x32 to
+# 96x96 maps of 16 channels).
+_BAND_BYTES = 128 << 10
+
+
 def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
                            step: int) -> np.ndarray:
     """Direct VALID convolution of every field of an already padded float64
@@ -304,16 +317,30 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     `step` field rows and columns apart; returns the float64
     (out_h, Bi, out_w, Bj, out_ch) result.
 
-    Tap loop outside, channel contraction inside, as in the reference core; no
-    im2col matrix is ever materialized.  Per kernel tap, the strided patch is
-    seen as (pixels, group, in_ch_per_group), fields included in the pixels,
-    and meets the tap's (group, in_ch_per_group, out_ch_per_group) slice of
-    `pw.taps`:
+    Per kernel tap, the strided window is seen as (pixels, group,
+    in_ch_per_group), fields included in the pixels, and meets the tap's
+    (group, in_ch_per_group, out_ch_per_group) slice of `pw.taps`.  Each
+    output adds up its taps in kernel order, from the first tap's product,
+    in float64.  The spec picks one of three formulations:
 
-    * one input channel per group (channel-wise layers): each output takes one
-      product per tap, so the tap is a broadcast multiply-add into an
-      accumulator kept in the output's own order;
-    * otherwise: one batched GEMM over the groups.
+    * several input channels per group: per tap, one batched GEMM over the
+      groups, added into the accumulator;
+    * one input and one output channel per group (depthwise): per tap, the
+      window times the tap's weights tiled along an output row, so each
+      multiply runs a whole row, not one group's weights; band by band of
+      output rows, the first tap multiplies into the accumulator and every
+      later one into one reused product buffer that is then added;
+    * one input channel, several outputs per group (the one-channel stem):
+      the taps' windows are stacked as the contraction axis of one
+      (pixels, group, kh*kw) matrix, the only im2col matrix built (295 KB
+      for the 128x128 stem, less than its own 512 KB float64 result), and
+      one GEMM per group contracts it with the taps.  A float32 product is
+      exact in float64, so the sum is the tap-by-tap one wherever the BLAS
+      adds each dot product in tap order.  OpenBLAS does for 3x3 kernels
+      over more than one pixel; for a single pixel (a GEMV) or 25 taps into
+      at most four outputs per group the float64 sum can differ in its last
+      bit, which changes the float32 result only for a sum that close to a
+      float32 rounding boundary.
     """
     h, bi, w, bj, _ = xf.shape
     out_h, out_w = _valid_out_shape(spec, h, w, step)
@@ -321,23 +348,37 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     s = spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
     pixels = (out_h, bi, out_w, bj)
-    patches = [(pw.taps[ky, kx],
-                xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
-                .reshape(*pixels, G, ipg))
+    # (pixels, C) per tap, in kernel order
+    windows = [xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
                for ky in range(kh) for kx in range(kw)]
-    if ipg == 1:
-        def product(tap, patch):
-            # (pixels, G, 1) * (G, opg) -> (pixels, G, opg)
-            return patch * tap[:, 0]
-    else:
-        def product(tap, patch):
-            # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
-            return np.matmul(patch.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
-    # the first tap's product is the accumulator
-    acc = product(*patches[0])
-    for tap, patch in patches[1:]:
-        acc += product(tap, patch)
+    taps = pw.taps.reshape(kh * kw, G, ipg, opg)
     if ipg > 1:
+        def gemm(win, tap):
+            # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
+            return np.matmul(win.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
+        # the first tap's product is the accumulator; each later one is
+        # freed before the next is made
+        acc = gemm(windows[0], taps[0])
+        for win, tap in zip(windows[1:], taps[1:]):
+            acc += gemm(win, tap)
+        acc = acc.transpose(1, 0, 2)
+    elif opg == 1:
+        # (taps, out_w, Bj, G): each tap's weights along one output row
+        rows = np.tile(taps[:, None, None, :, 0, 0], (1, out_w, bj, 1))
+        acc = np.empty((*pixels, G))
+        band = max(1, _BAND_BYTES // acc[0].nbytes)
+        tmp = np.empty_like(acc[:band])
+        for r in range(0, out_h, band):
+            a = acc[r:r + band]
+            t = tmp[:len(a)]
+            np.multiply(windows[0][r:r + band], rows[0], out=a)
+            for win, row in zip(windows[1:], rows[1:]):
+                np.multiply(win[r:r + band], row, out=t)
+                a += t
+    else:
+        # (G, pixels, kh*kw) @ (G, kh*kw, opg) -> (G, pixels, opg)
+        stack = np.stack(windows, axis=-1).reshape(-1, G, kh * kw)
+        acc = np.matmul(stack.transpose(1, 0, 2), taps[:, :, 0].transpose(1, 0, 2))
         acc = acc.transpose(1, 0, 2)
     out = acc.reshape(*pixels, spec.out_ch)
     add_mults(out.size * ipg * kh * kw)

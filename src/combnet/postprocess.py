@@ -68,6 +68,9 @@ def amplitude_from_phases(frame: PhaseFrame, coeffs=DEFAULT_AMPLITUDE_COEFFS) ->
     acc = np.zeros(frame.phases[0].shape, dtype=np.float64)
     for c, p in zip(coeffs, frame.phases):
         acc += c * p.astype(np.float64)
+    if np.max(acc) > np.finfo(np.float32).max:
+        raise ConfigError(f"amplitude_coeffs {coeffs.tolist()} take the amplitude "
+                          f"past the float32 range")
     return np.maximum(acc, 0.0).astype(np.float32)
 
 
@@ -96,7 +99,8 @@ def normalize_input(image: np.ndarray, out_hw: tuple | None = None):
     h, w = img.shape
     oh, ow = (h, w) if out_hw is None else out_hw
     scale = min(h / oh, w / ow)
-    crop_h, crop_w = int(round(oh * scale)), int(round(ow * scale))
+    # at least one source pixel per axis: a tiny image rounds its crop to zero
+    crop_h, crop_w = max(1, int(round(oh * scale))), max(1, int(round(ow * scale)))
     top, left = (h - crop_h) // 2, (w - crop_w) // 2
     rows = top + np.minimum((np.arange(oh) * crop_h) // oh, crop_h - 1)
     cols = left + np.minimum((np.arange(ow) * crop_w) // ow, crop_w - 1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from combnet import cli
 from combnet.bench import run_benchmarks
-from combnet.config import NetConfig
+from combnet.config import REFERENCE_CONFIG, NetConfig
 from combnet.errors import ShapeMismatchError
 from combnet.forward import Backend, forward
 from combnet.graph import Mode, build_graph, count_layers, param_entries
@@ -241,12 +242,14 @@ def test_bench_report_consistency(small_cfg, tmp_path):
     macs = count_layers(g, Mode.INFERENCE_HEADS)[1].macs
     ff = next(row for row in rows if row[0] == "full-forward")
     assert int(ff[header.index("macs")]) == macs
-    # channel-wise decoder conv on both backends, counted at its MACs
-    cw = [row for row in rows if row[0] == "channelwise-3x3-48x48"]
-    assert sorted(row[1] for row in cw) == ["optimized", "reference"]
+    # channel-wise decoder conv and the one-channel stem on both backends,
+    # counted at their MACs
     i_mults, i_macs = header.index("mults_counted"), header.index("macs")
-    for row in cw:
-        assert int(row[i_mults]) == int(row[i_macs]) > 0
+    for case in ("channelwise-3x3-48x48", "stem-3x3-s2-96x96"):
+        layer = [row for row in rows if row[0] == case]
+        assert sorted(row[1] for row in layer) == ["optimized", "reference"], case
+        for row in layer:
+            assert int(row[i_mults]) == int(row[i_macs]) > 0
     # d=3 is the comb with four field size classes; counted at its MACs too
     d3 = [row for row in rows if row[0].startswith("dilated-3x3-g8-d3-")]
     assert sorted(row[0] for row in d3) == [
@@ -499,6 +502,74 @@ def test_infer_fuzzed_pgm_exits_cleanly(small_cfg, infer_inputs, blob, role):
                        "--weights", str(infer_inputs / "w.cnwb"),
                        "--amplitude", str(images["amplitude"]),
                        "--depth", str(images["depth"])])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+
+
+_CONFIG_KEYS = [f.name for f in fields(NetConfig)]
+_CONFIG_VALUES = st.one_of(
+    st.integers(0, 20).map(str),
+    st.sampled_from([8, 16, 32, 64, 96, 128, 160, -8]).map(str),
+    st.floats(0, 1).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.lists(st.integers(-2, 20), min_size=1, max_size=5).map(
+        lambda vs: ", ".join(map(str, vs))),
+    st.sampled_from(["", "x", "1e400", "-1e400", "nan", "inf", "1_6", "0x10", "1,",
+                     ", 1", "true", "(1, 2)", "9" * 40, "1e-320",
+                     "1e30, 1e30, 1e30, 1e30"]))
+
+
+def _near_default(key):
+    """Values a config might really hold for `key`: its default, half or
+    twice it, a fraction for reals, a list of the default's length."""
+    v = getattr(REFERENCE_CONFIG, key)
+    if isinstance(v, tuple):
+        return st.lists(st.integers(0, 20), min_size=len(v), max_size=len(v)).map(
+            lambda vs: ", ".join(map(str, vs)))
+    if isinstance(v, float):
+        return st.one_of(st.just(repr(v)), st.floats(0.01, 0.99).map(repr))
+    return st.sampled_from(sorted({v, max(1, v // 2), 2 * v})).map(str)
+
+
+@st.composite
+def config_texts(draw):
+    """Bounded config text: up to four lines, mostly `key = value` over
+    NetConfig's keys with values near the defaults, some with junk keys,
+    malformed or commented out, or with small numbers, lists, non-finite or
+    junk values."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        junk = draw(st.integers(0, 9)) == 0
+        key = (draw(st.text("abcdefghijklmnopqrstuvwxyz_ =#", max_size=10)) if junk
+               else draw(st.sampled_from(_CONFIG_KEYS)))
+        plausible = not junk and draw(st.integers(0, 2)) > 0
+        value = draw(_near_default(key) if plausible else _CONFIG_VALUES)
+        form = draw(st.sampled_from(["{k} = {v}"] * 6 + [
+            "{k}={v}", "{k} = {v}  # note", "# {k} = {v}", "{k} {v}", "{v}"]))
+        lines.append(form.format(k=key, v=value))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=config_texts())
+@example(text="input_h = 8\ninput_w = 8\n")
+@example(text="amplitude_coeffs = 1e300, 1e300, 1e300, 1e300\n")
+def test_infer_fuzzed_config_exits_cleanly(infer_inputs, text):
+    # any config text ends in a documented exit code: JSON on stdout and
+    # nothing on stderr, or one stderr line and no stdout
+    cfg = infer_inputs / "fuzzed.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    phases = ",".join(str(infer_inputs / f"p{i}.pgm") for i in range(4))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(["infer", "--config", str(cfg),
+                       "--weights", str(infer_inputs / "w.cnwb"),
+                       "--phases", phases, "--depth", str(infer_inputs / "depth.pgm")])
     assert rc in (0, 2, 3)
     if rc == 0:
         json.loads(out.getvalue())

@@ -7,7 +7,7 @@ from scipy import signal
 from combnet import convops
 from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
-                             counting, fold_batchnorm,
+                             conv_out_shape, counting, fold_batchnorm,
                              mac_count, relu, upsample_nearest_2x,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
@@ -159,6 +159,69 @@ def test_packed_channelwise_equals_per_channel_filtering():
         expect = signal.correlate2d(x[c].astype(np.float64), w[c, 0].astype(np.float64),
                                     mode="same", boundary="fill")
         np.testing.assert_allclose(got[c], expect, atol=1e-5)
+
+
+def per_tap_broadcast_conv(x, w, b, spec):
+    """Oracle for convs with one input channel per group: per kernel tap, in
+    kernel order, the float64 broadcast multiply-add ``acc += patch *
+    tap[:, 0]`` over the interleaved padded map, seeded with the first tap's
+    product, then the bias and one rounding to float32. Returns the planar
+    float32 result."""
+    C, H, W = x.shape
+    ph, pw = spec.pad()
+    kh, kw = spec.kernel
+    d, s = spec.dilation, spec.stride
+    oh, ow = conv_out_shape(spec, H, W)
+    xp = np.zeros((H + 2 * ph, W + 2 * pw, C))
+    xp[ph:ph + H, pw:pw + W] = x.transpose(1, 2, 0)
+    # tap (ky, kx) as (group, 1, out_ch_per_group), as in PackedWeights.taps
+    taps = (w.reshape(spec.groups, spec.out_per_group, 1, kh, kw)
+            .transpose(3, 4, 0, 2, 1).astype(np.float64))
+    acc = None
+    for ky in range(kh):
+        for kx in range(kw):
+            patch = xp[ky * d:ky * d + (oh - 1) * s + 1:s,
+                       kx * d:kx * d + (ow - 1) * s + 1:s][..., None]
+            tap = taps[ky, kx]
+            if acc is None:
+                acc = patch * tap[:, 0]
+            else:
+                acc += patch * tap[:, 0]
+    out = acc.reshape(oh, ow, spec.out_ch)
+    if b is not None:
+        out += b.astype(np.float64)
+    return out.astype(np.float32).transpose(2, 0, 1)
+
+
+# 41x40 at 16 channels spans two depthwise row bands, the second partial
+@pytest.mark.parametrize("hw", [(9, 13), (5, 3), (41, 40)],
+                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+@pytest.mark.parametrize("dilation", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("chans", [(16, 16, 16), (1, 16, 1), (1, 8, 1), (4, 8, 4)],
+                         ids=["depthwise", "stem-16", "stem-8", "g4-opg2"])
+def test_one_input_channel_per_group_is_bit_exact(chans, stride, dilation, hw):
+    # the depthwise row-tiled multiply-adds and the one-channel tap-stacked
+    # GEMM sum the same float64 products in the same tap order as the oracle
+    in_ch, out_ch, groups = chans
+    spec = ConvSpec(in_ch, out_ch, (3, 3), stride, dilation, groups, has_bias=True)
+    rng = np.random.default_rng([in_ch, out_ch, stride, dilation, *hw])
+
+    def wide(shape):
+        # signed powers of two up to 2**30: products reach 2**60, so a sum
+        # taken in another tap order rounds to another float32
+        return (rng.choice([-1.0, 1.0], shape)
+                * 2.0 ** rng.choice([0, 15, 30], shape)).astype(np.float32)
+
+    x, w, b = wide((in_ch, *hw)), wide(spec.weight_shape()), wide(out_ch)
+    expect = per_tap_broadcast_conv(x, w, b, spec)
+    runs = [run_packed] + [run_comb] * (stride == 1)
+    for run in runs:
+        with counting() as ops:
+            got = run(x, w, b, spec)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect, err_msg=run.__name__)
+        assert ops.mults == mac_count(spec, *hw) > 0
 
 
 def test_packed_zero_input_broadcasts_bias():

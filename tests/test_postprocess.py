@@ -44,6 +44,12 @@ def test_amplitude_clamps_negative():
     assert np.all(out == 0.0)
 
 
+def test_amplitude_past_float32_is_a_config_error():
+    frame = PhaseFrame(phases([1, 2, 3, 4]))
+    with pytest.raises(ConfigError, match="float32"):
+        amplitude_from_phases(frame, (1e300, 0, 0, 0))
+
+
 def test_phase_dims_must_agree():
     ph = phases([1, 2, 3])
     with pytest.raises(ShapeMismatchError):
@@ -83,6 +89,18 @@ def test_normalize_crop_and_scale_transform():
     # net pixel (0.5, 0.5) maps back inside the crop
     su, sv = tf.to_source(0.5, 0.5)
     assert 8 <= su < 40 and 0 <= sv < 32
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1)])
+def test_normalize_tiny_image_keeps_a_nonempty_crop(shape):
+    img = (np.arange(1, shape[0] * shape[1] + 1) * 1000).astype(np.uint16).reshape(shape)
+    t, tf = normalize_input(img, (96, 192))
+    assert tf.scale_u > 0 and tf.scale_v > 0
+    for v in range(96):
+        _, sv = tf.to_source(0.5, v + 0.5)
+        assert 0 <= sv < shape[0]
+        # the row the transform names is the row that was sampled
+        assert t.view()[0, v, 0] == np.float32(img[int(sv), 0]) / np.float32(65535)
 
 
 def test_normalize_rejects_empty():
