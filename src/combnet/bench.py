@@ -140,7 +140,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
         x = rng.standard_normal((spec.in_ch, hw, hw)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         t = Tensor.from_array(x)
-        ti, pw = to_interleaved(t), pack_kernels(w, spec.groups, cfg.lane_width)
+        ti, pw = to_interleaved(t), pack_kernels(w, spec.groups)
         macs = mac_count(spec, hw, hw)
         if "reference" in backends:
             add_case(case, "reference", lambda: conv2d_ref(t, w, None, spec), macs)
@@ -170,7 +170,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
             wd = rng.standard_normal(spec_d.weight_shape()).astype(np.float32)
             td = Tensor.from_array(xd)
             tdi = to_interleaved(td)
-            pwd = pack_kernels(wd, spec_d.groups, cfg.lane_width)
+            pwd = pack_kernels(wd, spec_d.groups)
             stuffed = zero_stuff_kernel(wd, d)
             sspec = zero_stuffed_spec(spec_d)
             case = f"dilated-3x3-g{spec_d.groups}-d{d}-{hw}x{hw}"

@@ -190,12 +190,9 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
         if not isinstance(w, PackedWeights):
             raise ConfigError(f"{name} on interleaved input takes PackedWeights, "
                               f"got {type(w).__name__}")
-        if (w.out_ch, w.in_ch_per_group, w.kh, w.kw) != spec.weight_shape():
-            raise ConfigError(
-                f"packed dims ({w.out_ch},{w.in_ch_per_group},{w.kh},{w.kw}) "
-                f"inconsistent with spec {spec.weight_shape()}")
-        if w.groups != spec.groups:
-            raise ConfigError(f"packed groups={w.groups} != spec groups={spec.groups}")
+        taps = (*spec.kernel, spec.groups, spec.in_per_group, spec.out_per_group)
+        if w.taps.shape != taps:
+            raise ConfigError(f"packed taps {w.taps.shape} inconsistent with spec taps {taps}")
     else:
         if isinstance(w, PackedWeights):
             raise ConfigError(f"{name} on planar input takes a weight array, "

@@ -85,11 +85,10 @@ def _check_store(g: GraphSpec, ws: WeightStore, mode: Mode):
 
 def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS) -> Plan:
     """Validate the weight store for `mode`, then fold BN into and pack the
-    kernel stack of every conv a forward pass in `mode` runs, at the config's
-    lane width. Each residual add, with its ReLU, folds into the conv named
-    as its first input, which (as :func:`graph.build_graph` builds it) has no
-    activation and no other reader. A missing or wrong-shaped entry is a
-    ShapeMismatchError."""
+    kernel stack of every conv a forward pass in `mode` runs. Each residual
+    add, with its ReLU, folds into the conv named as its first input, which
+    (as :func:`graph.build_graph` builds it) has no activation and no other
+    reader. A missing or wrong-shaped entry is a ShapeMismatchError."""
     _check_store(g, ws, mode)
     nodes = g.nodes_for(mode)
     adds = {n.inputs[0]: n for n in nodes if n.kind == "add"}
@@ -101,7 +100,7 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS
                 w, bias = fold_batchnorm(w, bias, bn)
             end = adds.get(node.name, node)
             convs[node.name] = ConvStep(
-                pack_kernels(w, node.conv.groups, g.config.lane_width), _readonly(bias),
+                pack_kernels(w, node.conv.groups), _readonly(bias),
                 end.act == "relu", end.inputs[1] if end is not node else None, end.name)
         elif node.kind == "linear":
             w, b, _ = ws.node_params(node)

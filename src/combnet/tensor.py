@@ -8,8 +8,9 @@ Layouts (row-major over the listed axis order):
 
 Both formulas are what ``numpy.reshape`` gives for the respective axis order,
 so layout transforms are plain transposes. This module is the only place that
-knows the two axis orders and the packing order; other modules go through
-:class:`Layout`, :class:`Tensor` and :class:`PackedWeights`.
+knows the two axis orders and the tap operand a kernel stack is packed into;
+other modules go through :class:`Layout`, :class:`Tensor` and
+:class:`PackedWeights`.
 """
 
 from __future__ import annotations
@@ -151,76 +152,28 @@ def to_planar(t: Tensor) -> Tensor:
 
 @dataclass(frozen=True, eq=False)
 class PackedWeights:
-    """Kernel stack packed for the interleaved convolution.
+    """Kernel stack packed for the interleaved convolution: `taps` is the
+    stack as the optimized core's float64 per-tap operand, (kh, kw, group,
+    in_ch_per_group, out_ch_per_group), contiguous and read-only.
+    :func:`pack_kernels` builds one from a weight array.  Packed stacks
+    compare by taps and are unhashable."""
 
-    `taps` is the one stored copy: the stack as the optimized core's float64
-    per-tap operand, (kh, kw, group, in_ch_per_group, out_ch_per_group).
-    `data` is the embedded export order, computed on demand (outer to
-    inner): group, lane-block of output channels, kernel row, kernel column,
-    input channel within group, lane. The last block of a group is ragged
-    when out_ch/groups is not a lane multiple.  :func:`pack_kernels` builds
-    a stack from a weight array.  Packed stacks compare by value (dims,
-    groups, lane width, taps) and are unhashable.
-    """
-
-    out_ch: int
-    in_ch_per_group: int
-    kh: int
-    kw: int
-    groups: int
-    lane_width: int
     taps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.groups < 1 or self.out_ch % self.groups:
-            raise ConfigError(f"groups={self.groups} does not divide out_ch={self.out_ch}")
-        shape = (self.kh, self.kw, self.groups, self.in_ch_per_group,
-                 self.out_ch // self.groups)
         taps = np.ascontiguousarray(self.taps, dtype=np.float64)
-        if taps.shape != shape:
-            raise ShapeMismatchError(f"taps shape {taps.shape} != {shape}")
+        if taps.ndim != 5:
+            raise ShapeMismatchError(f"taps must be rank 5, got shape {taps.shape}")
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The stack in export order, flat float32 (a new read-only array)."""
-        return _freeze(unpack_kernels(self).reshape(-1)[_packing_permutation(*self._dims())])
 
     def __eq__(self, other):
         if not isinstance(other, PackedWeights):
             return NotImplemented
-        return (self._dims() == other._dims()
-                and np.array_equal(self.taps, other.taps))
-
-    def _dims(self) -> tuple:
-        return (self.out_ch, self.in_ch_per_group, self.kh, self.kw,
-                self.groups, self.lane_width)
+        return np.array_equal(self.taps, other.taps)
 
 
-def _taps(w: np.ndarray, groups: int) -> np.ndarray:
-    """The float64 tap operand of a (out_ch, in_ch_per_group, kh, kw) stack:
-    (kh, kw, group, in_ch_per_group, out_ch_per_group)."""
-    out_ch, ipg, kh, kw = w.shape
-    return np.ascontiguousarray(
-        w.reshape(groups, out_ch // groups, ipg, kh, kw).transpose(3, 4, 0, 2, 1),
-        dtype=np.float64)
-
-
-def _packing_permutation(out_ch, ipg, kh, kw, groups, lane_width):
-    """Flat source indices of w[(oc, ci, ky, kx)] in packed order: the index
-    grid (group, oc, ci, ky, kx) with oc padded to whole lane blocks by -1,
-    transposed to (group, block, ky, kx, ci, lane), with the pad dropped."""
-    opg = out_ch // groups
-    blocks = -(-opg // lane_width)
-    idx = np.full((groups, blocks * lane_width, ipg, kh, kw), -1)
-    idx[:, :opg] = np.arange(out_ch * ipg * kh * kw).reshape(groups, opg, ipg, kh, kw)
-    idx = idx.reshape(groups, blocks, lane_width, ipg, kh, kw).transpose(0, 1, 4, 5, 3, 2)
-    idx = idx.reshape(-1)
-    return idx[idx >= 0]
-
-
-def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
+def pack_kernels(w: np.ndarray, groups: int) -> PackedWeights:
     """Pack a (out_ch, in_ch_per_group, kh, kw) weight array for the
     optimized backend: one transpose to the tap operand, no values created or
     destroyed."""
@@ -230,11 +183,5 @@ def pack_kernels(w: np.ndarray, groups: int, lane_width: int) -> PackedWeights:
     out_ch, ipg, kh, kw = w.shape
     if groups < 1 or out_ch % groups != 0:
         raise ConfigError(f"groups={groups} does not divide out_ch={out_ch}")
-    if lane_width < 1:
-        raise ConfigError(f"lane_width must be positive, got {lane_width}")
-    return PackedWeights(out_ch, ipg, kh, kw, groups, lane_width, _taps(w, groups))
-
-
-def unpack_kernels(pw: PackedWeights) -> np.ndarray:
-    """Invert :func:`pack_kernels`, returning (out_ch, in_ch_per_group, kh, kw)."""
-    return pw.taps.transpose(2, 4, 3, 0, 1).reshape(pw._dims()[:4]).astype(np.float32)
+    return PackedWeights(
+        w.reshape(groups, out_ch // groups, ipg, kh, kw).transpose(3, 4, 0, 2, 1))

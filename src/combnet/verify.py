@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import REFERENCE_CONFIG, NetConfig
+from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, fold_batchnorm, BnParams, batchnorm_inference)
 from .errors import ConfigError
@@ -68,9 +68,8 @@ def _random_conv_case(rng, stride_one=False):
 
 def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
     """conv2d_packed and comb_dilated_conv vs conv2d_ref over randomized
-    specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2, packed at
-    the reference config's lane width; the comb runs on the stride-1 cases
-    with the same packed stack. `perturb_packed` is a fault-injection hook
+    specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2; the comb
+    runs on the stride-1 cases with the same packed stack. `perturb_packed` is a fault-injection hook
     used to prove the suite detects real deviations."""
     rng = np.random.default_rng(seed)
     packed_dev, comb_dev = 0.0, 0.0
@@ -79,7 +78,7 @@ def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
         spec, x, w, b = _random_conv_case(rng)
         t = Tensor.from_array(x)
         ref = conv2d_ref(t, w, b, spec).to_array()
-        pw = pack_kernels(w, spec.groups, REFERENCE_CONFIG.lane_width)
+        pw = pack_kernels(w, spec.groups)
         if perturb_packed is not None:
             pw = perturb_packed(pw)
         ti = to_interleaved(t)

@@ -82,7 +82,7 @@ def test_criterion_3_zero_overhead():
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         macs = mac_count(spec, 12, 12)
         xi = to_interleaved(x)
-        pw = pack_kernels(w, spec.groups, REFERENCE_CONFIG.lane_width)
+        pw = pack_kernels(w, spec.groups)
         with counting() as ops:
             comb_dilated_conv(xi, pw, None, spec)
         assert ops.mults == macs, f"d={d}: comb executed {ops.mults} != {macs}"

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from combnet import cli
+from combnet import bench, cli
 from combnet.bench import run_benchmarks
 from combnet.config import REFERENCE_CONFIG, NetConfig
 from combnet.errors import ShapeMismatchError
@@ -98,6 +99,16 @@ def test_main_runs_the_command_the_module_names_now(monkeypatch):
     cli.build_parser()
     monkeypatch.setattr(cli, "cmd_count", lambda args: 7)
     assert cli.main(["count"]) == 7
+
+
+def test_cli_import_leaves_bench_verify_and_losses_unloaded():
+    # count and infer run none of them; bench and verify import them on use
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, combnet.cli; print(sorted(m for m in "
+         "('combnet.bench', 'combnet.verify', 'combnet.losses') if m in sys.modules))"],
+        capture_output=True, text=True, cwd=REPO)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_count_rows_sum_to_totals(tmp_path):
@@ -205,8 +216,7 @@ def test_verify_detects_injected_fault():
     def perturb(pw):
         taps = pw.taps.copy()
         taps[0, 0, 0, 0, 0] += 1e-2
-        return PackedWeights(pw.out_ch, pw.in_ch_per_group, pw.kh, pw.kw,
-                             pw.groups, pw.lane_width, taps)
+        return PackedWeights(taps)
 
     results = conv_oracle_suite(5, cases=10, perturb_packed=perturb)
     packed = next(r for r in results if "packed" in r.name)
@@ -296,7 +306,7 @@ def test_bench_unwritable_csv_fails_before_the_run(small_cfg, tmp_path, monkeypa
     def not_called(*args, **kwargs):
         raise AssertionError("the benchmark ran before the CSV path was checked")
 
-    monkeypatch.setattr(cli, "run_benchmarks", not_called)
+    monkeypatch.setattr(bench, "run_benchmarks", not_called)  # cmd_bench imports it on use
     csv = tmp_path / "missing" / "bench.csv"
     assert cli.main(["bench", "--config", small_cfg, "--csv", str(csv)]) == 2
     out, err = capsys.readouterr()
@@ -356,22 +366,28 @@ def test_infer_crafted_early_out(small_cfg, infer_inputs, tmp_path):
     assert all(not h["present"] for h in doc["hands"])
 
 
-@pytest.mark.parametrize("entry", ["head.kp.b", "head.vis.b"])
+@pytest.mark.parametrize("entry", ["head.kp.b", "head.vis.b", "*.w"])
 def test_infer_non_finite_output_exit_2(small_cfg, infer_inputs, tmp_path, entry):
-    # a NaN bias makes that head non-finite: neither NaN in the JSON nor a
-    # silent early-out, but one input-error line and no output
+    # a NaN bias makes that head non-finite, and so does every kernel scaled
+    # by 1e6 (float32 overflows part-way): neither NaN in the JSON, a silent
+    # early-out nor a numpy warning, but one input-error line and no output
     g = build_graph(NetConfig(input_h=96, input_w=96))
     ws = init_weights(g, 7)
-    bias = ws.get(entry).copy()
-    bias[0] = np.nan
-    ws.set(entry, bias)
+    if entry == "*.w":
+        for name in [n for n in ws.entries if n.endswith(".w")]:
+            ws.set(name, ws.get(name) * 1e6)
+    else:
+        bias = ws.get(entry).copy()
+        bias[0] = np.nan
+        ws.set(entry, bias)
     wpath = tmp_path / "nan.cnwb"
     save_weights(ws, wpath)
     args = ("infer", "--config", small_cfg, "--weights", str(wpath),
             "--amplitude", str(infer_inputs / "amp.pgm"),
             "--depth", str(infer_inputs / "depth.pgm"))
     out = tmp_path / "result.json"
-    for r in (run_cli(*args), run_cli(*args, "--out", str(out))):
+    for r in (run_cli(*args, "--backend", "reference"), run_cli(*args),
+              run_cli(*args, "--out", str(out))):
         assert r.returncode == 2
         assert r.stdout == ""
         assert len(r.stderr.splitlines()) == 1
@@ -379,13 +395,32 @@ def test_infer_non_finite_output_exit_2(small_cfg, infer_inputs, tmp_path, entry
     assert not out.exists()
 
 
+def test_infer_wrong_shaped_entry_is_an_input_error(small_cfg, infer_inputs, tmp_path):
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 7)
+    ws.set("t1.conv.w", np.zeros((3, 3), np.float32))
+    save_weights(ws, tmp_path / "bad.cnwb")
+    r = run_cli("infer", "--config", small_cfg, "--weights", str(tmp_path / "bad.cnwb"),
+                "--amplitude", str(infer_inputs / "amp.pgm"),
+                "--depth", str(infer_inputs / "depth.pgm"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("input error: weight store invalid")
+
+
+def _inference_only(g, ws):
+    """The store's entries that the inference subgraph reads."""
+    keep = {name for node in g.nodes_for(Mode.INFERENCE_HEADS)
+            for name, _ in param_entries(node)}
+    return WeightStore({n: a for n, a in ws.entries.items() if n in keep})
+
+
 def test_infer_accepts_inference_only_weights(small_cfg, infer_inputs, tmp_path):
     # the deployable file holds only the entries of the inference subgraph
     g = build_graph(NetConfig(input_h=96, input_w=96))
     ws = init_weights(g, 7)
-    keep = {name for node in g.nodes_for(Mode.INFERENCE_HEADS)
-            for name, _ in param_entries(node)}
-    slim = WeightStore({n: a for n, a in ws.entries.items() if n in keep})
+    slim = _inference_only(g, ws)
     assert "ds8.head.w" in ws and "ds8.head.w" not in slim
 
     def infer(wpath):
@@ -502,6 +537,91 @@ def test_infer_fuzzed_pgm_exits_cleanly(small_cfg, infer_inputs, blob, role):
                        "--weights", str(infer_inputs / "w.cnwb"),
                        "--amplitude", str(images["amplitude"]),
                        "--depth", str(images["depth"])])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def slim_cnwb(infer_inputs):
+    """The path of a valid inference-only weight file."""
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    path = infer_inputs / "slim.cnwb"
+    save_weights(_inference_only(g, init_weights(g, 7)), path)
+    return path
+
+
+def _cnwb_entries(blob):
+    """Per entry of a valid weight file, the offsets of its name length,
+    name, ndim and data, its name length and its dims."""
+    entries, pos = [], 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        ndim = blob[pos + 3 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", blob, pos + 4 + name_len)
+        data = pos + 4 + name_len + 4 * ndim
+        entries.append((pos, pos + 2, name_len, pos + 3 + name_len, dims, data))
+        pos = data + 4 * math.prod(dims)
+    return entries
+
+
+_MUTATIONS = ["flip", "truncate", "name", "name_len", "ndim", "dim", "scale"]
+_SCALES = [0.0, -1.0, 1e3, 1e6, 1e30, np.inf, np.nan]
+
+
+def _mutate_cnwb(blob, ops, fix_crc):
+    """Apply (kind, where, value) edits to a valid weight file's body, then
+    end it with the body's CRC (`fix_crc`) or the original one."""
+    entries, b = _cnwb_entries(blob), bytearray(blob[:-4])
+    for kind, where, value in ops:
+        if not b:
+            break
+        hdr, name, name_len, ndim_at, dims, data = entries[where % len(entries)]
+        if kind == "flip":
+            b[where % len(b)] ^= 1 + value % 255
+        elif kind == "truncate":
+            del b[where % len(b):]
+        elif data + 4 * math.prod(dims) > len(b):
+            continue  # the entry was truncated away
+        elif kind == "name":
+            b[name + value % name_len] = (value >> 8) & 0xFF
+        elif kind == "name_len":
+            struct.pack_into("<H", b, hdr, value % 64)
+        elif kind == "ndim":
+            b[ndim_at] = value % 8
+        elif kind == "dim":
+            d = dims[value % len(dims)]
+            new = [0, 1, d - 1, d + 1, 2 * d, 2**31, 2**32 - 1][(value >> 8) % 7]
+            struct.pack_into("<I", b, ndim_at + 1 + 4 * (value % len(dims)), new)
+        else:
+            n = math.prod(dims)
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = np.frombuffer(b, "<f4", n, data) * np.float32(_SCALES[value % 7])
+            b[data:data + 4 * n] = scaled.astype("<f4").tobytes()
+    crc = struct.pack("<I", zlib.crc32(bytes(b))) if fix_crc else blob[-4:]
+    return bytes(b) + crc
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 2**20),
+                              st.integers(0, 2**16)), min_size=1, max_size=3),
+       fix_crc=st.integers(0, 4).map(bool))
+@example(ops=[("scale", 0, 3)], fix_crc=True)
+@example(ops=[("name", 0, ord("x") << 8)], fix_crc=True)
+def test_infer_fuzzed_weights_exit_cleanly(small_cfg, infer_inputs, slim_cnwb, ops, fix_crc):
+    # any edit of a valid weight file ends in a documented exit code: JSON
+    # on stdout and nothing on stderr, or one stderr line and no stdout
+    fuzzed = infer_inputs / "fuzzed.cnwb"
+    fuzzed.write_bytes(_mutate_cnwb(slim_cnwb.read_bytes(), ops, fix_crc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(["infer", "--config", small_cfg, "--weights", str(fuzzed),
+                       "--amplitude", str(infer_inputs / "amp.pgm"),
+                       "--depth", str(infer_inputs / "depth.pgm")])
     assert rc in (0, 2, 3)
     if rc == 0:
         json.loads(out.getvalue())

@@ -46,15 +46,15 @@ def run_ref(x, w, b, spec):
     return conv2d_ref(Tensor.from_array(x), w, b, spec).to_array()
 
 
-def run_packed(x, w, b, spec, lane=4):
+def run_packed(x, w, b, spec):
     t = to_interleaved(Tensor.from_array(x))
-    out = conv2d_packed(t, pack_kernels(w, spec.groups, lane), b, spec)
+    out = conv2d_packed(t, pack_kernels(w, spec.groups), b, spec)
     return to_planar(out).to_array()
 
 
-def run_comb(x, w, b, spec, lane=4):
+def run_comb(x, w, b, spec):
     t = to_interleaved(Tensor.from_array(x))
-    out = comb_dilated_conv(t, pack_kernels(w, spec.groups, lane), b, spec)
+    out = comb_dilated_conv(t, pack_kernels(w, spec.groups), b, spec)
     return to_planar(out).to_array()
 
 
@@ -123,14 +123,12 @@ def test_ref_shape_errors():
 # ---------------------------------------------------------------------------
 
 def test_packed_matches_ref_randomized():
-    # filters per group up to 6 at lane widths 1-5, so ragged lane blocks
-    # (filters per group above the lane width, not a multiple of it) occur
+    # groups 1-8 with 1-6 filters per group
     rng = np.random.default_rng(2)
-    ragged = 0
     for _ in range(40):
         g = int(rng.choice([1, 2, 4, 8]))
-        opg, lane = int(rng.choice([1, 2, 3, 5, 6])), int(rng.integers(1, 6))
-        ragged += opg > lane and opg % lane != 0
+        opg = int(rng.choice([1, 2, 3, 5, 6]))
+        rng.integers(1, 6)  # drawn but unused, so that the 40 specs stay fixed
         spec = ConvSpec(g * int(rng.integers(1, 3)), g * opg,
                         (3, 3), stride=int(rng.choice([1, 2])),
                         dilation=int(rng.choice([1, 2])), groups=g,
@@ -141,10 +139,9 @@ def test_packed_matches_ref_randomized():
         b = rng.standard_normal(spec.out_ch).astype(np.float32)
         ref = run_ref(x, w, b, spec)
         with counting() as ops:
-            got = run_packed(x, w, b, spec, lane=lane)
+            got = run_packed(x, w, b, spec)
         assert np.max(np.abs(got - ref)) <= 1e-5
         assert ops.mults == mac_count(spec, h, h)
-    assert ragged >= 5
 
 
 def test_packed_channelwise_equals_per_channel_filtering():
@@ -234,7 +231,7 @@ def test_packed_zero_input_broadcasts_bias():
 
 def test_packed_rejects_inconsistent_packing():
     spec = ConvSpec(4, 4, (3, 3), groups=2)
-    pw = pack_kernels(np.zeros((4, 2, 3, 3), np.float32), groups=4, lane_width=4)
+    pw = pack_kernels(np.zeros((4, 2, 3, 3), np.float32), groups=4)
     x = to_interleaved(Tensor.from_array(np.zeros((4, 5, 5), np.float32)))
     with pytest.raises(ConfigError):
         conv2d_packed(x, pw, None, spec)
@@ -260,7 +257,7 @@ def test_conv_rejects_wrong_weights_or_layout(kernel, interleaved, packed, error
     w = np.zeros(spec.weight_shape(), np.float32)
     with pytest.raises(error, match=match):
         kernel(to_interleaved(t) if interleaved else t,
-               pack_kernels(w, 2, 4) if packed else w, None, spec)
+               pack_kernels(w, 2) if packed else w, None, spec)
 
 
 def test_conv_linearity_zero_bias():
@@ -323,7 +320,7 @@ def test_comb_interleaved_packed_path():
     b = rng.standard_normal(8).astype(np.float32)
     ref = run_ref(x, w, b, spec)
     out = comb_dilated_conv(to_interleaved(Tensor.from_array(x)),
-                            pack_kernels(w, 4, 4), b, spec)
+                            pack_kernels(w, 4), b, spec)
     assert np.max(np.abs(to_planar(out).to_array() - ref)) <= 1e-5
 
 
@@ -366,7 +363,7 @@ def test_comb_runs_the_core_once_per_field_size_class(d, monkeypatch):
     rng = np.random.default_rng(40 + d)
     spec = ConvSpec(8, 8, (3, 3), dilation=d, groups=4)
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-    pw = pack_kernels(wt, 4, 4)
+    pw = pack_kernels(wt, 4)
     for h, w_ in [(16, 16), (16, 17), (13, 15), (1, 2), (2 * d, 19)]:
         t = Tensor.from_array(rng.standard_normal((8, h, w_)).astype(np.float32))
         calls.clear()
@@ -404,7 +401,7 @@ def test_fused_epilogue_matches_separate_passes(relu_, with_residual):
     for _ in range(60):
         spec, x, w, b = _random_conv_case(rng)
         t = to_interleaved(Tensor.from_array(x))
-        pw = pack_kernels(w, spec.groups, 4)
+        pw = pack_kernels(w, spec.groups)
         out_dims = (spec.out_ch, *convops.conv_out_shape(spec, t.height, t.width))
         residual = (to_interleaved(Tensor.from_array(
             rng.standard_normal(out_dims).astype(np.float32))) if with_residual else None)
@@ -426,7 +423,7 @@ def test_fused_epilogue_matches_separate_passes(relu_, with_residual):
 def test_fused_epilogue_rejects_mismatched_residual():
     spec = ConvSpec(4, 4, (3, 3), groups=4)
     t = to_interleaved(Tensor.from_array(np.ones((4, 6, 6), np.float32)))
-    pw = pack_kernels(np.ones((4, 1, 3, 3), np.float32), 4, 4)
+    pw = pack_kernels(np.ones((4, 1, 3, 3), np.float32), 4)
     for residual in (to_interleaved(Tensor.from_array(np.ones((4, 5, 6), np.float32))),
                      Tensor.from_array(np.ones((4, 6, 6), np.float32))):
         with pytest.raises(ShapeMismatchError, match="residual"):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from combnet import forward as forward_module
-from combnet import tensor
 from combnet.config import NetConfig
 from combnet.convops import counting
 from combnet.forward import Backend, Mode, forward, prepare_optimized
@@ -166,13 +165,12 @@ def test_plan_is_immutable_and_detached_from_the_store(setup96):
     _assert_same_heads(before, forward(g, ws, img, Backend.OPTIMIZED, prepared=plan))
 
 
-def test_plan_folds_residual_adds_and_never_builds_the_lane_order(setup96, monkeypatch):
+def test_plan_folds_residual_adds(setup96, monkeypatch):
     g, ws, img = setup96
 
     def forbidden(*args):
         raise AssertionError("called on the optimized path")
 
-    monkeypatch.setattr(tensor, "_packing_permutation", forbidden)
     plan = prepare_optimized(g, ws)
     adds = [n for n in g.nodes if n.kind == "add"]
     assert adds

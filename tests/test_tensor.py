@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from combnet.errors import ConfigError, LayoutMismatchError, ShapeMismatchError
 from combnet.tensor import (Layout, PackedWeights, Tensor, pack_kernels,
-                            to_interleaved, to_planar, unpack_kernels)
+                            to_interleaved, to_planar)
 
 
 def test_interleave_2x1x2_example():
@@ -96,70 +96,38 @@ def test_tensor_compares_by_value():
 # kernel packing
 # ---------------------------------------------------------------------------
 
-def test_pack_6x1x1x2_example():
-    # 3 filters per group at 2 lanes: a full block, then a ragged one, per group
-    w = np.arange(12, dtype=np.float32).reshape(6, 1, 1, 2)  # w[oc, 0, 0, kx] = 2*oc + kx
-    pw = pack_kernels(w, groups=2, lane_width=2)
-    assert pw.data.tolist() == [0, 2, 1, 3, 4, 5, 6, 8, 7, 9, 10, 11]
-
-
-def test_pack_channelwise_is_permutation():
-    rng = np.random.default_rng(1)
-    w = rng.standard_normal((8, 1, 3, 3)).astype(np.float32)
-    pw = pack_kernels(w, groups=8, lane_width=4)
-    assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
-
-
-def _loop_packed_order(w, groups, lane):
-    """Reference: the packing order (group, lane block, ky, kx, ci, lane)
-    spelled out as nested loops."""
-    out_ch, ipg, kh, kw = w.shape
-    opg = out_ch // groups
-    return np.array([w[g * opg + start + o, ci, ky, kx]
-                     for g in range(groups) for start in range(0, opg, lane)
-                     for ky in range(kh) for kx in range(kw) for ci in range(ipg)
-                     for o in range(min(lane, opg - start))], np.float32)
-
-
 @settings(max_examples=40)
 @given(groups=st.sampled_from([1, 2, 4]), mult=st.integers(1, 3),
        ipg=st.integers(1, 4), k=st.sampled_from([1, 3]),
-       lane=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
-def test_pack_unpack_roundtrip(groups, mult, ipg, k, lane, seed):
+       seed=st.integers(0, 2**31 - 1))
+def test_pack_unpack_roundtrip(groups, mult, ipg, k, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((groups * mult, ipg, k, k)).astype(np.float32)
-    pw = pack_kernels(w, groups, lane)
-    assert np.array_equal(pw.data, _loop_packed_order(w, groups, lane))
-    assert np.array_equal(unpack_kernels(pw), w)
+    pw = pack_kernels(w, groups)
     # the tap operand is w as (ky, kx, group, ci, oc within group), in float64
     taps = w.reshape(groups, mult, ipg, k, k).transpose(3, 4, 0, 2, 1)
     assert pw.taps.dtype == np.float64 and np.array_equal(pw.taps, taps)
-    # multiset of values preserved for every (groups, lane_width)
-    assert np.array_equal(np.sort(pw.data), np.sort(w.reshape(-1)))
+    assert pw.taps.flags.c_contiguous and not pw.taps.flags.writeable
 
 
 def test_packed_weights_compare_by_value():
     w = np.random.default_rng(2).standard_normal((8, 1, 3, 3)).astype(np.float32)
-    pw = pack_kernels(w, 8, 4)
-    assert pw == pack_kernels(w.copy(), 8, 4)
-    assert pw != pack_kernels(w + 1, 8, 4)
-    # channel-wise: the same data at another lane width is another stack
-    other = pack_kernels(w, 8, 1)
-    assert np.array_equal(other.data, pw.data) and pw != other
+    pw = pack_kernels(w, 8)
+    assert pw == pack_kernels(w.copy(), 8)
+    assert pw != pack_kernels(w + 1, 8)
+    # the same values in the same order under another grouping is another stack
+    other = pack_kernels(w, 1)
+    assert np.array_equal(other.taps.reshape(-1), pw.taps.reshape(-1)) and pw != other
     with pytest.raises(TypeError):
         hash(pw)
 
 
 def test_packed_weights_reject_inconsistent_dims():
+    pw = pack_kernels(np.zeros((12, 2, 3, 3), np.float32), 2)
     with pytest.raises(ShapeMismatchError):
-        PackedWeights(4, 2, 3, 3, 1, 4, np.zeros((3, 3, 1, 2, 3)))
-    with pytest.raises(ConfigError):
-        PackedWeights(6, 1, 1, 1, 4, 4, np.zeros((1, 1, 4, 1, 1)))
-    pw = pack_kernels(np.zeros((12, 2, 3, 3), np.float32), 2, 4)
-    with pytest.raises(ShapeMismatchError):
-        PackedWeights(12, 2, 3, 3, 2, 4, pw.taps[0])
+        PackedWeights(pw.taps[0])
 
 
 def test_pack_rejects_bad_groups():
     with pytest.raises(ConfigError):
-        pack_kernels(np.zeros((6, 1, 3, 3), np.float32), groups=4, lane_width=4)
+        pack_kernels(np.zeros((6, 1, 3, 3), np.float32), groups=4)
