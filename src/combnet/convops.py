@@ -8,14 +8,15 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
   the packed kernel stack's float64 tap operand (``PackedWeights.taps``),
   in one of three formulations chosen from the spec:
 
-  - several input channels per group: per kernel tap, one batched GEMM over
-    all groups;
+  - several input channels per group (or one, outside the stem's case
+    below): per kernel tap, one batched GEMM over all groups;
   - depthwise (one input and one output channel per group: the decoder and
     primary head): per tap, a multiply by the tap's weights tiled along an
     output row, into one reused product buffer, in bands of output rows;
-  - one input channel and several outputs per group (the tier-1 stem): the
-    kernel taps stacked as the contraction axis of one GEMM per group, the
-    only im2col matrix the engine builds.
+  - one input channel, several outputs per group and a 3x3 kernel over more
+    than one pixel (the tier-1 stem): the kernel taps stacked as the
+    contraction axis of one GEMM per group, the only im2col matrix the
+    engine builds.
 
 Dilated convolutions on the optimized path additionally get
 :func:`comb_dilated_conv`, which pads the interleaved input once and
@@ -320,24 +321,22 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     output adds up its taps in kernel order, from the first tap's product,
     in float64.  The spec picks one of three formulations:
 
-    * several input channels per group: per tap, one batched GEMM over the
-      groups, added into the accumulator;
+    * several input channels per group, or one input channel into several
+      outputs with more than 9 taps or a single output pixel: per tap, one
+      batched GEMM over the groups, added into the accumulator;
     * one input and one output channel per group (depthwise): per tap, the
       window times the tap's weights tiled along an output row, so each
       multiply runs a whole row, not one group's weights; band by band of
       output rows, the first tap multiplies into the accumulator and every
       later one into one reused product buffer that is then added;
-    * one input channel, several outputs per group (the one-channel stem):
-      the taps' windows are stacked as the contraction axis of one
-      (pixels, group, kh*kw) matrix, the only im2col matrix built (295 KB
-      for the 128x128 stem, less than its own 512 KB float64 result), and
-      one GEMM per group contracts it with the taps.  A float32 product is
-      exact in float64, so the sum is the tap-by-tap one wherever the BLAS
-      adds each dot product in tap order.  OpenBLAS does for 3x3 kernels
-      over more than one pixel; for a single pixel (a GEMV) or 25 taps into
-      at most four outputs per group the float64 sum can differ in its last
-      bit, which changes the float32 result only for a sum that close to a
-      float32 rounding boundary.
+    * one input channel, several outputs per group, a 3x3 kernel over more
+      than one pixel (the one-channel stem): the taps' windows are stacked
+      as the contraction axis of one (pixels, group, 9) matrix, the only
+      im2col matrix built (295 KB for the 128x128 stem, less than its own
+      512 KB float64 result), and one GEMM per group contracts it with the
+      taps.  A float32 product is exact in float64, so the sum is the
+      tap-by-tap one where the BLAS adds each dot product in tap order, as
+      OpenBLAS does for this case (tested).
     """
     h, bi, w, bj, _ = xf.shape
     out_h, out_w = _valid_out_shape(spec, h, w, step)
@@ -345,11 +344,13 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     s = spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
     pixels = (out_h, bi, out_w, bj)
+    # with one input channel, each tap's contraction is one exact product
+    per_tap = ipg > 1 or (opg > 1 and (kh * kw > 9 or out_h * bi * out_w * bj == 1))
     # (pixels, C) per tap, in kernel order
     windows = [xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
                for ky in range(kh) for kx in range(kw)]
     taps = pw.taps.reshape(kh * kw, G, ipg, opg)
-    if ipg > 1:
+    if per_tap:
         def gemm(win, tap):
             # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
             return np.matmul(win.reshape(-1, G, ipg).transpose(1, 0, 2), tap)
@@ -517,18 +518,16 @@ def fold_batchnorm(w: np.ndarray, b, bn: BnParams) -> tuple:
     return wf, bf
 
 
-def batchnorm_inference(x, bn: BnParams) -> Tensor:
-    """Apply BN in inference form (x*s + t per channel), computed in 64-bit
-    from the float32 (s, t) that fold_batchnorm uses and rounded once.
-    `x` is a tensor, or the unrounded float64 (C, H, W) result of
-    ``conv2d_ref(..., rounded=False)``."""
-    v, layout = (x.view(), x.layout) if isinstance(x, Tensor) else (x, Layout.CHANNEL_PLANAR)
-    s, t = (a.astype(np.float64) for a in bn.scale_shift())
-    shape = layout.order(-1, 1, 1)
-    out = v * s.reshape(shape) + t.reshape(shape)
+def batchnorm_inference(x: np.ndarray, bn: BnParams) -> Tensor:
+    """Apply BN in inference form (x*s + t per channel) to the unrounded
+    float64 (C, H, W) result of ``conv2d_ref(..., rounded=False)``, in 64-bit
+    from the float32 (s, t) that fold_batchnorm uses, rounding once to a
+    channel-planar float32 tensor, as the folded conv rounds."""
+    s, t = (a.astype(np.float64)[:, None, None] for a in bn.scale_shift())
+    out = x * s + t
     add_mults(out.size)
     add_adds(out.size)
-    return Tensor.from_view(out, layout)
+    return Tensor.from_view(out, Layout.CHANNEL_PLANAR)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -1,12 +1,14 @@
 """Graph execution on either backend.
 
 Reference backend: channel-planar tensors, direct reference convolution,
-explicit inference-form batch norm, and ReLU and residual adds as separate
-passes. Optimized backend: channel-interleaved tensors end to end, run from a
-:class:`Plan` that :func:`prepare_optimized` builds and validates once: BN
-folded into the conv weights, packed kernel stacks, the comb decomposition
-for every dilated layer, and each residual add and ReLU fused into the store
-of the conv that feeds it. The two backends agree within 1e-4 max-abs end to
+explicit inference-form batch norm on the convolution's unrounded float64
+result (so conv-then-BN rounds to float32 once, as the folded conv does), and
+ReLU and residual adds as separate passes. Optimized backend:
+channel-interleaved tensors end to end, run from a :class:`Plan` that
+:func:`prepare_optimized` builds and validates once: BN folded into the conv
+weights, packed kernel stacks, the comb decomposition for every dilated
+layer, and each residual add and ReLU fused into the store of the conv that
+feeds it. The two backends agree within 1e-4 max-abs end to
 end.
 
 A pass runs the nodes its :class:`Mode` covers (``GraphSpec.nodes_for``) and
@@ -167,9 +169,9 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
                 relu=step.relu, residual=values[step.residual] if step.residual else None)
         elif node.kind == "conv":
             w, bias, bn = ws.node_params(node)
-            t = conv2d_ref(values[node.inputs[0]], w, bias, node.conv)
+            t = conv2d_ref(values[node.inputs[0]], w, bias, node.conv, rounded=bn is None)
             if bn is not None:
-                t = batchnorm_inference(t, bn)
+                t = batchnorm_inference(t, bn)  # conv-then-BN rounds once
             values[node.name] = relu(t) if node.act == "relu" else t
         elif node.kind == "add":
             if optimized:

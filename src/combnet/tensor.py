@@ -7,10 +7,11 @@ Layouts (row-major over the listed axis order):
 * channel-interleaved: (H, W, C)   flat index ((y*W) + x)*C + c
 
 Both formulas are what ``numpy.reshape`` gives for the respective axis order,
-so layout transforms are plain transposes. This module is the only place that
-knows the two axis orders and the tap operand a kernel stack is packed into;
-other modules go through :class:`Layout`, :class:`Tensor` and
-:class:`PackedWeights`.
+so layout transforms are plain transposes: :func:`to_interleaved` converts a
+planar tensor, and :meth:`Tensor.to_array` reads either layout back as a
+(C, H, W) array. This module is the only place that knows the two axis
+orders and the tap operand a kernel stack is packed into; other modules go
+through :class:`Layout`, :class:`Tensor` and :class:`PackedWeights`.
 """
 
 from __future__ import annotations
@@ -137,13 +138,6 @@ def to_interleaved(t: Tensor) -> Tensor:
     if t.layout != Layout.CHANNEL_PLANAR:
         raise LayoutMismatchError("to_interleaved expects a channel-planar tensor")
     return Tensor.from_array(t.view(), Layout.CHANNEL_INTERLEAVED)
-
-
-def to_planar(t: Tensor) -> Tensor:
-    """Interleaved -> planar; exact inverse of :func:`to_interleaved`."""
-    if t.layout != Layout.CHANNEL_INTERLEAVED:
-        raise LayoutMismatchError("to_planar expects a channel-interleaved tensor")
-    return Tensor.from_array(t.to_array())
 
 
 # ---------------------------------------------------------------------------

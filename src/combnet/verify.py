@@ -22,7 +22,7 @@ from .graph import build_graph
 from .losses import (KeypointTarget, deep_supervision_loss, handpose_ce,
                      keypoint_ce, orientation_ce_soft, seg_ce, visibility_bce)
 from .postprocess import decode_heatmaps
-from .tensor import Tensor, pack_kernels, to_interleaved, to_planar
+from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
 
@@ -43,7 +43,7 @@ class SuiteResult:
                 f"max_dev={self.max_dev:.3e}  tol={self.tolerance:.0e}")
 
 
-def _random_conv_case(rng, stride_one=False):
+def _random_conv_case(rng):
     groups = int(rng.choice([1, 4, 8, 0]))  # 0 -> channel-wise
     mult_in = int(rng.integers(1, 3))
     mult_out = int(rng.integers(1, 3))
@@ -54,7 +54,7 @@ def _random_conv_case(rng, stride_one=False):
         in_ch, out_ch = groups * mult_in, groups * mult_out
     k = int(rng.choice([1, 3, 3, 5]))
     dilation = int(rng.choice([1, 2, 3, 4])) if k > 1 else 1
-    stride = 1 if stride_one else int(rng.choice([1, 2]))
+    stride = int(rng.choice([1, 2]))
     lo = dilation * (k - 1) + 1
     h = int(rng.integers(lo, lo + 9))
     w = int(rng.integers(lo, lo + 9))
@@ -82,10 +82,10 @@ def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
         if perturb_packed is not None:
             pw = perturb_packed(pw)
         ti = to_interleaved(t)
-        got = to_planar(conv2d_packed(ti, pw, b, spec)).to_array()
+        got = conv2d_packed(ti, pw, b, spec).to_array()
         packed_dev = max(packed_dev, float(np.max(np.abs(got - ref))))
         if spec.stride == 1:
-            comb = to_planar(comb_dilated_conv(ti, pw, b, spec)).to_array()
+            comb = comb_dilated_conv(ti, pw, b, spec).to_array()
             comb_dev = max(comb_dev, float(np.max(np.abs(comb - ref))))
             n_comb += 1
     return [SuiteResult("conv packed vs reference", cases, packed_dev, 1e-5),

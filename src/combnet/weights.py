@@ -61,8 +61,9 @@ class WeightStore:
 
 def validate_weights(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS) -> list:
     """Every layer a pass in `mode` runs must have exactly one entry of the
-    right shape. Extra store entries (e.g. training heads under an inference
-    pass) are tolerated. Returns a list of problems; empty means valid."""
+    right shape, and a BN running variance must hold no negative or NaN
+    value. Extra store entries (e.g. training heads under an inference pass)
+    are tolerated. Returns a list of problems; empty means valid."""
     problems = []
     for node in g.nodes_for(mode):
         for name, shape in param_entries(node):
@@ -71,6 +72,8 @@ def validate_weights(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS)
             elif tuple(ws.entries[name].shape) != tuple(shape):
                 problems.append(
                     f"entry {name} has shape {ws.entries[name].shape}, expected {shape}")
+            elif name.endswith(".bn.v") and not ws.entries[name].min() >= 0:  # or NaN
+                problems.append(f"entry {name} holds a negative or NaN variance")
     return problems
 
 

@@ -409,6 +409,25 @@ def test_infer_wrong_shaped_entry_is_an_input_error(small_cfg, infer_inputs, tmp
     assert r.stderr.startswith("input error: weight store invalid")
 
 
+@pytest.mark.parametrize("scale", [-1.0, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("backend", ["reference", "optimized"])
+def test_infer_bad_bn_variance_is_an_input_error(small_cfg, infer_inputs, tmp_path,
+                                                 backend, scale):
+    # the fault is in the weight file: not a config error (negative) nor a
+    # non-finite heatmap (NaN)
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 7)
+    ws.set("t1.conv.bn.v", ws.get("t1.conv.bn.v") * np.float32(scale))
+    save_weights(ws, tmp_path / "bad.cnwb")
+    r = run_cli("infer", "--config", small_cfg, "--weights", str(tmp_path / "bad.cnwb"),
+                "--amplitude", str(infer_inputs / "amp.pgm"),
+                "--depth", str(infer_inputs / "depth.pgm"), "--backend", backend)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("input error: weight store invalid")
+
+
 def _inference_only(g, ws):
     """The store's entries that the inference subgraph reads."""
     keep = {name for node in g.nodes_for(Mode.INFERENCE_HEADS)

@@ -12,7 +12,7 @@ from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
                             UnsupportedConfigError)
-from combnet.tensor import Tensor, pack_kernels, to_interleaved, to_planar
+from combnet.tensor import Tensor, pack_kernels, to_interleaved
 from combnet.verify import _random_conv_case, bn_fold_suite
 
 
@@ -49,13 +49,13 @@ def run_ref(x, w, b, spec):
 def run_packed(x, w, b, spec):
     t = to_interleaved(Tensor.from_array(x))
     out = conv2d_packed(t, pack_kernels(w, spec.groups), b, spec)
-    return to_planar(out).to_array()
+    return out.to_array()
 
 
 def run_comb(x, w, b, spec):
     t = to_interleaved(Tensor.from_array(x))
     out = comb_dilated_conv(t, pack_kernels(w, spec.groups), b, spec)
-    return to_planar(out).to_array()
+    return out.to_array()
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +190,22 @@ def per_tap_broadcast_conv(x, w, b, spec):
     return out.astype(np.float32).transpose(2, 0, 1)
 
 
-# 41x40 at 16 channels spans two depthwise row bands, the second partial
-@pytest.mark.parametrize("hw", [(9, 13), (5, 3), (41, 40)],
-                         ids=lambda hw: f"{hw[0]}x{hw[1]}")
+# 41x40 at 16 channels spans two depthwise row bands, the second partial;
+# 2x2 at stride 2 is a single output pixel
+@pytest.mark.parametrize("hw,k", [
+    pytest.param(hw, k, id=f"{hw[0]}x{hw[1]}" + ("" if k == 3 else f"-k{k}"))
+    for k in (3, 5) for hw in [(9, 13), (5, 3), (41, 40), (2, 2), (1, 3)]])
 @pytest.mark.parametrize("dilation", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("chans", [(16, 16, 16), (1, 16, 1), (1, 8, 1), (4, 8, 4)],
                          ids=["depthwise", "stem-16", "stem-8", "g4-opg2"])
-def test_one_input_channel_per_group_is_bit_exact(chans, stride, dilation, hw):
-    # the depthwise row-tiled multiply-adds and the one-channel tap-stacked
-    # GEMM sum the same float64 products in the same tap order as the oracle
+def test_one_input_channel_per_group_is_bit_exact(chans, stride, dilation, hw, k):
+    # the depthwise row-tiled multiply-adds, the one-channel per-tap GEMM and
+    # the 3x3 tap-stacked GEMM sum the same float64 products in the same tap
+    # order as the oracle
     in_ch, out_ch, groups = chans
-    spec = ConvSpec(in_ch, out_ch, (3, 3), stride, dilation, groups, has_bias=True)
-    rng = np.random.default_rng([in_ch, out_ch, stride, dilation, *hw])
+    spec = ConvSpec(in_ch, out_ch, (k, k), stride, dilation, groups, has_bias=True)
+    rng = np.random.default_rng([in_ch, out_ch, stride, dilation, *hw] + [k] * (k != 3))
 
     def wide(shape):
         # signed powers of two up to 2**30: products reach 2**60, so a sum
@@ -321,7 +324,7 @@ def test_comb_interleaved_packed_path():
     ref = run_ref(x, w, b, spec)
     out = comb_dilated_conv(to_interleaved(Tensor.from_array(x)),
                             pack_kernels(w, 4), b, spec)
-    assert np.max(np.abs(to_planar(out).to_array() - ref)) <= 1e-5
+    assert np.max(np.abs(out.to_array() - ref)) <= 1e-5
 
 
 # (in_ch, out_ch, groups): in_ch/groups = 2, channel-wise, and one input
@@ -464,7 +467,8 @@ def test_fold_two_path_equivalence():
                       rng.standard_normal(6).astype(np.float32),
                       rng.standard_normal(6).astype(np.float32),
                       rng.uniform(0.1, 2, 6).astype(np.float32))
-        unfolded = batchnorm_inference(conv2d_ref(x, w, b, spec), bn).to_array()
+        unfolded = batchnorm_inference(conv2d_ref(x, w, b, spec, rounded=False),
+                                       bn).to_array()
         wf, bf = fold_batchnorm(w, b, bn)
         folded = conv2d_ref(x, wf, bf, spec).to_array()
         assert np.max(np.abs(folded - unfolded)) <= 1e-5

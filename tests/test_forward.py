@@ -182,6 +182,24 @@ def test_plan_folds_residual_adds(setup96, monkeypatch):
     forward(g, ws, img, Backend.OPTIMIZED, Mode.ALL_HEADS, prepared=plan)
 
 
+def test_reference_bn_rounds_conv_then_bn_once(setup96, monkeypatch):
+    # BN reads the conv's unrounded float64 result, as the BN-fold oracle and
+    # the folded conv round once
+    g, ws, img = setup96
+    bn = forward_module.batchnorm_inference
+    inputs = []
+
+    def recorded(x, params):
+        inputs.append(x)
+        return bn(x, params)
+
+    monkeypatch.setattr(forward_module, "batchnorm_inference", recorded)
+    forward(g, ws, img, Backend.REFERENCE, Mode.ALL_HEADS)
+    assert len(inputs) == sum(n.bn for n in g.nodes) > 0
+    for x in inputs:
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 3
+
+
 def test_two_threads_share_one_plan(setup96):
     g, ws, img = setup96
     plan = prepare_optimized(g, ws)

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combnet.errors import ConfigError, LayoutMismatchError, ShapeMismatchError
-from combnet.tensor import (Layout, PackedWeights, Tensor, pack_kernels,
-                            to_interleaved, to_planar)
+from combnet.tensor import Layout, PackedWeights, Tensor, pack_kernels, to_interleaved
 
 
 def test_interleave_2x1x2_example():
@@ -18,7 +17,7 @@ def test_interleave_2x1x2_example():
 
 def test_planar_2x1x2_example():
     ti = Tensor((2, 1, 2), Layout.CHANNEL_INTERLEAVED, np.array([1, 3, 2, 4], np.float32))
-    assert to_planar(ti).data.tolist() == [1, 2, 3, 4]
+    assert ti.to_array().reshape(-1).tolist() == [1, 2, 3, 4]
 
 
 def test_single_channel_only_flips_flag():
@@ -27,13 +26,11 @@ def test_single_channel_only_flips_flag():
     ti = to_interleaved(t)
     assert np.array_equal(ti.data, data)
     assert ti.layout == Layout.CHANNEL_INTERLEAVED
-    assert np.array_equal(to_planar(ti).data, data)
+    assert np.array_equal(ti.to_array().reshape(-1), data)
 
 
 def test_layout_mismatch_raises():
     t = Tensor((1, 2, 2), Layout.CHANNEL_PLANAR, np.zeros(4, np.float32))
-    with pytest.raises(LayoutMismatchError):
-        to_planar(t)
     with pytest.raises(LayoutMismatchError):
         to_interleaved(to_interleaved(t))
 
@@ -49,9 +46,7 @@ def test_data_length_invariant():
 def test_roundtrip_identity(c, h, w, seed):
     rng = np.random.default_rng(seed)
     t = Tensor.from_array(rng.standard_normal((c, h, w)).astype(np.float32))
-    back = to_planar(to_interleaved(t))
-    assert np.array_equal(back.data, t.data)
-    assert back.layout == t.layout
+    assert Tensor.from_array(to_interleaved(t).to_array()) == t
 
 
 def test_rank4_rejected():
