@@ -38,12 +38,15 @@ FLOP_TARGET = 35_000_000     # 0.035 GFLOPs
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("COMBNET_SEED")
+    seed = args.seed
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"COMBNET_SEED={env!r} is not an integer") from exc
-    return args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _load_cfg(args) -> NetConfig:

@@ -5,8 +5,9 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
 * :func:`conv2d_ref` — direct tap-loop convolution on channel-planar data.
   Serves as the oracle for everything else.
 * :func:`conv2d_packed` — the optimized path: channel-interleaved input and
-  the packed kernel stack's float64 tap operand (``PackedWeights.taps``),
-  in one of three formulations chosen from the spec:
+  the kernel stack packed by :func:`tensor.pack_kernels` into its float64
+  (kh, kw, group, in_ch_per_group, out_ch_per_group) tap operand, in one of
+  three formulations chosen from the spec:
 
   - several input channels per group (or one, outside the stem's case
     below): per kernel tap, one batched GEMM over all groups;
@@ -42,10 +43,10 @@ import numpy as np
 
 from .errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
                      UnsupportedConfigError)
-from .tensor import Layout, PackedWeights, Tensor
+from .tensor import Layout, Tensor
 
 __all__ = [
-    "ConvSpec", "BnParams", "conv2d_ref", "conv2d_packed",
+    "ConvSpec", "conv2d_ref", "conv2d_packed",
     "comb_dilated_conv", "fold_batchnorm",
     "batchnorm_inference", "relu", "upsample_nearest_2x", "mac_count",
     "conv_out_shape", "zero_stuff_kernel", "zero_stuffed_spec", "OpCounter",
@@ -181,23 +182,19 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
                 residual=None):
     """Validate a conv call; return (weights, float32 bias or None).
     Planar input takes a raw (out_ch, in_ch/groups, kh, kw) array,
-    interleaved input takes PackedWeights. A residual must be a tensor of
-    the output's dims in the input's layout."""
+    interleaved input the float64 taps of :func:`tensor.pack_kernels`. A
+    residual must be a tensor of the output's dims in the input's layout."""
     if x.layout != layout:
         raise LayoutMismatchError(f"{name} expects a channel-{layout.value} tensor")
     if x.channels != spec.in_ch:
         raise ShapeMismatchError(f"input has {x.channels} channels, spec wants {spec.in_ch}")
     if layout == Layout.CHANNEL_INTERLEAVED:
-        if not isinstance(w, PackedWeights):
-            raise ConfigError(f"{name} on interleaved input takes PackedWeights, "
-                              f"got {type(w).__name__}")
         taps = (*spec.kernel, spec.groups, spec.in_per_group, spec.out_per_group)
-        if w.taps.shape != taps:
-            raise ConfigError(f"packed taps {w.taps.shape} inconsistent with spec taps {taps}")
+        if np.shape(w) != taps:
+            raise ConfigError(f"{name} takes packed taps of shape {taps}, "
+                              f"got shape {np.shape(w)}")
+        w = np.asarray(w, dtype=np.float64)
     else:
-        if isinstance(w, PackedWeights):
-            raise ConfigError(f"{name} on planar input takes a weight array, "
-                              f"got PackedWeights")
         w = np.asarray(w, dtype=np.float32)
         if tuple(w.shape) != spec.weight_shape():
             raise ShapeMismatchError(
@@ -308,16 +305,16 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
 _BAND_BYTES = 128 << 10
 
 
-def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
+def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
                            step: int) -> np.ndarray:
     """Direct VALID convolution of every field of an already padded float64
-    (H, Bi, W, Bj, C) field view using the packed kernel stack, kernel taps
+    (H, Bi, W, Bj, C) field view using the packed taps, kernel taps
     `step` field rows and columns apart; returns the float64
     (out_h, Bi, out_w, Bj, out_ch) result.
 
     Per kernel tap, the strided window is seen as (pixels, group,
     in_ch_per_group), fields included in the pixels, and meets the tap's
-    (group, in_ch_per_group, out_ch_per_group) slice of `pw.taps`.  Each
+    (group, in_ch_per_group, out_ch_per_group) slice of `taps`.  Each
     output adds up its taps in kernel order, from the first tap's product,
     in float64.  The spec picks one of three formulations:
 
@@ -349,7 +346,7 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     # (pixels, C) per tap, in kernel order
     windows = [xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
                for ky in range(kh) for kx in range(kw)]
-    taps = pw.taps.reshape(kh * kw, G, ipg, opg)
+    taps = taps.reshape(kh * kw, G, ipg, opg)
     if per_tap:
         def gemm(win, tap):
             # (G, pixels, ipg) @ (G, ipg, opg) -> (G, pixels, opg)
@@ -384,17 +381,17 @@ def _conv_interleaved_core(xf: np.ndarray, pw: PackedWeights, spec: ConvSpec,
     return out
 
 
-def conv2d_packed(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
+def conv2d_packed(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
                   relu: bool = False, residual: Tensor | None = None) -> Tensor:
     """Optimized convolution: interleaved input, packed weights, interleaved
     output. Numerically matches conv2d_ref within 1e-5 max-abs. `residual`
     (added to the float32 result) and `relu` (applied last) fuse a following
     residual add and ReLU into the store."""
-    pw, b = _check_conv("conv2d_packed", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED,
-                        residual)
+    taps, b = _check_conv("conv2d_packed", x, taps, b, spec, Layout.CHANNEL_INTERLEAVED,
+                          residual)
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
     # unit field axes: the whole padded map is the one field
-    out = _conv_interleaved_core(_padded(x, spec)[:, None, :, None], pw, spec,
+    out = _conv_interleaved_core(_padded(x, spec)[:, None, :, None], taps, spec,
                                  spec.dilation)
     return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
 
@@ -410,7 +407,7 @@ def _size_classes(n: int, d: int) -> list:
     return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
 
 
-def comb_dilated_conv(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
+def comb_dilated_conv(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
                       relu: bool = False, residual: Tensor | None = None) -> Tensor:
     """Dilated convolution via comb decomposition on the optimized path:
     interleaved input, packed weights, interleaved output; stride must be 1.
@@ -433,8 +430,8 @@ def comb_dilated_conv(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
     """
     if spec.stride != 1:
         raise UnsupportedConfigError("comb decomposition requires stride 1")
-    pw, b = _check_conv("comb_dilated_conv", x, pw, b, spec, Layout.CHANNEL_INTERLEAVED,
-                        residual)
+    taps, b = _check_conv("comb_dilated_conv", x, taps, b, spec,
+                          Layout.CHANNEL_INTERLEAVED, residual)
     d = spec.dilation
     kh, kw = spec.kernel
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
@@ -447,7 +444,7 @@ def comb_dilated_conv(x: Tensor, pw: PackedWeights, b, spec: ConvSpec, *,
         for fj, cols in _size_classes(out_w + d * (kw - 1), d):
             if rows >= kh and cols >= kw:
                 out[:rows - kh + 1, fi, :cols - kw + 1, fj] = _conv_interleaved_core(
-                    xf[:rows, fi, :cols, fj], pw, spec, 1)
+                    xf[:rows, fi, :cols, fj], taps, spec, 1)
     out = out.reshape(hf * d, wf * d, spec.out_ch)
     return _store(out[:out_h, :out_w], b, relu, residual)
 
@@ -477,53 +474,25 @@ def zero_stuffed_spec(spec: ConvSpec) -> ConvSpec:
 # Batch norm, activation, upsampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BnParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        for name in ("gamma", "beta", "mean", "var"):
-            arr = np.asarray(getattr(self, name), dtype=np.float32)
-            object.__setattr__(self, name, arr)
-        n = self.gamma.shape
-        if not (self.beta.shape == n and self.mean.shape == n and self.var.shape == n):
-            raise ShapeMismatchError("BN parameter arrays differ in length")
-        if self.eps <= 0:
-            raise ConfigError("BN epsilon must be positive")
-        if np.any(self.var < 0):
-            raise ConfigError("BN running variance must be non-negative")
-
-    def scale_shift(self) -> tuple:
-        """Per-channel (s, t) with bn(x) = x*s + t."""
-        s = self.gamma / np.sqrt(self.var + np.float32(self.eps))
-        t = self.beta - self.mean * s
-        return s.astype(np.float32), t.astype(np.float32)
-
-
-def fold_batchnorm(w: np.ndarray, b, bn: BnParams) -> tuple:
-    """Fold inference-time BN into the preceding conv:
-    w'_o = w_o * gamma_o/sqrt(var_o+eps); b'_o = (b_o-mean_o)*gamma_o/sqrt(var_o+eps)+beta_o."""
+def fold_batchnorm(w: np.ndarray, b, bn: tuple) -> tuple:
+    """Fold inference-time BN, given as its float32 per-channel (s, t) with
+    bn(x) = x*s + t, into the preceding conv: w'_o = w_o*s_o, b'_o = b_o*s_o + t_o."""
     w = np.asarray(w, dtype=np.float32)
-    if bn.gamma.shape[0] != w.shape[0]:
-        raise ShapeMismatchError(
-            f"BN length {bn.gamma.shape[0]} != out_ch {w.shape[0]}")
-    s, t = bn.scale_shift()
+    s, t = bn
+    if s.shape[0] != w.shape[0]:
+        raise ShapeMismatchError(f"BN length {s.shape[0]} != out_ch {w.shape[0]}")
     wf = (w * s[:, None, None, None]).astype(np.float32)
     b = np.zeros(w.shape[0], np.float32) if b is None else np.asarray(b, np.float32)
     bf = (b * s + t).astype(np.float32)
     return wf, bf
 
 
-def batchnorm_inference(x: np.ndarray, bn: BnParams) -> Tensor:
+def batchnorm_inference(x: np.ndarray, bn: tuple) -> Tensor:
     """Apply BN in inference form (x*s + t per channel) to the unrounded
     float64 (C, H, W) result of ``conv2d_ref(..., rounded=False)``, in 64-bit
-    from the float32 (s, t) that fold_batchnorm uses, rounding once to a
+    from the float32 (s, t) that fold_batchnorm takes, rounding once to a
     channel-planar float32 tensor, as the folded conv rounds."""
-    s, t = (a.astype(np.float64)[:, None, None] for a in bn.scale_shift())
+    s, t = (a.astype(np.float64)[:, None, None] for a in bn)
     out = x * s + t
     add_mults(out.size)
     add_adds(out.size)

@@ -30,7 +30,7 @@ from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_con
                       upsample_nearest_2x)
 from .errors import ConfigError, ShapeMismatchError
 from .graph import GraphSpec, Mode
-from .tensor import Layout, PackedWeights, Tensor, pack_kernels, to_interleaved
+from .tensor import Layout, Tensor, pack_kernels, to_interleaved
 from .weights import WeightStore, validate_weights
 
 
@@ -54,7 +54,7 @@ class HeadsOutput:
 
 class ConvStep(NamedTuple):
     """One optimized conv and its fused epilogue."""
-    weights: PackedWeights
+    weights: np.ndarray       # packed taps, float64, read-only
     bias: np.ndarray | None   # folded, float32, read-only
     relu: bool                # applied last, after the residual add
     residual: str | None      # the other addend of the add folded into this conv

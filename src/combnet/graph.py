@@ -21,8 +21,8 @@ training only — auxiliary keypoint decoder (ungrouped), hand orientation
 (8 classes per hand), discrete pose (9 per hand), segmentation (3 classes)
 over a small spatial path, and deep-supervision heatmap heads at 1/8, 1/4,
 1/2 resolution. The deployed network fixes the tier widths, the tier-2 and
-tier-3 grouping factors, the ladder dilations and these label spaces, so
-they are the module constants below, not config keys.
+tier-3 grouping factors, the ladder dilations, these label spaces and the
+batch-norm epsilon, so they are the module constants below, not config keys.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ LADDER_DILATIONS = (1, 2, 3, 4)
 ORIENTATION_CLASSES = 8
 POSE_CLASSES = 9
 SEG_CLASSES = 3
+BN_EPS = 1e-5
 
 
 class Mode(Enum):

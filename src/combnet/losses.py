@@ -326,6 +326,6 @@ def load_frame_targets(path, **kw) -> FrameTargets:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read frame annotation {path}: {exc}") from exc
     return parse_frame_targets(doc, **kw)

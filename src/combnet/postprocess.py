@@ -33,6 +33,8 @@ class PhaseFrame:
         dims = {p.shape for p in self.phases}
         if len(dims) != 1:
             raise ShapeMismatchError(f"phase images disagree on dims: {dims}")
+        if self.phases[0].size == 0:
+            raise ShapeMismatchError(f"phase images are empty: dims {self.phases[0].shape}")
 
 
 @dataclass

@@ -11,13 +11,13 @@ so layout transforms are plain transposes: :func:`to_interleaved` converts a
 planar tensor, and :meth:`Tensor.to_array` reads either layout back as a
 (C, H, W) array. This module is the only place that knows the two axis
 orders and the tap operand a kernel stack is packed into; other modules go
-through :class:`Layout`, :class:`Tensor` and :class:`PackedWeights`.
+through :class:`Layout`, :class:`Tensor` and :func:`pack_kernels`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -144,38 +144,19 @@ def to_interleaved(t: Tensor) -> Tensor:
 # Kernel packing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PackedWeights:
-    """Kernel stack packed for the interleaved convolution: `taps` is the
-    stack as the optimized core's float64 per-tap operand, (kh, kw, group,
-    in_ch_per_group, out_ch_per_group), contiguous and read-only.
-    :func:`pack_kernels` builds one from a weight array.  Packed stacks
-    compare by taps and are unhashable."""
-
-    taps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        taps = np.ascontiguousarray(self.taps, dtype=np.float64)
-        if taps.ndim != 5:
-            raise ShapeMismatchError(f"taps must be rank 5, got shape {taps.shape}")
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
-
-    def __eq__(self, other):
-        if not isinstance(other, PackedWeights):
-            return NotImplemented
-        return np.array_equal(self.taps, other.taps)
-
-
-def pack_kernels(w: np.ndarray, groups: int) -> PackedWeights:
+def pack_kernels(w: np.ndarray, groups: int) -> np.ndarray:
     """Pack a (out_ch, in_ch_per_group, kh, kw) weight array for the
-    optimized backend: one transpose to the tap operand, no values created or
-    destroyed."""
+    optimized backend: one transpose to the tap operand, the float64 (kh, kw,
+    group, in_ch_per_group, out_ch_per_group) array, contiguous and
+    read-only. No values are created or destroyed."""
     w = np.asarray(w, dtype=np.float32)
     if w.ndim != 4:
         raise ShapeMismatchError(f"weights must be rank 4, got {w.ndim}")
     out_ch, ipg, kh, kw = w.shape
     if groups < 1 or out_ch % groups != 0:
         raise ConfigError(f"groups={groups} does not divide out_ch={out_ch}")
-    return PackedWeights(
-        w.reshape(groups, out_ch // groups, ipg, kh, kw).transpose(3, 4, 0, 2, 1))
+    taps = np.ascontiguousarray(
+        w.reshape(groups, out_ch // groups, ipg, kh, kw).transpose(3, 4, 0, 2, 1),
+        dtype=np.float64)
+    taps.flags.writeable = False
+    return taps

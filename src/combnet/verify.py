@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
-                      conv2d_ref, fold_batchnorm, BnParams, batchnorm_inference)
+                      conv2d_ref, fold_batchnorm, batchnorm_inference)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward
 from .graph import build_graph
@@ -23,7 +23,7 @@ from .losses import (KeypointTarget, deep_supervision_loss, handpose_ce,
                      keypoint_ce, orientation_ce_soft, seg_ce, visibility_bce)
 from .postprocess import decode_heatmaps
 from .tensor import Tensor, pack_kernels, to_interleaved
-from .weights import init_weights
+from .weights import bn_scale_shift, init_weights
 
 
 @dataclass
@@ -66,11 +66,10 @@ def _random_conv_case(rng):
     return spec, x, wts, b
 
 
-def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
+def conv_oracle_suite(seed: int, cases: int = 100) -> list:
     """conv2d_packed and comb_dilated_conv vs conv2d_ref over randomized
     specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2; the comb
-    runs on the stride-1 cases with the same packed stack. `perturb_packed` is a fault-injection hook
-    used to prove the suite detects real deviations."""
+    runs on the stride-1 cases with the same packed stack."""
     rng = np.random.default_rng(seed)
     packed_dev, comb_dev = 0.0, 0.0
     n_comb = 0
@@ -78,14 +77,12 @@ def conv_oracle_suite(seed: int, cases: int = 100, perturb_packed=None) -> list:
         spec, x, w, b = _random_conv_case(rng)
         t = Tensor.from_array(x)
         ref = conv2d_ref(t, w, b, spec).to_array()
-        pw = pack_kernels(w, spec.groups)
-        if perturb_packed is not None:
-            pw = perturb_packed(pw)
+        taps = pack_kernels(w, spec.groups)
         ti = to_interleaved(t)
-        got = conv2d_packed(ti, pw, b, spec).to_array()
+        got = conv2d_packed(ti, taps, b, spec).to_array()
         packed_dev = max(packed_dev, float(np.max(np.abs(got - ref))))
         if spec.stride == 1:
-            comb = comb_dilated_conv(ti, pw, b, spec).to_array()
+            comb = comb_dilated_conv(ti, taps, b, spec).to_array()
             comb_dev = max(comb_dev, float(np.max(np.abs(comb - ref))))
             n_comb += 1
     return [SuiteResult("conv packed vs reference", cases, packed_dev, 1e-5),
@@ -98,10 +95,10 @@ def bn_fold_suite(seed: int, cases: int = 50) -> SuiteResult:
     worst = 0.0
     for _ in range(cases):
         spec, x, w, b = _random_conv_case(rng)
-        bn = BnParams(rng.uniform(0.5, 2.0, spec.out_ch).astype(np.float32),
-                      rng.standard_normal(spec.out_ch).astype(np.float32),
-                      rng.standard_normal(spec.out_ch).astype(np.float32),
-                      rng.uniform(0.1, 2.0, spec.out_ch).astype(np.float32))
+        bn = bn_scale_shift(rng.uniform(0.5, 2.0, spec.out_ch).astype(np.float32),
+                            rng.standard_normal(spec.out_ch).astype(np.float32),
+                            rng.standard_normal(spec.out_ch).astype(np.float32),
+                            rng.uniform(0.1, 2.0, spec.out_ch).astype(np.float32))
         t = Tensor.from_array(x)
         # BN on the conv's float64 result, rounded once, as the folded conv is
         unfolded = batchnorm_inference(conv2d_ref(t, w, b, spec, rounded=False),

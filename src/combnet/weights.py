@@ -20,9 +20,8 @@ import zlib
 
 import numpy as np
 
-from .convops import BnParams
 from .errors import ShapeMismatchError, WeightFormatError
-from .graph import GraphSpec, Mode, Node, param_entries
+from .graph import BN_EPS, GraphSpec, Mode, Node, param_entries
 
 MAGIC = b"CNWB"
 VERSION = 1
@@ -49,14 +48,24 @@ class WeightStore:
         return self.entries[name]
 
     def node_params(self, node: Node) -> tuple:
-        """(weights, bias or None, BnParams or None) of a conv or linear node."""
+        """(weights, bias or None, BN (s, t) or None) of a conv or linear node."""
         got = {name[len(node.name):]: self.get(name) for name, _ in param_entries(node)}
-        bn = (BnParams(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"])
+        bn = (bn_scale_shift(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"])
               if node.bn else None)
         return got[".w"], got.get(".b"), bn
 
     def __contains__(self, name):
         return name in self.entries
+
+
+def bn_scale_shift(gamma, beta, mean, var) -> tuple:
+    """The float32 per-channel (s, t) with bn(x) = x*s + t of inference-time
+    batch norm: s = gamma/sqrt(var + BN_EPS), t = beta - mean*s. The variance
+    is not checked here; :func:`validate_weights` checks a store's."""
+    gamma, beta, mean, var = (np.asarray(a, dtype=np.float32)
+                              for a in (gamma, beta, mean, var))
+    s = gamma / np.sqrt(var + np.float32(BN_EPS))
+    return s, beta - mean * s
 
 
 def validate_weights(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS) -> list:

@@ -16,14 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from combnet import bench, cli
+from combnet import bench, cli, verify
 from combnet.bench import run_benchmarks
 from combnet.config import REFERENCE_CONFIG, NetConfig
 from combnet.errors import ShapeMismatchError
 from combnet.forward import Backend, forward
 from combnet.graph import Mode, build_graph, count_layers, param_entries
 from combnet.tensor import Tensor
-from combnet.verify import conv_oracle_suite
 from combnet.weights import WeightStore, init_weights, save_weights
 
 REPO = Path(__file__).resolve().parent.parent
@@ -165,6 +164,16 @@ def test_count_out_of_range_config_exit_3(tmp_path, line):
     assert "Traceback" not in r.stderr
 
 
+def test_count_non_utf8_config_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"input_h = 96\n\xff\xfe\n")
+    assert cli.main(["count", "--config", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot read config {bad}: ")
+
+
 def assert_unwritable_output_exit_2(r, path):
     assert r.returncode == 2
     assert r.stdout == ""
@@ -209,16 +218,33 @@ def test_verify_env_seed_overrides_flag():
     assert "seed=99" in a.stdout
 
 
-def test_verify_detects_injected_fault():
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_exit_3(command, source, monkeypatch, capsys):
+    # numpy's generators take no negative seed; it is a config error, not a traceback
+    if source == "env":
+        monkeypatch.setenv("COMBNET_SEED", "-5")
+        argv = [command]
+    else:
+        monkeypatch.delenv("COMBNET_SEED", raising=False)
+        argv = [command, "--seed", "-5"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: seed must be non-negative, got -5\n"
+
+
+def test_verify_detects_injected_fault(monkeypatch):
     # perturbing the packed weights by 1e-2 must fail both equivalence suites
-    from combnet.tensor import PackedWeights
+    pack = verify.pack_kernels
 
-    def perturb(pw):
-        taps = pw.taps.copy()
+    def perturbed(w, groups):
+        taps = pack(w, groups).copy()
         taps[0, 0, 0, 0, 0] += 1e-2
-        return PackedWeights(taps)
+        return taps
 
-    results = conv_oracle_suite(5, cases=10, perturb_packed=perturb)
+    monkeypatch.setattr(verify, "pack_kernels", perturbed)
+    results = verify.conv_oracle_suite(5, cases=10)
     packed = next(r for r in results if "packed" in r.name)
     assert not packed.passed
     # the comb runs on the same packed stack, so it sees the fault too
@@ -461,6 +487,23 @@ def test_infer_accepts_inference_only_weights(small_cfg, infer_inputs, tmp_path)
     assert r.returncode == 2
     assert r.stdout == ""
     assert "head.kp.w" in r.stderr
+
+
+@pytest.mark.parametrize("dims", [(0, 96), (96, 0)], ids=["no-rows", "no-cols"])
+def test_infer_empty_phase_images_exit_2(small_cfg, infer_inputs, tmp_path, capsys, dims):
+    for i in range(4):
+        write_pgm16(tmp_path / f"p{i}.pgm", np.zeros(dims, np.uint16))
+    out = tmp_path / "result.json"
+    rc = cli.main(["infer", "--config", small_cfg,
+                   "--weights", str(infer_inputs / "w.cnwb"),
+                   "--phases", ",".join(str(tmp_path / f"p{i}.pgm") for i in range(4)),
+                   "--depth", str(infer_inputs / "depth.pgm"), "--out", str(out)])
+    assert rc == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("input error: phase images are empty")
+    assert not out.exists()
 
 
 def test_infer_missing_depth_no_partial_output(small_cfg, infer_inputs, tmp_path):

@@ -5,15 +5,17 @@ import pytest
 from scipy import signal
 
 from combnet import convops
-from combnet.convops import (BnParams, ConvSpec, batchnorm_inference,
+from combnet.convops import (ConvSpec, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
                              conv_out_shape, counting, fold_batchnorm,
                              mac_count, relu, upsample_nearest_2x,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
                             UnsupportedConfigError)
+from combnet.graph import BN_EPS
 from combnet.tensor import Tensor, pack_kernels, to_interleaved
 from combnet.verify import _random_conv_case, bn_fold_suite
+from combnet.weights import bn_scale_shift
 
 
 def brute_force_conv(x, w, b, spec):
@@ -171,7 +173,7 @@ def per_tap_broadcast_conv(x, w, b, spec):
     oh, ow = conv_out_shape(spec, H, W)
     xp = np.zeros((H + 2 * ph, W + 2 * pw, C))
     xp[ph:ph + H, pw:pw + W] = x.transpose(1, 2, 0)
-    # tap (ky, kx) as (group, 1, out_ch_per_group), as in PackedWeights.taps
+    # tap (ky, kx) as (group, 1, out_ch_per_group), as pack_kernels lays it out
     taps = (w.reshape(spec.groups, spec.out_per_group, 1, kh, kw)
             .transpose(3, 4, 0, 2, 1).astype(np.float64))
     acc = None
@@ -248,12 +250,12 @@ def test_packed_rejects_raw_weight_array():
 
 
 @pytest.mark.parametrize("kernel,interleaved,packed,error,match", [
-    (conv2d_ref, False, True, ConfigError, "PackedWeights"),
-    (comb_dilated_conv, True, False, ConfigError, "PackedWeights"),
+    (conv2d_ref, False, True, ShapeMismatchError, r"expected \(4, 2, 3, 3\)"),
+    (comb_dilated_conv, True, False, ConfigError, r"packed taps of shape \(3, 3, 2, 2, 2\)"),
     (comb_dilated_conv, False, True, LayoutMismatchError, "interleaved"),
 ], ids=["ref-packed", "comb-raw", "comb-planar"])
 def test_conv_rejects_wrong_weights_or_layout(kernel, interleaved, packed, error, match):
-    # each kernel takes one layout and one weight type; anything else is a
+    # each kernel takes one layout and one weight shape; anything else is a
     # CombnetError naming what it wants, not a TypeError from numpy
     spec = ConvSpec(4, 4, (3, 3), dilation=2, groups=2)
     t = Tensor.from_array(np.zeros((4, 6, 6), np.float32))
@@ -441,7 +443,8 @@ def test_fold_identity_bn_is_noop():
     rng = np.random.default_rng(9)
     w = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
-    bn = BnParams(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), eps=1e-12)
+    # var + BN_EPS is exactly 1 in float32, so s is exactly gamma
+    bn = bn_scale_shift(np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 1 - BN_EPS))
     wf, bf = fold_batchnorm(w, b, bn)
     np.testing.assert_allclose(wf, w, atol=1e-6)
     np.testing.assert_allclose(bf, b, atol=1e-6)
@@ -450,7 +453,7 @@ def test_fold_identity_bn_is_noop():
 def test_fold_gamma_two_doubles():
     w = np.ones((2, 1, 1, 1), np.float32)
     b = np.array([1.0, -1.0], np.float32)
-    bn = BnParams(2 * np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=1e-12)
+    bn = bn_scale_shift(2 * np.ones(2), np.zeros(2), np.zeros(2), np.full(2, 1 - BN_EPS))
     wf, bf = fold_batchnorm(w, b, bn)
     np.testing.assert_allclose(wf, 2 * w, rtol=1e-6)
     np.testing.assert_allclose(bf, 2 * b, rtol=1e-6)
@@ -463,10 +466,10 @@ def test_fold_two_path_equivalence():
         x = Tensor.from_array(rng.standard_normal((4, 7, 7)).astype(np.float32))
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
         b = rng.standard_normal(6).astype(np.float32)
-        bn = BnParams(rng.uniform(0.5, 2, 6).astype(np.float32),
-                      rng.standard_normal(6).astype(np.float32),
-                      rng.standard_normal(6).astype(np.float32),
-                      rng.uniform(0.1, 2, 6).astype(np.float32))
+        bn = bn_scale_shift(rng.uniform(0.5, 2, 6).astype(np.float32),
+                            rng.standard_normal(6).astype(np.float32),
+                            rng.standard_normal(6).astype(np.float32),
+                            rng.uniform(0.1, 2, 6).astype(np.float32))
         unfolded = batchnorm_inference(conv2d_ref(x, w, b, spec, rounded=False),
                                        bn).to_array()
         wf, bf = fold_batchnorm(w, b, bn)
@@ -487,7 +490,7 @@ def test_bn_fold_suite_rounds_the_reference_once(seed):
 
 
 def test_fold_length_mismatch():
-    bn = BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
+    bn = bn_scale_shift(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
     with pytest.raises(ShapeMismatchError):
         fold_batchnorm(np.zeros((4, 1, 1, 1), np.float32), None, bn)
 

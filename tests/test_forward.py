@@ -157,7 +157,7 @@ def test_plan_is_immutable_and_detached_from_the_store(setup96):
         plan.convs["t1.conv"] = None
     step = plan.convs["t1.conv"]
     w, b = plan.linears["head.vis"]
-    for arr in (step.weights.taps, step.bias, w, b):
+    for arr in (step.weights, step.bias, w, b):
         with pytest.raises(ValueError):
             arr[...] = 0
     for arr in ws.entries.values():

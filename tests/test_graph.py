@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from combnet import convops, graph
 from combnet.config import NetConfig, REFERENCE_CONFIG, load_config, parse_config
 from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError
@@ -261,3 +262,9 @@ def test_parse_config_overrides_and_comments():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_config("no_such_key = 1\n")
+
+
+@pytest.mark.parametrize("module", [convops, graph], ids=["convops", "graph"])
+def test_every_exported_name_resolves(module):
+    # a public name deleted from the module cannot stay behind in __all__
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -418,6 +418,9 @@ def test_load_frame_targets_file(tmp_path):
     assert ft.orientation == [3, None]
     with pytest.raises(InputError):
         load_frame_targets(tmp_path / "missing.json")
+    p.write_bytes(b'{"hands": ["\xff"]}')
+    with pytest.raises(InputError, match="cannot read frame annotation"):
+        load_frame_targets(p)
 
 
 def test_frame_loss_bundle_end_to_end():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combnet.errors import ConfigError, LayoutMismatchError, ShapeMismatchError
-from combnet.tensor import Layout, PackedWeights, Tensor, pack_kernels, to_interleaved
+from combnet.tensor import Layout, Tensor, pack_kernels, to_interleaved
 
 
 def test_interleave_2x1x2_example():
@@ -98,29 +98,11 @@ def test_tensor_compares_by_value():
 def test_pack_unpack_roundtrip(groups, mult, ipg, k, seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((groups * mult, ipg, k, k)).astype(np.float32)
-    pw = pack_kernels(w, groups)
+    packed = pack_kernels(w, groups)
     # the tap operand is w as (ky, kx, group, ci, oc within group), in float64
     taps = w.reshape(groups, mult, ipg, k, k).transpose(3, 4, 0, 2, 1)
-    assert pw.taps.dtype == np.float64 and np.array_equal(pw.taps, taps)
-    assert pw.taps.flags.c_contiguous and not pw.taps.flags.writeable
-
-
-def test_packed_weights_compare_by_value():
-    w = np.random.default_rng(2).standard_normal((8, 1, 3, 3)).astype(np.float32)
-    pw = pack_kernels(w, 8)
-    assert pw == pack_kernels(w.copy(), 8)
-    assert pw != pack_kernels(w + 1, 8)
-    # the same values in the same order under another grouping is another stack
-    other = pack_kernels(w, 1)
-    assert np.array_equal(other.taps.reshape(-1), pw.taps.reshape(-1)) and pw != other
-    with pytest.raises(TypeError):
-        hash(pw)
-
-
-def test_packed_weights_reject_inconsistent_dims():
-    pw = pack_kernels(np.zeros((12, 2, 3, 3), np.float32), 2)
-    with pytest.raises(ShapeMismatchError):
-        PackedWeights(pw.taps[0])
+    assert packed.dtype == np.float64 and np.array_equal(packed, taps)
+    assert packed.flags.c_contiguous and not packed.flags.writeable
 
 
 def test_pack_rejects_bad_groups():
