@@ -10,11 +10,13 @@ the headline number per case is the median over iterations after warm-up.
 from __future__ import annotations
 
 import io
+import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +57,9 @@ class BenchReport:
     seed: int
     iterations: int
     warmup: int
-    environment: str
+    environment: dict    # header name -> value, in header order
+    src_lines: int
+    git_commit: str | None
 
     _COLS = ("case", "backend", "iterations", "min_ms", "median_ms", "mean_ms",
              "macs", "mults_counted", "macs_per_s")
@@ -70,7 +74,7 @@ class BenchReport:
         out.write(f"# combnet bench  {self.timestamp}\n")
         out.write(f"# config_hash={self.config_hash:08x} seed={self.seed} "
                   f"iters={self.iterations} warmup={self.warmup}\n")
-        out.write(f"# {self.environment}\n")
+        out.write("# " + " ".join(f"{k}={v}" for k, v in self.environment.items()) + "\n")
         table = [list(self._COLS)] + [self._cells(r) for r in self.rows]
         widths = [max(len(row[i]) for row in table) for i in range(len(self._COLS))]
         for row in table:
@@ -81,6 +85,14 @@ class BenchReport:
         lines = [",".join(self._COLS)]
         lines += [",".join(self._cells(r)) for r in self.rows]
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        doc = {"timestamp": self.timestamp, "config_hash": f"{self.config_hash:08x}",
+               "seed": self.seed, "iterations": self.iterations, "warmup": self.warmup,
+               "environment": self.environment, "src_lines": self.src_lines,
+               "git_commit": self.git_commit,
+               "cases": [asdict(r) for r in self.rows]}
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def _time_case(fn, iters: int, warmup: int) -> tuple:
@@ -104,8 +116,51 @@ def _blas_build() -> str:
         return "unknown"
 
 
+PACKAGE = Path(__file__).resolve().parent
+
+
+def _src_lines() -> int:
+    """Newline count of the package's Python sources (as `wc -l` counts)."""
+    return sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
+
+
+def _git_commit(start: Path = PACKAGE) -> str | None:
+    """The commit checked out in the git repository holding `start`, read
+    from its `.git` without running git; None outside a repository."""
+    try:
+        for d in (start, *start.parents):
+            git = d / ".git"
+            if git.is_file():  # a worktree or submodule: "gitdir: PATH"
+                git = d / git.read_text().split(":", 1)[1].strip()
+            if git.is_dir():
+                break
+        else:
+            return None
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD
+        ref = head[len("ref: "):]
+        roots = [git]
+        if (git / "commondir").is_file():  # a worktree: branches live in the main .git
+            roots.append(git / (git / "commondir").read_text().strip())
+        for root in roots:
+            if (root / ref).is_file():
+                return (root / ref).read_text().strip()
+            packed = root / "packed-refs"
+            if packed.is_file():
+                for line in packed.read_text().splitlines():
+                    if line.endswith(" " + ref):
+                        return line.split()[0]
+    except (OSError, UnicodeDecodeError, IndexError):  # IndexError: a bad `.git` file
+        pass
+    return None
+
+
 def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int = 3,
-                   backends=("reference", "optimized")) -> BenchReport:
+                   backends=("reference", "optimized"),
+                   malloc: str = "default") -> BenchReport:
+    """Time every case. `malloc` names the allocator policy the caller put
+    in effect (the CLI's `keep_freed_memory()`), for the header."""
     if iters < 1:
         raise ConfigError(f"iters must be at least 1, got {iters}")
     g = build_graph(cfg)
@@ -183,8 +238,9 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
                      conv2d_ref(td, stuffed, None, sspec),
                      mac_count(sspec, hw, hw))
 
-    env = (f"python={platform.python_version()} numpy={np.__version__} "
-           f"blas={_blas_build()} machine={platform.machine()} "
-           + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS))
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "blas": _blas_build(), "machine": platform.machine(), "malloc": malloc,
+           **{v: os.environ.get(v, "unset") for v in THREAD_VARS}}
     return BenchReport(rows, datetime.now(timezone.utc).isoformat(),
-                       cfg.config_hash(), seed, iters, warmup, env)
+                       cfg.config_hash(), seed, iters, warmup, env, _src_lines(),
+                       _git_commit())

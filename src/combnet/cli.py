@@ -35,6 +35,39 @@ from .weights import load_weights
 PARAM_TARGET = 41_000        # Table-2-class parameter budget (0.041M)
 FLOP_TARGET = 35_000_000     # 0.035 GFLOPs
 
+# glibc's mallopt parameters M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1),
+# set high enough that a frame's freed temporaries (128-560 KB each) stay in
+# the heap for the next frame
+MALLOC_POLICY = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 64 << 20)}
+
+
+@functools.cache
+def keep_freed_memory() -> str:
+    """Once per process, keep freed working memory mapped. By default glibc
+    returns each freed block of 128 KB or more to the kernel, and the next
+    frame faults it in again: hundreds to thousands of minor page faults per
+    `infer` frame. Does nothing off glibc, or when the environment already
+    sets a malloc policy (a `MALLOC_*_` variable, or `glibc.malloc` in
+    `GLIBC_TUNABLES`). Returns the policy in effect, as `bench` reports it."""
+    chosen = sorted(v for v in os.environ if v.startswith("MALLOC_") and v.endswith("_"))
+    if "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", ""):
+        chosen.append("GLIBC_TUNABLES")
+    if chosen:
+        return "environment:" + ",".join(chosen)
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        glibc = None
+    if not glibc:
+        return "default"
+    import ctypes  # CDLL(None) is this process: no find_library subprocess
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if not all([mallopt(param, value) == 1 for param, value in MALLOC_POLICY.values()]):
+        return "default:mallopt-refused"
+    return "keep-freed:" + ",".join(f"{name}={value >> 20}MiB"
+                                    for name, (_, value) in MALLOC_POLICY.items())
+
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("COMBNET_SEED")
@@ -102,11 +135,15 @@ def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args)
     backends = ("reference", "optimized") if args.backend == "both" else (args.backend,)
-    if args.csv:
-        _write_text(args.csv, "")  # an unwritable path fails before the run
-    report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
+    for path in (args.csv, args.json):
+        if path:
+            _write_text(path, "")  # an unwritable path fails before the run
+    report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends,
+                            malloc=keep_freed_memory())
     if args.csv:
         _write_text(args.csv, report.to_csv())
+    if args.json:
+        _write_text(args.json, report.to_json())
     print(report.to_text(), end="")
     return 0
 
@@ -177,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--iters", type=int, default=10)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--csv")
+    pb.add_argument("--json", help="write the report as one JSON document")
 
     pi = sub.add_parser("infer", help="single-frame inference to JSON")
     pi.add_argument("--config")
@@ -192,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     args = build_parser().parse_args(argv)
     # looked up per call, not stored in the shared parser, so that a
     # command replaced on this module (as a tracer does) is the one that runs

@@ -168,6 +168,8 @@ def deserialize_weights(blob: bytes) -> WeightStore:
             pos += 4 * ndim
         except (struct.error, UnicodeDecodeError) as exc:
             raise WeightFormatError("truncated", f"corrupt entry header: {exc}") from exc
+        if name in ws:  # the header's layer count would disagree with the store
+            raise WeightFormatError("shape", f"duplicate entry name {name!r}")
         if dtype != DTYPE_F32:
             raise WeightFormatError("shape", f"entry {name!r}: unknown dtype {dtype}")
         nbytes = 4 * math.prod(dims)

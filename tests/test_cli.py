@@ -1,7 +1,9 @@
+import ctypes
 import io
 import json
 import math
 import os
+import resource
 import re
 import struct
 import subprocess
@@ -341,6 +343,69 @@ def test_bench_unwritable_csv_fails_before_the_run(small_cfg, tmp_path, monkeypa
     assert err.startswith(f"input error: cannot write {csv}: ")
 
 
+def test_bench_json_matches_the_table(small_cfg, tmp_path):
+    out, csv = tmp_path / "bench.json", tmp_path / "bench.csv"
+    r = run_cli("bench", "--config", small_cfg, "--backend", "optimized", "--iters", "2",
+                "--json", str(out), "--csv", str(csv))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    header = r.stdout.splitlines()[:3]
+    assert header[1] == (f"# config_hash={doc['config_hash']} seed={doc['seed']} "
+                         f"iters={doc['iterations']} warmup={doc['warmup']}")
+    assert header[2] == "# " + " ".join(f"{k}={v}" for k, v in doc["environment"].items())
+    # the allocator policy the CLI put in effect is in both headers
+    assert doc["environment"]["malloc"] == cli.keep_freed_memory()
+    assert re.search(r" malloc=\S+ OMP_NUM_THREADS=", header[2])
+    # every case, with the CSV's columns (all but the derived macs_per_s)
+    cols, *rows = [ln.split(",") for ln in csv.read_text().splitlines()]
+    assert len(doc["cases"]) == len(rows)
+    for case, row in zip(doc["cases"], rows):
+        assert [f"{case[k]:.4f}" if isinstance(case[k], float) else str(case[k])
+                for k in cols[:-1]] == row[:-1]
+    assert doc["src_lines"] == sum(p.read_bytes().count(b"\n")
+                                   for p in (REPO / "src" / "combnet").glob("*.py"))
+    assert doc["git_commit"] == bench._git_commit()
+
+
+def test_bench_git_commit_is_read_from_the_git_directory(tmp_path):
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    pkg = tmp_path / "repo" / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    assert bench._git_commit(pkg) is None
+    git = tmp_path / "repo" / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{sha} refs/heads/main\n")
+    assert bench._git_commit(pkg) == sha
+    (git / "refs" / "heads" / "main").write_text(sha[::-1] + "\n")  # a loose ref wins
+    assert bench._git_commit(pkg) == sha[::-1]
+    (git / "HEAD").write_text(sha + "\n")  # detached
+    assert bench._git_commit(pkg) == sha
+    # a worktree's `.git` file names its git directory, whose branch refs
+    # live in the main one
+    wt, wt_git = tmp_path / "wt", git / "worktrees" / "wt"
+    (wt / "pkg").mkdir(parents=True)
+    wt_git.mkdir(parents=True)
+    (wt / ".git").write_text(f"gitdir: {wt_git}\n")
+    (wt_git / "HEAD").write_text("ref: refs/heads/main\n")
+    (wt_git / "commondir").write_text("../..\n")
+    assert bench._git_commit(wt / "pkg") == sha[::-1]
+
+
+def test_bench_unwritable_json_fails_before_the_run(small_cfg, tmp_path, monkeypatch,
+                                                     capsys):
+    def not_called(*args, **kwargs):
+        raise AssertionError("the benchmark ran before the JSON path was checked")
+
+    monkeypatch.setattr(bench, "run_benchmarks", not_called)
+    out = tmp_path / "missing" / "bench.json"
+    assert cli.main(["bench", "--config", small_cfg, "--json", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"input error: cannot write {out}: ")
+
+
 def test_bench_unknown_backend_rejected(small_cfg):
     r = run_cli("bench", "--config", small_cfg, "--backend", "magic")
     assert r.returncode == 2  # argparse usage error
@@ -362,6 +427,24 @@ def test_infer_deterministic_json(small_cfg, infer_inputs):
     assert set(doc) == {"hands", "early_out"}
     assert len(doc["hands"]) == 2
     assert len(doc["hands"][0]["keypoints"]) == 8
+
+
+def test_infer_duplicate_entry_name_exit_2(small_cfg, infer_inputs, tmp_path):
+    # a second `t1.conv.w` entry, with the layer count raised to match
+    blob = (infer_inputs / "w.cnwb").read_bytes()
+    (count,) = struct.unpack_from("<I", blob, 8)
+    w = np.zeros((16, 1, 3, 3), "<f4")
+    entry = struct.pack("<H", 9) + b"t1.conv.w" + struct.pack("<BB4I", 0, 4, *w.shape)
+    body = blob[:8] + struct.pack("<I", count + 1) + blob[12:-4] + entry + w.tobytes()
+    bad = tmp_path / "dup.cnwb"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    r = run_cli("infer", "--config", small_cfg, "--weights", str(bad),
+                "--amplitude", str(infer_inputs / "amp.pgm"),
+                "--depth", str(infer_inputs / "depth.pgm"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("input error: duplicate entry name 't1.conv.w'")
 
 
 def test_infer_from_phases(small_cfg, infer_inputs):
@@ -759,3 +842,95 @@ def test_infer_fuzzed_config_exits_cleanly(infer_inputs, text):
     else:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+# ---------------------------------------------------------------------------
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+needs_glibc = pytest.mark.skipif(not _on_glibc(), reason="a glibc malloc policy")
+
+
+@pytest.fixture
+def fresh_policy(monkeypatch):
+    """The policy not yet applied in this process, and no malloc setting in
+    the environment; applied again by the next `main` after the test."""
+    for var in [v for v in os.environ if v.startswith("MALLOC_") or v == "GLIBC_TUNABLES"]:
+        monkeypatch.delenv(var)
+    cli.keep_freed_memory.cache_clear()
+    yield
+    cli.keep_freed_memory.cache_clear()
+
+
+def spy_mallopt(monkeypatch, mallopt):
+    """Route the policy's `ctypes.CDLL(None).mallopt` through `mallopt`;
+    returns the list of the values it returned."""
+    returned = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            returned.append(mallopt(param, value))
+            return returned[-1]
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc)
+    return returned
+
+
+@needs_glibc
+def test_infer_frames_in_one_process_take_no_page_faults(small_cfg, infer_inputs,
+                                                         tmp_path):
+    # glibc's default returns each frame's freed 128 KB+ temporaries to the
+    # kernel, and the next frame faults them in again
+    args = ["infer", "--config", small_cfg, "--weights", str(infer_inputs / "w.cnwb"),
+            "--phases", ",".join(str(infer_inputs / f"p{i}.pgm") for i in range(4)),
+            "--depth", str(infer_inputs / "depth.pgm"), "--out", str(tmp_path / "r.json")]
+    for _ in range(10):
+        assert cli.main(args) == 0
+    frames = 50
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(frames):
+        cli.main(args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / frames < 10
+
+
+@pytest.mark.parametrize("var, value", [
+    ("MALLOC_TRIM_THRESHOLD_", "131072"),
+    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072")])
+def test_malloc_policy_chosen_by_the_environment_is_kept(var, value, fresh_policy,
+                                                        monkeypatch, capsys):
+    returned = spy_mallopt(monkeypatch, lambda param, value: 1)
+    monkeypatch.setenv(var, value)
+    assert cli.main(["count"]) == 0
+    assert returned == []
+    assert cli.keep_freed_memory() == f"environment:{var}"
+
+
+def test_malloc_policy_off_glibc_does_nothing(fresh_policy, monkeypatch, capsys):
+    def not_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    returned = spy_mallopt(monkeypatch, lambda param, value: 1)
+    monkeypatch.setattr(os, "confstr", not_glibc)
+    assert cli.main(["count"]) == 0
+    assert returned == []
+    assert cli.keep_freed_memory() == "default"
+
+
+@needs_glibc
+def test_malloc_policy_applied_once_per_process(fresh_policy, monkeypatch, capsys):
+    returned = spy_mallopt(monkeypatch, ctypes.CDLL(None).mallopt)
+    for _ in range(2):
+        assert cli.main(["count"]) == 0
+    # one accepted call per parameter, and none on the second `main`
+    assert returned == [1, 1]
+    assert cli.keep_freed_memory() == (
+        "keep-freed:mmap_threshold=32MiB,trim_threshold=64MiB")

@@ -86,11 +86,13 @@ def test_distinct_error_codes(g):
         deserialize_weights(truncated)
 
 
-def one_entry_file(name: bytes, dims, data: bytes) -> bytes:
-    """A .cnwb blob holding one entry with the given header and data bytes,
-    with a valid CRC."""
-    body = b"CNWB" + struct.pack("<IIH", 1, 1, len(name)) + name
-    body += struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims) + data
+def cnwb_file(*entries) -> bytes:
+    """A .cnwb blob holding `(name, dims, data)` entries with the given
+    headers and data bytes, with a valid CRC."""
+    body = b"CNWB" + struct.pack("<II", 1, len(entries))
+    for name, dims, data in entries:
+        body += struct.pack("<H", len(name)) + name
+        body += struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims) + data
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -103,9 +105,18 @@ def one_entry_file(name: bytes, dims, data: bytes) -> bytes:
 def test_any_entry_header_loads_or_is_a_format_error(name, dims, data):
     # element counts must not wrap: (2^31, 2^31, 4) is 2^64 elements, not 0
     try:
-        deserialize_weights(one_entry_file(name, dims, data))
+        deserialize_weights(cnwb_file((name, dims, data)))
     except WeightFormatError:
         pass
+
+
+def test_duplicate_entry_name_is_a_shape_error():
+    # the last entry would silently win, and the store would hold fewer
+    # entries than the header's layer count
+    entry = (b"w", [1], struct.pack("<f", 1.0))
+    with pytest.raises(WeightFormatError, match="duplicate entry name 'w'") as exc:
+        deserialize_weights(cnwb_file(entry, entry))
+    assert exc.value.code == "shape"
 
 
 def test_reference_file_fits_embedded_budget(tmp_path):
