@@ -886,7 +886,7 @@ def spy_mallopt(monkeypatch, mallopt):
 
 @needs_glibc
 def test_infer_frames_in_one_process_take_no_page_faults(small_cfg, infer_inputs,
-                                                         tmp_path):
+                                                         tmp_path, fresh_policy):
     # glibc's default returns each frame's freed 128 KB+ temporaries to the
     # kernel, and the next frame faults them in again
     args = ["infer", "--config", small_cfg, "--weights", str(infer_inputs / "w.cnwb"),
