@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import THREAD_VARS
+from . import THREAD_VARS, malloc_policy
 from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, counting, mac_count, zero_stuff_kernel,
@@ -157,10 +157,7 @@ def _git_commit(start: Path = PACKAGE) -> str | None:
 
 
 def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int = 3,
-                   backends=("reference", "optimized"),
-                   malloc: str = "default") -> BenchReport:
-    """Time every case. `malloc` names the allocator policy the caller put
-    in effect (the CLI's `keep_freed_memory()`), for the header."""
+                   backends=("reference", "optimized")) -> BenchReport:
     if iters < 1:
         raise ConfigError(f"iters must be at least 1, got {iters}")
     g = build_graph(cfg)
@@ -239,7 +236,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
                      mac_count(sspec, hw, hw))
 
     env = {"python": platform.python_version(), "numpy": np.__version__,
-           "blas": _blas_build(), "machine": platform.machine(), "malloc": malloc,
+           "blas": _blas_build(), "machine": platform.machine(), "malloc": malloc_policy(),
            **{v: os.environ.get(v, "unset") for v in THREAD_VARS}}
     return BenchReport(rows, datetime.now(timezone.utc).isoformat(),
                        cfg.config_hash(), seed, iters, warmup, env, _src_lines(),

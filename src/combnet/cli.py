@@ -1,4 +1,4 @@
-"""Command-line interface: count | verify | bench | infer.
+"""Command-line interface: count | verify | bench | infer | stream.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 config error.
 COMBNET_SEED in the environment overrides --seed for every command.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-from . import THREAD_VARS
+from . import THREAD_VARS, keep_freed_memory
 
 # Pin kernel execution to one thread for reproducible benchmark timings,
 # unless the caller set a count. Must happen before numpy loads its BLAS.
@@ -18,13 +18,14 @@ for _var in THREAD_VARS:
 import argparse
 import functools
 import json
+import shlex
 import sys
 
 import numpy as np
 
 from .config import NetConfig, REFERENCE_CONFIG, load_config
 from .errors import ConfigError, InputError
-from .forward import Backend, Mode, forward
+from .forward import Backend, Mode, forward, prepare_optimized
 from .graph import build_graph, count_layers, validate_config
 from .pgm import read_pgm16
 from .postprocess import (PhaseFrame, amplitude_from_phases, decode_heatmaps,
@@ -34,39 +35,6 @@ from .weights import load_weights
 
 PARAM_TARGET = 41_000        # Table-2-class parameter budget (0.041M)
 FLOP_TARGET = 35_000_000     # 0.035 GFLOPs
-
-# glibc's mallopt parameters M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1),
-# set high enough that a frame's freed temporaries (128-560 KB each) stay in
-# the heap for the next frame
-MALLOC_POLICY = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 64 << 20)}
-
-
-@functools.cache
-def keep_freed_memory() -> str:
-    """Once per process, keep freed working memory mapped. By default glibc
-    returns each freed block of 128 KB or more to the kernel, and the next
-    frame faults it in again: hundreds to thousands of minor page faults per
-    `infer` frame. Does nothing off glibc, or when the environment already
-    sets a malloc policy (a `MALLOC_*_` variable, or `glibc.malloc` in
-    `GLIBC_TUNABLES`). Returns the policy in effect, as `bench` reports it."""
-    chosen = sorted(v for v in os.environ if v.startswith("MALLOC_") and v.endswith("_"))
-    if "glibc.malloc" in os.environ.get("GLIBC_TUNABLES", ""):
-        chosen.append("GLIBC_TUNABLES")
-    if chosen:
-        return "environment:" + ",".join(chosen)
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        glibc = None
-    if not glibc:
-        return "default"
-    import ctypes  # CDLL(None) is this process: no find_library subprocess
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    if not all([mallopt(param, value) == 1 for param, value in MALLOC_POLICY.values()]):
-        return "default:mallopt-refused"
-    return "keep-freed:" + ",".join(f"{name}={value >> 20}MiB"
-                                    for name, (_, value) in MALLOC_POLICY.items())
 
 
 def _resolve_seed(args) -> int:
@@ -138,8 +106,7 @@ def cmd_bench(args) -> int:
     for path in (args.csv, args.json):
         if path:
             _write_text(path, "")  # an unwritable path fails before the run
-    report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends,
-                            malloc=keep_freed_memory())
+    report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
     if args.csv:
         _write_text(args.csv, report.to_csv())
     if args.json:
@@ -148,9 +115,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    cfg = _load_cfg(args)
-    # read every input up front: no partial output on missing files
+def _read_frame(args, cfg: NetConfig) -> tuple:
+    """One frame's amplitude and depth images, read before any output."""
     if args.amplitude:
         amplitude = read_pgm16(args.amplitude).astype(np.float32)
     else:
@@ -160,15 +126,17 @@ def cmd_infer(args) -> int:
         frame = PhaseFrame(tuple(read_pgm16(p) for p in paths),
                            cfg.z_min_mm, cfg.z_max_mm)
         amplitude = amplitude_from_phases(frame, cfg.amplitude_coeffs)
-    depth = read_pgm16(args.depth).astype(np.float64)
-    ws = load_weights(args.weights)
+    return amplitude, read_pgm16(args.depth).astype(np.float64)
 
-    g = build_graph(cfg)
+
+def _infer_document(g, ws, backend: Backend, amplitude, depth, plan=None) -> dict:
+    """The result document of one frame: normalize -> forward -> decode ->
+    visibility gate -> 2.5D lift."""
+    cfg = g.config
     image, tf = normalize_input(amplitude, (cfg.input_h, cfg.input_w))
-    backend = Backend(args.backend)
     # overflow from extreme weights is reported by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
-        heads = forward(g, ws, image, backend, Mode.INFERENCE_HEADS)
+        heads = forward(g, ws, image, backend, Mode.INFERENCE_HEADS, prepared=plan)
     for name, arr in (("heatmaps", heads.primary_heatmaps),
                       ("visibility logits", heads.visibility_logits)):
         if not np.all(np.isfinite(arr)):
@@ -181,12 +149,67 @@ def cmd_infer(args) -> int:
     if not early_out:
         hands = lift_to_2_5d(hands, depth, cfg.depth_window,
                              (cfg.z_min_mm, cfg.z_max_mm), tf)
-    doc = result_document(hands, early_out)
+    return result_document(hands, early_out)
+
+
+def cmd_infer(args) -> int:
+    cfg = _load_cfg(args)
+    # read every input up front: no partial output on missing files
+    amplitude, depth = _read_frame(args, cfg)
+    ws = load_weights(args.weights)
+    doc = _infer_document(build_graph(cfg), ws, Backend(args.backend), amplitude, depth)
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
+    return 0
+
+
+def _add_frame_args(p: argparse.ArgumentParser):
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--amplitude", help="amplitude image (16-bit PGM)")
+    src.add_argument("--phases", help="4 comma-separated phase images (16-bit PGM)")
+    p.add_argument("--depth", required=True, help="depth image in mm (16-bit PGM)")
+
+
+class _FrameParser(argparse.ArgumentParser):
+    """Parses one `stream` input line; a bad line is an input error."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
+def _frame_parser() -> _FrameParser:
+    p = _FrameParser(prog="frame", add_help=False)
+    _add_frame_args(p)
+    return p
+
+
+def cmd_stream(args) -> int:
+    cfg = _load_cfg(args)
+    ws = load_weights(args.weights)
+    g = build_graph(cfg)
+    backend = Backend(args.backend)
+    # weights validated, BN folded and taps packed once for every frame
+    plan = (prepare_optimized(g, ws, Mode.INFERENCE_HEADS)
+            if backend == Backend.OPTIMIZED else None)
+    if hasattr(sys.stdin, "reconfigure"):  # a path may be any bytes, as in argv
+        sys.stdin.reconfigure(errors="surrogateescape")
+    for number, line in enumerate(sys.stdin, 1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                frame = _frame_parser().parse_args(shlex.split(line))
+            except ValueError as exc:  # shlex: an unclosed quote or escape
+                raise InputError(str(exc)) from exc
+            doc = _infer_document(g, ws, backend, *_read_frame(frame, cfg), plan=plan)
+        except InputError as exc:
+            raise InputError(f"frame {number}: {exc}") from exc
+        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+        sys.stdout.flush()
     return 0
 
 
@@ -219,23 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("infer", help="single-frame inference to JSON")
     pi.add_argument("--config")
     pi.add_argument("--weights", required=True)
-    src = pi.add_mutually_exclusive_group(required=True)
-    src.add_argument("--amplitude", help="amplitude image (16-bit PGM)")
-    src.add_argument("--phases", help="4 comma-separated phase images (16-bit PGM)")
-    pi.add_argument("--depth", required=True, help="depth image in mm (16-bit PGM)")
+    _add_frame_args(pi)
     pi.add_argument("--backend", choices=["reference", "optimized"],
                     default="optimized")
     pi.add_argument("--out", help="output JSON path (default: stdout)")
+
+    ps = sub.add_parser("stream", help="inference on one frame per stdin line, "
+                                       "to one JSON line each")
+    ps.add_argument("--config")
+    ps.add_argument("--weights", required=True)
+    ps.add_argument("--backend", choices=["reference", "optimized"],
+                    default="optimized")
     return p
 
 
 def main(argv=None) -> int:
-    keep_freed_memory()
+    keep_freed_memory()  # once per process, for every later frame's temporaries
     args = build_parser().parse_args(argv)
     # looked up per call, not stored in the shared parser, so that a
     # command replaced on this module (as a tracer does) is the one that runs
     commands = {"count": cmd_count, "verify": cmd_verify, "bench": cmd_bench,
-                "infer": cmd_infer}
+                "infer": cmd_infer, "stream": cmd_stream}
     try:
         return commands[args.command](args)
     except ConfigError as exc:

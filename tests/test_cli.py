@@ -5,6 +5,7 @@ import math
 import os
 import resource
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import combnet
 from combnet import bench, cli, verify
 from combnet.bench import run_benchmarks
 from combnet.config import REFERENCE_CONFIG, NetConfig
@@ -309,6 +311,7 @@ def test_bench_comb_beats_zero_stuffed_multiplies():
     assert comb.mults_counted == 165_888
     assert stuffed.mults_counted == 460_800
     assert comb.mults_counted < stuffed.mults_counted
+    assert report.environment["malloc"] == combnet.malloc_policy()
 
 
 @pytest.mark.parametrize("args", [("bench", "--iters", "0"),
@@ -353,8 +356,9 @@ def test_bench_json_matches_the_table(small_cfg, tmp_path):
     assert header[1] == (f"# config_hash={doc['config_hash']} seed={doc['seed']} "
                          f"iters={doc['iterations']} warmup={doc['warmup']}")
     assert header[2] == "# " + " ".join(f"{k}={v}" for k, v in doc["environment"].items())
-    # the allocator policy the CLI put in effect is in both headers
-    assert doc["environment"]["malloc"] == cli.keep_freed_memory()
+    # the allocator policy in effect in the CLI process is in both headers
+    assert re.fullmatch(r"keep-freed:\S+|environment:\S+|default",
+                        doc["environment"]["malloc"])
     assert re.search(r" malloc=\S+ OMP_NUM_THREADS=", header[2])
     # every case, with the CSV's columns (all but the derived macs_per_s)
     cols, *rows = [ln.split(",") for ln in csv.read_text().splitlines()]
@@ -455,6 +459,80 @@ def test_infer_from_phases(small_cfg, infer_inputs):
                 "--depth", str(infer_inputs / "depth.pgm"))
     assert r.returncode == 0
     json.loads(r.stdout)
+
+
+def _frame_lines(d):
+    phases = ",".join(shlex.quote(str(d / f"p{i}.pgm")) for i in range(4))
+    return [f"--phases {phases} --depth {shlex.quote(str(d / 'depth.pgm'))}",
+            f"--amplitude '{d / 'amp.pgm'}' --depth {d / 'depth.pgm'}"]
+
+
+@pytest.mark.parametrize("backend", ["optimized", "reference"])
+def test_stream_writes_each_frames_infer_document_as_one_line(
+        backend, small_cfg, infer_inputs, tmp_path, monkeypatch, capsys):
+    lines = _frame_lines(infer_inputs)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{lines[0]}\n\n  \n{lines[1]}\n"))
+    assert cli.main(["stream", "--config", small_cfg, "--backend", backend,
+                     "--weights", str(infer_inputs / "w.cnwb")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    streamed = out.splitlines()
+    assert len(streamed) == 2  # blank lines are skipped
+    for line, doc in zip(lines, streamed):
+        out_path = tmp_path / "one.json"
+        assert cli.main(["infer", "--config", small_cfg, "--backend", backend,
+                         "--weights", str(infer_inputs / "w.cnwb"), "--out", str(out_path),
+                         *shlex.split(line)]) == 0
+        expected = json.loads(out_path.read_text())
+        assert doc == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("--depth {d}/depth.pgm", "one of the arguments --amplitude --phases is required"),
+    ("--amplitude {d}/amp.pgm --depth {d}/depth.pgm --bogus", "unrecognized arguments"),
+    ("--amplitude '{d}/amp.pgm --depth {d}/depth.pgm", "No closing quotation"),
+    ("--phases {d}/p0.pgm,{d}/p1.pgm --depth {d}/depth.pgm", "--phases needs 4"),
+    ("--amplitude {d}/missing.pgm --depth {d}/depth.pgm", "")],
+    ids=["no-image", "unknown-flag", "open-quote", "three-phases", "missing-file"])
+def test_stream_bad_frame_line_exit_2(bad, message, small_cfg, infer_inputs,
+                                      monkeypatch, capsys):
+    good = _frame_lines(infer_inputs)[1]
+    stdin = f"{good}\n{bad.format(d=infer_inputs)}\n{good}\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(["stream", "--config", small_cfg,
+                     "--weights", str(infer_inputs / "w.cnwb")]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1  # the frame before the bad line
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: frame 2: ")
+    assert message in err
+
+
+def test_stream_reads_paths_that_are_not_utf8(small_cfg, infer_inputs, tmp_path,
+                                              monkeypatch, capsys):
+    name = b"amp-\xff.pgm"
+    try:
+        (tmp_path / os.fsdecode(name)).write_bytes((infer_inputs / "amp.pgm").read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system takes no such name")
+    line = (b"--amplitude " + os.fsencode(tmp_path) + b"/" + name
+            + b" --depth " + os.fsencode(infer_inputs / "depth.pgm") + b"\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(line), "utf-8"))
+    assert cli.main(["stream", "--config", small_cfg,
+                     "--weights", str(infer_inputs / "w.cnwb")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_stream_invalid_weights_exit_2_before_any_frame(small_cfg, infer_inputs,
+                                                        tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.cnwb"
+    bad.write_bytes((infer_inputs / "w.cnwb").read_bytes()[:-1])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_frame_lines(infer_inputs)[0] + "\n"))
+    assert cli.main(["stream", "--config", small_cfg, "--weights", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_infer_crafted_early_out(small_cfg, infer_inputs, tmp_path):
@@ -860,28 +938,31 @@ needs_glibc = pytest.mark.skipif(not _on_glibc(), reason="a glibc malloc policy"
 
 @pytest.fixture
 def fresh_policy(monkeypatch):
-    """The policy not yet applied in this process, and no malloc setting in
-    the environment; applied again by the next `main` after the test."""
-    for var in [v for v in os.environ if v.startswith("MALLOC_") or v == "GLIBC_TUNABLES"]:
-        monkeypatch.delenv(var)
-    cli.keep_freed_memory.cache_clear()
-    yield
-    cli.keep_freed_memory.cache_clear()
+    """The policy not yet applied in this process, which started with no
+    malloc setting; the earlier state comes back after the test."""
+    monkeypatch.setattr(combnet, "_kept_freed", None)
+    monkeypatch.setattr(combnet, "_start_environment", lambda: {})
 
 
 def spy_mallopt(monkeypatch, mallopt):
     """Route the policy's `ctypes.CDLL(None).mallopt` through `mallopt`;
-    returns the list of the values it returned."""
-    returned = []
+    returns the list of (param, value, returned) of its calls."""
+    calls = []
 
     class Libc:
         @staticmethod
         def mallopt(param, value):
-            returned.append(mallopt(param, value))
-            return returned[-1]
+            calls.append((param, value, mallopt(param, value)))
+            return calls[-1][-1]
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc)
-    return returned
+    return calls
+
+
+def _infer_args(small_cfg, infer_inputs, out):
+    return ["infer", "--config", small_cfg, "--weights", str(infer_inputs / "w.cnwb"),
+            "--phases", ",".join(str(infer_inputs / f"p{i}.pgm") for i in range(4)),
+            "--depth", str(infer_inputs / "depth.pgm"), "--out", str(out)]
 
 
 @needs_glibc
@@ -889,9 +970,7 @@ def test_infer_frames_in_one_process_take_no_page_faults(small_cfg, infer_inputs
                                                          tmp_path, fresh_policy):
     # glibc's default returns each frame's freed 128 KB+ temporaries to the
     # kernel, and the next frame faults them in again
-    args = ["infer", "--config", small_cfg, "--weights", str(infer_inputs / "w.cnwb"),
-            "--phases", ",".join(str(infer_inputs / f"p{i}.pgm") for i in range(4)),
-            "--depth", str(infer_inputs / "depth.pgm"), "--out", str(tmp_path / "r.json")]
+    args = _infer_args(small_cfg, infer_inputs, tmp_path / "r.json")
     for _ in range(10):
         assert cli.main(args) == 0
     frames = 50
@@ -902,35 +981,92 @@ def test_infer_frames_in_one_process_take_no_page_faults(small_cfg, infer_inputs
     assert faults / frames < 10
 
 
+@needs_glibc
+def test_stream_frames_take_no_page_faults(small_cfg, infer_inputs, fresh_policy,
+                                           monkeypatch, capsys):
+    warmup, frames, faults = 10, 50, []
+
+    def stdin():
+        line = _frame_lines(infer_inputs)[0] + "\n"
+        for i in range(warmup + frames):
+            if i == warmup:
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            yield line
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    monkeypatch.setattr(sys, "stdin", stdin())
+    assert cli.main(["stream", "--config", small_cfg,
+                     "--weights", str(infer_inputs / "w.cnwb")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == warmup + frames
+    assert (faults[1] - faults[0]) / frames < 10
+
+
 @pytest.mark.parametrize("var, value", [
     ("MALLOC_TRIM_THRESHOLD_", "131072"),
-    ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072")])
+    ("MALLOC_MMAP_MAX_", "0"),
+    ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072"),
+    ("GLIBC_TUNABLES", "glibc.rtld.nns=4:glibc.malloc.top_pad=0")])
 def test_malloc_policy_chosen_by_the_environment_is_kept(var, value, fresh_policy,
                                                         monkeypatch, capsys):
-    returned = spy_mallopt(monkeypatch, lambda param, value: 1)
-    monkeypatch.setenv(var, value)
+    calls = spy_mallopt(monkeypatch, lambda param, value: 1)
+    monkeypatch.setattr(combnet, "_start_environment", lambda: {var: value})
     assert cli.main(["count"]) == 0
-    assert returned == []
-    assert cli.keep_freed_memory() == f"environment:{var}"
+    assert calls == []
+    name = value.split(":")[-1].split("=")[0] if var == "GLIBC_TUNABLES" else var
+    assert combnet.malloc_policy() == f"environment:{name}"
+
+
+@pytest.mark.parametrize("var, value", [
+    ("MALLOC_PERTURB_", "85"), ("MALLOC_CHECK_", "3"),
+    ("GLIBC_TUNABLES", "glibc.malloc.perturb=85")])
+def test_malloc_settings_that_set_no_threshold_leave_the_policy_on(
+        var, value, fresh_policy, monkeypatch, capsys):
+    calls = spy_mallopt(monkeypatch, lambda param, value: 1)
+    monkeypatch.setattr(combnet, "_start_environment", lambda: {var: value})
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    assert cli.main(["count"]) == 0
+    assert [c[:2] for c in calls] == list(combnet.MALLOC_POLICY.values())
+    assert combnet.malloc_policy() == "keep-freed:mmap_threshold=32MiB,trim_threshold=64MiB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/environ").is_file(), reason="Linux only")
+def test_malloc_policy_reads_the_environment_the_process_started_with(monkeypatch):
+    # glibc read its settings at start-up; a variable set later is not one
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "0")
+    monkeypatch.delenv("PATH", raising=False)
+    start = combnet._start_environment()
+    assert "MALLOC_TOP_PAD_" not in start
+    assert "PATH" in start
 
 
 def test_malloc_policy_off_glibc_does_nothing(fresh_policy, monkeypatch, capsys):
     def not_glibc(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
-    returned = spy_mallopt(monkeypatch, lambda param, value: 1)
+    calls = spy_mallopt(monkeypatch, lambda param, value: 1)
     monkeypatch.setattr(os, "confstr", not_glibc)
     assert cli.main(["count"]) == 0
-    assert returned == []
-    assert cli.keep_freed_memory() == "default"
+    assert calls == []
+    assert combnet.malloc_policy() == "default"
+
+
+@pytest.mark.parametrize("accepted, policy", [
+    (0, "default"), (1, "keep-freed:mmap_threshold=32MiB")])
+def test_malloc_policy_stops_at_the_first_refused_parameter(accepted, policy,
+                                                           fresh_policy, monkeypatch):
+    calls = spy_mallopt(monkeypatch, lambda param, value: int(len(calls) < accepted))
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    combnet.keep_freed_memory()
+    assert len(calls) == accepted + 1
+    assert combnet.malloc_policy() == policy
 
 
 @needs_glibc
 def test_malloc_policy_applied_once_per_process(fresh_policy, monkeypatch, capsys):
-    returned = spy_mallopt(monkeypatch, ctypes.CDLL(None).mallopt)
+    calls = spy_mallopt(monkeypatch, ctypes.CDLL(None).mallopt)
     for _ in range(2):
         assert cli.main(["count"]) == 0
     # one accepted call per parameter, and none on the second `main`
-    assert returned == [1, 1]
-    assert cli.keep_freed_memory() == (
+    assert calls == [(-3, 32 << 20, 1), (-1, 64 << 20, 1)]
+    assert combnet.malloc_policy() == (
         "keep-freed:mmap_threshold=32MiB,trim_threshold=64MiB")
