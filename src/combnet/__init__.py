@@ -41,7 +41,7 @@ def _start_environment() -> dict:
                 for kv in raw.split(b"\0") if kv)
 
 
-def malloc_chosen_by_environment() -> list:
+def _malloc_chosen_by_environment() -> list:
     """The MALLOC_VARS and MALLOC_TUNABLES the process started with."""
     env = _start_environment()
     tunables = {t.partition("=")[0] for t in env.get("GLIBC_TUNABLES", "").split(":")}
@@ -65,7 +65,7 @@ def keep_freed_memory() -> None:
 
 
 def _set_malloc_policy() -> tuple:
-    if malloc_chosen_by_environment():
+    if _malloc_chosen_by_environment():
         return ()
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -89,5 +89,5 @@ def malloc_policy() -> str:
     environment sets (`environment:...`), else `default`."""
     if _kept_freed:
         return "keep-freed:" + ",".join(_kept_freed)
-    chosen = malloc_chosen_by_environment()
+    chosen = _malloc_chosen_by_environment()
     return "environment:" + ",".join(chosen) if chosen else "default"
