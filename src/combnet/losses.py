@@ -5,6 +5,13 @@ respect to the raw logits, exact up to floating point (verified against
 central finite differences). Softmax uses max-subtraction; accumulation is
 64-bit throughout.
 
+Logits may carry any number of leading batch axes in front of the instance
+shape; targets and labels are shared by the whole batch. The loss is then an
+array of the batch shape, one loss per instance, and the gradient has the
+logits' shape. With no batch axes the loss is a Python ``float``. Each
+reduction runs per instance over the same contiguous elements, so a batch
+row is bit-identical to the unbatched call on that row.
+
 Aggregation weights: kp=1, akp=1, kphv=20, cho=20, dhp=10, seg=50, ds=1.
 Fingertip keypoints contribute double to the heatmap losses; invisible
 keypoints are masked out; per-hand losses average only over present hands.
@@ -67,21 +74,28 @@ class LossBundle:
                 "ds": self.l_ds}
 
 
+def _per_instance(loss):
+    """One loss per instance: an array for a batched call, else a float."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
 def _log_softmax64(z: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row of a 2-D array, in 64-bit."""
+    """Log-softmax along the last axis, in 64-bit."""
     z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _softmax_ce(z: np.ndarray, target: np.ndarray, weight: np.ndarray):
-    """Softmax cross-entropy of each row of ``z`` (R, C) against the target
-    distribution in the same row of ``target``, scaled by the per-row
-    ``weight`` (R,), all float64. Returns the weighted sum and its gradient
+    """Softmax cross-entropy of each row of ``z`` (..., R, C) against the
+    target distribution in the same row of ``target`` (R, C), scaled by the
+    per-row ``weight`` (R,), all float64. Returns the weighted sum of each
+    instance, an array of ``z``'s leading shape, and the gradient
     ``weight * (softmax - target)``."""
     logp = _log_softmax64(z)
     w = weight[:, None]
-    return float(-(w * target * logp).sum()), w * (np.exp(logp) - target)
+    per = -(w * target * logp)
+    return per.reshape(*z.shape[:-2], -1).sum(axis=-1), w * (np.exp(logp) - target)
 
 
 def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
@@ -91,9 +105,9 @@ def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
     The result is the (weighted) sum divided by the number of contributing
     keypoints."""
     logits = np.asarray(heatmap_logits, dtype=np.float64)
-    if logits.ndim != 3:
-        raise ShapeMismatchError(f"heatmaps must be (K,h,w), got {logits.shape}")
-    K, h, w = logits.shape
+    if logits.ndim < 3:
+        raise ShapeMismatchError(f"heatmaps must be (..., K,h,w), got {logits.shape}")
+    *batch, K, h, w = logits.shape
     if len(targets.pixels) != K:
         raise ShapeMismatchError(f"{len(targets.pixels)} targets for {K} maps")
     target = np.zeros((K, h * w))
@@ -108,23 +122,24 @@ def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
         weight[k] = FINGERTIP_WEIGHT if targets.fingertip[k] else 1.0
     visible = np.count_nonzero(weight)
     if visible == 0:
-        return 0.0, np.zeros_like(logits)
-    loss, grad = _softmax_ce(logits.reshape(K, -1), target, weight)
-    return loss / visible, grad.reshape(K, h, w) / visible
+        return _per_instance(np.zeros(batch)), np.zeros_like(logits)
+    loss, grad = _softmax_ce(logits.reshape(*batch, K, h * w), target, weight)
+    return _per_instance(loss / visible), grad.reshape(logits.shape) / visible
 
 
 def visibility_bce(logits: np.ndarray, labels) -> tuple:
-    """Mean sigmoid binary cross-entropy over keypoint + hand visibility flags."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
+    """Mean sigmoid binary cross-entropy over keypoint + hand visibility flags,
+    one flag per logit along the last axis."""
+    z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if z.shape != y.shape:
-        raise ShapeMismatchError(f"{z.shape[0]} logits vs {y.shape[0]} labels")
-    n = z.size
+    if z.shape[-1:] != y.shape:
+        raise ShapeMismatchError(f"logits {z.shape} vs {y.size} labels")
+    n = y.size
     # stable: max(z,0) - z*y + log(1+exp(-|z|)); exp(-|z|) never overflows
     e = np.exp(-np.abs(z))
     per = np.maximum(z, 0.0) - z * y + np.log1p(e)
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(per.mean()), (sig - y) / n
+    return _per_instance(per.mean(axis=-1)), (sig - y) / n
 
 
 def _per_hand_ce(logits, labels, present, eps):
@@ -133,15 +148,15 @@ def _per_hand_ce(logits, labels, present, eps):
     ``present`` says so or its label is None; absent hands' labels are not
     read."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeMismatchError(f"expected (hands, classes) logits, got {z.shape}")
+    if z.ndim < 2:
+        raise ShapeMismatchError(f"expected (..., hands, classes) logits, got {z.shape}")
     if not 0.0 <= eps < 1.0:
         raise ConfigError(f"eps {eps} outside [0,1)")
-    hands, n_classes = z.shape
+    hands, n_classes = z.shape[-2:]
     for what, v in (("labels", labels), ("presence flags", present)):
         if v is not None and len(v) != hands:
             raise ShapeMismatchError(f"{len(v)} {what} for {hands} hands")
-    target = np.zeros_like(z)
+    target = np.zeros((hands, n_classes))
     weight = np.zeros(hands)
     for hand in range(hands):
         if (present is not None and not present[hand]) or labels[hand] is None:
@@ -154,9 +169,9 @@ def _per_hand_ce(logits, labels, present, eps):
         weight[hand] = 1.0
     n = np.count_nonzero(weight)
     if n == 0:
-        return 0.0, np.zeros_like(z)
+        return _per_instance(np.zeros(z.shape[:-2])), np.zeros_like(z)
     loss, grad = _softmax_ce(z, target, weight)
-    return loss / n, grad / n
+    return _per_instance(loss / n), grad / n
 
 
 def orientation_ce_soft(logits: np.ndarray, labels, eps: float = 0.1, present=None):
@@ -175,9 +190,10 @@ def seg_ce(logits: np.ndarray, label_map: np.ndarray):
     """Mean per-pixel softmax cross-entropy over the segmentation classes."""
     z = np.asarray(logits, dtype=np.float64)
     lab = np.asarray(label_map)
-    if z.ndim != 3:
-        raise ShapeMismatchError(f"segmentation logits must be (C,h,w), got {z.shape}")
-    C, h, w = z.shape
+    if z.ndim < 3:
+        raise ShapeMismatchError(
+            f"segmentation logits must be (..., C,h,w), got {z.shape}")
+    *batch, C, h, w = z.shape
     if lab.shape != (h, w):
         raise ShapeMismatchError(f"label map {lab.shape} != ({h},{w})")
     if lab.min() < 0 or lab.max() >= C:
@@ -185,8 +201,9 @@ def seg_ce(logits: np.ndarray, label_map: np.ndarray):
     npix = h * w
     target = np.zeros((npix, C))
     target[np.arange(npix), lab.reshape(-1).astype(np.int64)] = 1.0
-    loss, grad = _softmax_ce(z.reshape(C, npix).T, target, np.ones(npix))
-    return loss / npix, grad.T.reshape(C, h, w) / npix
+    pixel_rows = np.swapaxes(z.reshape(*batch, C, npix), -1, -2)
+    loss, grad = _softmax_ce(pixel_rows, target, np.ones(npix))
+    return _per_instance(loss / npix), np.swapaxes(grad, -1, -2).reshape(z.shape) / npix
 
 
 def deep_supervision_loss(heatmaps: list, targets: KeypointTarget, input_hw: tuple):
@@ -195,6 +212,8 @@ def deep_supervision_loss(heatmaps: list, targets: KeypointTarget, input_hw: tup
     division of the coordinates."""
     if len(heatmaps) != 3:
         raise ShapeMismatchError(f"expected heatmaps at 3 scales, got {len(heatmaps)}")
+    if len({np.shape(maps)[:-3] for maps in heatmaps}) > 1:
+        raise ShapeMismatchError("the 3 scales' maps differ in batch shape")
     H, W = input_hw
     total = 0.0
     grads = []

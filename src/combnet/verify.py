@@ -43,6 +43,13 @@ class SuiteResult:
                 f"max_dev={self.max_dev:.3e}  tol={self.tolerance:.0e}")
 
 
+def _at_least_one(name: str, n: int) -> None:
+    """A suite over no cases would pass vacuously: a count below 1 is a
+    configuration error."""
+    if n < 1:
+        raise ConfigError(f"{name} must be at least 1, got {n}")
+
+
 def _random_conv_case(rng):
     groups = int(rng.choice([1, 4, 8, 0]))  # 0 -> channel-wise
     mult_in = int(rng.integers(1, 3))
@@ -70,6 +77,7 @@ def conv_oracle_suite(seed: int, cases: int = 100) -> list:
     """conv2d_packed and comb_dilated_conv vs conv2d_ref over randomized
     specs spanning groups {1,4,8,C}, dilation 1-4, stride 1-2; the comb
     runs on the stride-1 cases with the same packed stack."""
+    _at_least_one("cases", cases)
     rng = np.random.default_rng(seed)
     packed_dev, comb_dev = 0.0, 0.0
     n_comb = 0
@@ -91,6 +99,7 @@ def conv_oracle_suite(seed: int, cases: int = 100) -> list:
 
 def bn_fold_suite(seed: int, cases: int = 50) -> SuiteResult:
     """Folded conv vs conv-then-BN on random parameters and inputs."""
+    _at_least_one("cases", cases)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -113,6 +122,7 @@ def backend_e2e_suite(seed: int, pairs: int = 20) -> list:
     """Full forward at 96x96, Reference vs Optimized, over seeded (weights,
     image) pairs; also checks that decoded keypoints agree whenever the top-2
     heatmap margin is at least 1e-3."""
+    _at_least_one("pairs", pairs)
     resolution = 96
     cfg = NetConfig(input_h=resolution, input_w=resolution)
     g = build_graph(cfg)
@@ -143,19 +153,32 @@ def backend_e2e_suite(seed: int, pairs: int = 20) -> list:
                         float(decode_mismatches), 0.0)]
 
 
+# Coordinates per loss call in _fd_check. 16 perturbed rows of the largest
+# instance (deep supervision, 1,008 coordinates) take 126 KB, so every
+# temporary stays below glibc's default 128 KiB mmap threshold and is reused
+# from the heap instead of being faulted in again on each call.
+_FD_BLOCK = 8
+
+
 def _fd_check(fn, z0: np.ndarray) -> float:
     """Relative error between the analytic gradient of fn and central finite
-    differences with step 1e-4 over every coordinate (64-bit)."""
+    differences with step 1e-4 over every coordinate (64-bit). ``fn`` takes
+    logits with leading batch axes: each block of coordinates is perturbed
+    up and down in one call, of shape (2, block, *z0.shape)."""
     step = 1e-4
     z0 = np.asarray(z0, dtype=np.float64)
     _, grad = fn(z0)
     grad = np.asarray(grad, dtype=np.float64)
-    fd = np.zeros_like(z0, dtype=np.float64).reshape(-1)
     flatz = z0.reshape(-1)
-    for i in range(flatz.size):
-        zp = flatz.copy(); zp[i] += step
-        zm = flatz.copy(); zm[i] -= step
-        fd[i] = (fn(zp.reshape(z0.shape))[0] - fn(zm.reshape(z0.shape))[0]) / (2 * step)
+    fd = np.empty(flatz.size)
+    for lo in range(0, flatz.size, _FD_BLOCK):
+        b = min(_FD_BLOCK, flatz.size - lo)
+        z = np.tile(flatz, (2, b, 1))
+        diagonal = (np.arange(b), lo + np.arange(b))
+        z[0][diagonal] += step
+        z[1][diagonal] -= step
+        f = fn(z.reshape(2, b, *z0.shape))[0]
+        fd[lo:lo + b] = (f[0] - f[1]) / (2 * step)
     fd = fd.reshape(z0.shape)
     denom = max(float(np.linalg.norm(grad.reshape(-1))),
                 float(np.linalg.norm(fd.reshape(-1))), 1e-12)
@@ -166,6 +189,7 @@ def loss_gradient_suite(seed: int, instances: int = 10) -> list:
     """Every loss vs central finite differences on random small instances.
     Each maker draws one instance from the shared generator and returns the
     loss as a function of its logits, with the logits to check it at."""
+    _at_least_one("instances", instances)
     rng = np.random.default_rng(seed)
     K, h, w = 4, 6, 8
     H, W = 24, 32
@@ -210,10 +234,11 @@ def loss_gradient_suite(seed: int, instances: int = 10) -> list:
         tgt = KeypointTarget(pixels, rng.random(K) < 0.4)
 
         def fn(flat):
-            parts = np.split(flat, ds_splits[:-1])
-            maps = [p.reshape(s) for p, s in zip(parts, ds_sizes)]
+            parts = np.split(flat, ds_splits[:-1], axis=-1)
+            maps = [p.reshape(*p.shape[:-1], *s) for p, s in zip(parts, ds_sizes)]
             loss, grads = deep_supervision_loss(maps, tgt, (H, W))
-            return loss, np.concatenate([gr.reshape(-1) for gr in grads])
+            return loss, np.concatenate([gr.reshape(*gr.shape[:-3], -1) for gr in grads],
+                                        axis=-1)
 
         return fn, rng.standard_normal(ds_splits[-1])
 
@@ -221,15 +246,15 @@ def loss_gradient_suite(seed: int, instances: int = 10) -> list:
               ("orientation_ce_soft", orientation), ("handpose_ce", handpose),
               ("seg_ce", segmentation), ("deep_supervision", deep_supervision))
     return [SuiteResult(f"grad {name}", instances,
-                        max((_fd_check(*make()) for _ in range(instances)), default=0.0),
+                        max(_fd_check(*make()) for _ in range(instances)),
                         1e-4)
             for name, make in makers]
 
 
 def run_all(seed: int, conv_cases: int = 100, e2e_pairs: int = 20) -> list:
-    for name, n in (("cases", conv_cases), ("pairs", e2e_pairs)):
-        if n < 1:
-            raise ConfigError(f"{name} must be at least 1, got {n}")
+    # checked up front, so a bad pairs count fails before the conv suite runs
+    _at_least_one("cases", conv_cases)
+    _at_least_one("pairs", e2e_pairs)
     results = []
     results += conv_oracle_suite(seed, conv_cases)
     results.append(bn_fold_suite(seed + 1))

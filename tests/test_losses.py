@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from combnet import verify
 from combnet.errors import ConfigError, InputError, ShapeMismatchError
 from combnet.losses import (KeypointTarget, LossBundle,
                             LOSS_WEIGHTS, deep_supervision_loss,
@@ -337,6 +338,34 @@ def test_keypoint_grad_fd(seed):
     assert rel_err(grad, fd) <= 1e-4
 
 
+def fd_check_per_coordinate(fn, z0):
+    """`verify._fd_check` as a loop of two unbatched loss calls per coordinate."""
+    z0 = np.asarray(z0, dtype=np.float64)
+    grad = np.asarray(fn(z0)[1], dtype=np.float64)
+    fd = fd_gradient(lambda q: fn(q)[0], z0)
+    denom = max(float(np.linalg.norm(grad.reshape(-1))),
+                float(np.linalg.norm(fd.reshape(-1))), 1e-12)
+    return float(np.linalg.norm((grad - fd).reshape(-1))) / denom
+
+
+def test_fd_check_equals_the_per_coordinate_loop(monkeypatch):
+    fd_check = verify._fd_check
+    instances = []
+    monkeypatch.setattr(verify, "_fd_check",
+                        lambda fn, z0: instances.append((fn, z0)) or 0.0)
+    verify.loss_gradient_suite(11, 1)   # one instance from each of the six makers
+    assert len(instances) == 6
+    rng = np.random.default_rng(12)
+    tgt = KeypointTarget([(1, 2), None, (4, 6)], [True, False, False])
+    y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    instances += [((lambda q: keypoint_ce(q, tgt)), rng.standard_normal((3, 5, 7))),
+                  ((lambda q: visibility_bce(q, y)), rng.standard_normal(5))]
+    for _, z0 in instances[-2:]:   # a partial last block; one smaller than a block
+        assert np.size(z0) % verify._FD_BLOCK != 0
+    for fn, z0 in instances:
+        assert fd_check(fn, z0) == fd_check_per_coordinate(fn, z0)
+
+
 def test_loss_nonnegativity_random():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -345,6 +374,64 @@ def test_loss_nonnegativity_random():
         assert loss >= 0.0
         lb, _ = visibility_bce(rng.standard_normal(18), (rng.random(18) < 0.5))
         assert lb >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# leading batch axes
+# ---------------------------------------------------------------------------
+
+TIPS = [True, False, False, True]
+BATCH_CASES = {
+    "keypoint_ce": ((4, 5, 7), lambda z: keypoint_ce(
+        z, KeypointTarget([(1, 2), None, (4, 6), (0, 0)], TIPS))),
+    "keypoint_ce, no visible keypoint": ((4, 5, 7), lambda z: keypoint_ce(
+        z, KeypointTarget([None] * 4, TIPS))),
+    "visibility_bce": ((18,), lambda z: visibility_bce(z, np.arange(18) % 3 == 0)),
+    "orientation_ce_soft": ((2, 8), lambda z: orientation_ce_soft(
+        z, [3, 6], 0.1, [True, True])),
+    "orientation_ce_soft, no present hand": ((2, 8), lambda z: orientation_ce_soft(
+        z, [3, 6], 0.1, [False, False])),
+    "handpose_ce": ((2, 9), lambda z: handpose_ce(z, [None, 8], [True, True])),
+    "handpose_ce, no present hand": ((2, 9), lambda z: handpose_ce(
+        z, [1, 8], [False, False])),
+    "seg_ce": ((3, 5, 7), lambda z: seg_ce(z, np.arange(35).reshape(5, 7) % 3)),
+}
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 2)])
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_batch_rows_equal_unbatched_calls(name, batch):
+    shape, call = BATCH_CASES[name]
+    z = np.random.default_rng(13).standard_normal(batch + shape) * 3
+    loss, grad = call(z)
+    assert loss.shape == batch and grad.shape == z.shape
+    for b in np.ndindex(batch):
+        one, one_grad = call(z[b])
+        assert type(one) is float
+        assert np.array_equal(loss[b], one)
+        assert np.array_equal(grad[b], one_grad)
+
+
+@pytest.mark.parametrize("batch", [(3,), (2, 2)])
+@pytest.mark.parametrize("pixels", [[(3, 5), None, (23, 31), (10, 0)], [None] * 4],
+                         ids=["visible", "no visible keypoint"])
+def test_deep_supervision_batch_rows_equal_unbatched_calls(pixels, batch):
+    rng = np.random.default_rng(14)
+    maps = [rng.standard_normal(batch + (4, 24 // f, 32 // f)) for f in (8, 4, 2)]
+    tgt = KeypointTarget(pixels, TIPS)
+    loss, grads = deep_supervision_loss(maps, tgt, (24, 32))
+    assert loss.shape == batch
+    for b in np.ndindex(batch):
+        one, one_grads = deep_supervision_loss([m[b] for m in maps], tgt, (24, 32))
+        assert type(one) is float
+        assert np.array_equal(loss[b], one)
+        assert all(np.array_equal(g[b], og) for g, og in zip(grads, one_grads))
+
+
+def test_deep_supervision_rejects_scales_of_different_batch_shapes():
+    maps = [np.zeros((3, 2, 3, 4)), np.zeros((2, 2, 6, 8)), np.zeros((3, 2, 12, 16))]
+    with pytest.raises(ShapeMismatchError):
+        deep_supervision_loss(maps, KeypointTarget([(0, 0), (0, 0)]), (24, 32))
 
 
 # ---------------------------------------------------------------------------
