@@ -19,14 +19,12 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
     contraction axis of one GEMM per group, the only im2col matrix the
     engine builds.
 
-Dilated convolutions on the optimized path additionally get
-:func:`comb_dilated_conv`, which pads the interleaved input once and
-convolves the d*d strided pixel fields of the padded map densely with the
-packed stack — the dilated result at dense-convolution cost (no
-zero-stuffing work).  The optimized core takes its padded map as a field
-view whose field axes are batch axes: unit for :func:`conv2d_packed`, one
-class of equal-sized fields per call for the comb.  The reference core
-takes a plain padded map, kernel taps `dilation` apart.
+Every stride-1 conv on the optimized path runs as the comb: the input is
+padded once and the d*d strided pixel fields (d the dilation) of the padded
+map are convolved densely with the packed stack — the dilated result at
+dense-convolution cost (no zero-stuffing work).  :func:`comb_dilated_conv`
+is the same body limited to stride 1.  The reference core takes a plain
+padded map, kernel taps `dilation` apart.
 
 All kernels accumulate in 64-bit and store 32-bit; the optimized ones can
 fold a following residual add and ReLU into that one store.  An optional
@@ -310,7 +308,8 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
     """Direct VALID convolution of every field of an already padded float64
     (H, Bi, W, Bj, C) field view using the packed taps, kernel taps
     `step` field rows and columns apart; returns the float64
-    (out_h, Bi, out_w, Bj, out_ch) result.
+    (out_h, Bi, out_w, Bj, out_ch) result.  The field axes are unit for
+    d=1 and stride 2, else the comb's fields: all, or one size class.
 
     Per kernel tap, the strided window is seen as (pixels, group,
     in_ch_per_group), fields included in the pixels, and meets the tap's
@@ -381,25 +380,6 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
     return out
 
 
-def conv2d_packed(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
-                  relu: bool = False, residual: Tensor | None = None) -> Tensor:
-    """Optimized convolution: interleaved input, packed weights, interleaved
-    output. Numerically matches conv2d_ref within 1e-5 max-abs. `residual`
-    (added to the float32 result) and `relu` (applied last) fuse a following
-    residual add and ReLU into the store."""
-    taps, b = _check_conv("conv2d_packed", x, taps, b, spec, Layout.CHANNEL_INTERLEAVED,
-                          residual)
-    out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    # unit field axes: the whole padded map is the one field
-    out = _conv_interleaved_core(_padded(x, spec)[:, None, :, None], taps, spec,
-                                 spec.dilation)
-    return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
-
-
-# ---------------------------------------------------------------------------
-# Comb dilated convolution
-# ---------------------------------------------------------------------------
-
 def _size_classes(n: int, d: int) -> list:
     """(fields, length) classes of the d fields of an n-long axis: fields
     below n % d are n // d + 1 long, the rest n // d."""
@@ -407,46 +387,60 @@ def _size_classes(n: int, d: int) -> list:
     return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
 
 
-def comb_dilated_conv(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
-                      relu: bool = False, residual: Tensor | None = None) -> Tensor:
-    """Dilated convolution via comb decomposition on the optimized path:
-    interleaved input, packed weights, interleaved output; stride must be 1.
+def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
+                 relu: bool, residual) -> Tensor:
+    """The optimized convolution behind both public entries; errors name
+    the entry `name`.
 
-    Field (i, j) of the padded map holds the pixels with row % d == i and
-    col % d == j, and output field (i, j) is the dense (dilation-1, unpadded)
-    convolution of input field (i, j) with the unmodified kernel.  The input
-    is padded once, up to a multiple of d per side, and reshaped to the
-    (H/d, d, W/d, d, C) field view, which holds field (i, j) at
-    ``[:, i, :, j]``, so the fields are batch axes of the dense core.  Fields
-    come in at most four size classes (rows ``Hp//d`` or ``Hp//d + 1`` of the
-    padded Hp x Wp map, likewise columns); the core runs once per class, on
-    its fields cropped to their real size, into an output field view that
-    reshapes to the output map.  That is one call when d divides both padded
-    sides, and no output outside the map is computed: executed MACs equal the
-    theoretical count for any d and map size.
-
-    d=1 is the plain convolution.  `relu` and `residual` fuse the epilogue
-    as in :func:`conv2d_packed`.
+    d is the dilation at stride 1, else 1.  Field (i, j) of the padded map
+    holds the pixels with row % d == i and col % d == j, and at stride 1
+    output field (i, j) is the dense convolution of input field (i, j) with
+    the unmodified kernel.  The input is padded once, up to a multiple of d
+    per side, and reshaped to the (H/d, d, W/d, d, C) field view, so the
+    fields are batch axes of the core.  If that adds no padding, all fields
+    have one size and the core's result is the output map; otherwise the
+    core runs once per size class (at most four), on its fields cropped to
+    their real size.  Executed MACs equal :func:`mac_count` for any d.
     """
-    if spec.stride != 1:
-        raise UnsupportedConfigError("comb decomposition requires stride 1")
-    taps, b = _check_conv("comb_dilated_conv", x, taps, b, spec,
-                          Layout.CHANNEL_INTERLEAVED, residual)
-    d = spec.dilation
-    kh, kw = spec.kernel
+    taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED, residual)
+    d = spec.dilation if spec.stride == 1 else 1
+    ph, pw = spec.pad()
+    h, w = x.height + 2 * ph, x.width + 2 * pw
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    hf, wf = -(-out_h // d), -(-out_w // d)
     xp = _padded(x, spec, d)
     xf = xp.reshape(xp.shape[0] // d, d, xp.shape[1] // d, d, spec.in_ch)
+    if xp.shape[:2] == (h, w):
+        out = _conv_interleaved_core(xf, taps, spec, spec.dilation // d)
+        return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
+    # uneven fields (stride 1, d > 1): taps are adjacent field pixels
+    kh, kw = spec.kernel
+    hf, wf = -(-out_h // d), -(-out_w // d)
     out = np.empty((hf, d, wf, d, spec.out_ch))
-    # at stride 1 the padded side is the output side plus d*(k-1)
-    for fi, rows in _size_classes(out_h + d * (kh - 1), d):
-        for fj, cols in _size_classes(out_w + d * (kw - 1), d):
+    for fi, rows in _size_classes(h, d):
+        for fj, cols in _size_classes(w, d):
             if rows >= kh and cols >= kw:
                 out[:rows - kh + 1, fi, :cols - kw + 1, fj] = _conv_interleaved_core(
                     xf[:rows, fi, :cols, fj], taps, spec, 1)
     out = out.reshape(hf * d, wf * d, spec.out_ch)
     return _store(out[:out_h, :out_w], b, relu, residual)
+
+
+def conv2d_packed(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
+                  relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    """Optimized convolution: interleaved input, packed weights, interleaved
+    output. Numerically matches conv2d_ref within 1e-5 max-abs. `residual`
+    (added to the float32 result) and `relu` (applied last) fuse a following
+    residual add and ReLU into the store."""
+    return _conv_fields("conv2d_packed", x, taps, b, spec, relu, residual)
+
+
+def comb_dilated_conv(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,
+                      relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    """Dilated convolution via comb decomposition: :func:`conv2d_packed`,
+    which runs every stride-1 conv as the comb, limited to stride 1."""
+    if spec.stride != 1:
+        raise UnsupportedConfigError("comb decomposition requires stride 1")
+    return _conv_fields("comb_dilated_conv", x, taps, b, spec, relu, residual)
 
 
 def zero_stuff_kernel(w: np.ndarray, d: int) -> np.ndarray:

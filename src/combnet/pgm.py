@@ -15,7 +15,7 @@ def read_pgm16(path) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_pgm16(blob, str(path))
 

@@ -492,8 +492,10 @@ def test_stream_writes_each_frames_infer_document_as_one_line(
     ("--amplitude {d}/amp.pgm --depth {d}/depth.pgm --bogus", "unrecognized arguments"),
     ("--amplitude '{d}/amp.pgm --depth {d}/depth.pgm", "No closing quotation"),
     ("--phases {d}/p0.pgm,{d}/p1.pgm --depth {d}/depth.pgm", "--phases needs 4"),
-    ("--amplitude {d}/missing.pgm --depth {d}/depth.pgm", "")],
-    ids=["no-image", "unknown-flag", "open-quote", "three-phases", "missing-file"])
+    ("--amplitude {d}/missing.pgm --depth {d}/depth.pgm", ""),
+    ("--amplitude {d}/amp\x00.pgm --depth {d}/depth.pgm", "embedded null byte")],
+    ids=["no-image", "unknown-flag", "open-quote", "three-phases", "missing-file",
+         "nul-in-path"])
 def test_stream_bad_frame_line_exit_2(bad, message, small_cfg, infer_inputs,
                                       monkeypatch, capsys):
     good = _frame_lines(infer_inputs)[1]
@@ -521,6 +523,74 @@ def test_stream_reads_paths_that_are_not_utf8(small_cfg, infer_inputs, tmp_path,
     assert cli.main(["stream", "--config", small_cfg,
                      "--weights", str(infer_inputs / "w.cnwb")]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def stream32(tmp_path_factory):
+    """A directory holding a 32x32 config `c.cfg`, seeded weights `w.cnwb`
+    and 32x32 images `amp`, `depth` and `p0`-`p3` (`.pgm`)."""
+    d = tmp_path_factory.mktemp("stream32")
+    (d / "c.cfg").write_text("input_h = 32\ninput_w = 32\n")
+    save_weights(init_weights(build_graph(NetConfig(input_h=32, input_w=32)), 5),
+                 d / "w.cnwb")
+    rng = np.random.default_rng(9)
+    for name in ("amp", "depth", "p0", "p1", "p2", "p3"):
+        write_pgm16(d / f"{name}.pgm", rng.integers(80, 65536, (32, 32)).astype(np.uint16))
+    return d
+
+
+@st.composite
+def stream_inputs(draw, d):
+    """stdin bytes for `stream`: lines built from the frame flags, the
+    fixture's paths, commas, quotes and arbitrary bytes, or raw bytes."""
+    paths = [os.fsencode(d / f"{n}.pgm") for n in ("amp", "depth", "p0", "p1", "p2", "p3")]
+    phases = b",".join(paths[2:])
+    path = st.one_of(
+        st.sampled_from([*paths, phases, b",".join(paths[2:5])]),
+        st.builds(lambda p, junk, at: p[:at] + junk + p[at:],
+                  st.sampled_from([*paths, phases]), st.binary(min_size=1, max_size=4),
+                  st.integers(0, 80)))
+    token = st.one_of(
+        st.sampled_from([b"--amplitude", b"--phases", b"--depth", b"--amp", b"--d",
+                         b"--bogus", b"-", b"--", b"'", b'"', b"\\", b","]),
+        path, st.binary(max_size=8))
+    # the flag skeleton of a frame, each path intact or with bytes inserted
+    frame = st.builds(lambda flag, image, depth: flag + b" " + image + b" --depth " + depth,
+                      st.sampled_from([b"--amplitude", b"--phases"]), path, path)
+    good = st.sampled_from([b"--amplitude " + paths[0] + b" --depth " + paths[1],
+                            b"--phases " + phases + b" --depth " + paths[1]])
+    line = st.one_of(good, frame, st.lists(token, max_size=6).map(b" ".join),
+                     st.binary(max_size=40))
+    return b"\n".join(draw(st.lists(line, min_size=1, max_size=4))) + b"\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stream_fuzzed_stdin_exits_cleanly(stream32, data):
+    # any stdin ends in exit 0 with one JSON line per frame, or in exit 2
+    # after one JSON line per frame before the bad one and one error line
+    stdin = data.draw(stream_inputs(stream32))
+    # frames as `stream` reads them: non-blank lines of the decoded text
+    lines = list(io.TextIOWrapper(io.BytesIO(stdin), "utf-8", errors="surrogateescape"))
+    frames = [n for n, line in enumerate(lines, 1) if line.strip()]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), "utf-8"))
+        rc = cli.main(["stream", "--config", str(stream32 / "c.cfg"),
+                       "--weights", str(stream32 / "w.cnwb")])
+    assert rc in (0, 2)
+    written = out.getvalue().split("\n")
+    assert written.pop() == ""
+    for doc in written:
+        json.loads(doc)
+    if rc == 0:
+        assert err.getvalue() == ""
+        assert len(written) == len(frames)
+    else:
+        message = err.getvalue()
+        bad = re.match(r"input error: frame (\d+): ", message)
+        assert bad and message.count("\n") == 1 and message.endswith("\n"), message
+        assert len(written) == sum(n < int(bad.group(1)) for n in frames)
 
 
 def test_stream_invalid_weights_exit_2_before_any_frame(small_cfg, infer_inputs,

@@ -253,7 +253,9 @@ def test_packed_rejects_raw_weight_array():
     (conv2d_ref, False, True, ShapeMismatchError, r"expected \(4, 2, 3, 3\)"),
     (comb_dilated_conv, True, False, ConfigError, r"packed taps of shape \(3, 3, 2, 2, 2\)"),
     (comb_dilated_conv, False, True, LayoutMismatchError, "interleaved"),
-], ids=["ref-packed", "comb-raw", "comb-planar"])
+    # the shared optimized body names the entry that was called
+    (comb_dilated_conv, True, False, ConfigError, "^comb_dilated_conv takes packed taps"),
+], ids=["ref-packed", "comb-raw", "comb-planar", "comb-named"])
 def test_conv_rejects_wrong_weights_or_layout(kernel, interleaved, packed, error, match):
     # each kernel takes one layout and one weight shape; anything else is a
     # CombnetError naming what it wants, not a TypeError from numpy
@@ -348,16 +350,18 @@ def test_comb_matches_ref_at_every_size(d, h, w, chans):
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     b = rng.standard_normal(out_ch).astype(np.float32)
     ref = run_ref(x, wt, b, spec)
-    with counting() as ops:
-        packed = run_comb(x, wt, b, spec)
-    assert np.max(np.abs(packed - ref)) <= 1e-6
-    assert ops.mults == mac_count(spec, h, w)
+    for run in (run_comb, run_packed):  # both entries run stride 1 as the comb
+        with counting() as ops:
+            got = run(x, wt, b, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-6, run.__name__
+        assert ops.mults == mac_count(spec, h, w), run.__name__
 
 
 @pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-interleaved") for d in (2, 3, 4)])
 def test_comb_runs_the_core_once_per_field_size_class(d, monkeypatch):
     # the fields are batch axes of the dense core: at most four calls (two
-    # row and two column size classes), one when d divides both padded sides
+    # row and two column size classes), one when d divides both padded
+    # sides; conv2d_packed runs a stride-1 dilated conv the same way
     core, calls = convops._conv_interleaved_core, []
 
     def counted(*args):
@@ -370,13 +374,18 @@ def test_comb_runs_the_core_once_per_field_size_class(d, monkeypatch):
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     pw = pack_kernels(wt, 4)
     for h, w_ in [(16, 16), (16, 17), (13, 15), (1, 2), (2 * d, 19)]:
-        t = Tensor.from_array(rng.standard_normal((8, h, w_)).astype(np.float32))
-        calls.clear()
-        comb_dilated_conv(to_interleaved(t), pw, None, spec)
-        assert 1 <= len(calls) <= 4, (h, w_, calls)
-        hp, wp = h + 2 * d, w_ + 2 * d
-        if hp % d == 0 and wp % d == 0:
-            assert len(calls) == 1, (h, w_, calls)
+        t = to_interleaved(Tensor.from_array(
+            rng.standard_normal((8, h, w_)).astype(np.float32)))
+        for conv in (comb_dilated_conv, conv2d_packed):
+            calls.clear()
+            conv(t, pw, None, spec)
+            assert 1 <= len(calls) <= 4, (conv.__name__, h, w_, calls)
+            hp, wp = h + 2 * d, w_ + 2 * d
+            # field views: each field is a 1/d share of the padded map
+            assert all(c[0] <= -(-hp // d) and c[2] <= -(-wp // d) for c in calls), (
+                conv.__name__, calls)
+            if hp % d == 0 and wp % d == 0:
+                assert len(calls) == 1, (conv.__name__, h, w_, calls)
 
 
 def test_comb_rejects_stride():
