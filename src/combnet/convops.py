@@ -35,7 +35,7 @@ execute so that analytic MAC/FLOP accounting can be cross-checked exactly.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConvSpec:
+class _ConvSpec(NamedTuple):
     in_ch: int
     out_ch: int
     kernel: tuple  # (kh, kw)
@@ -62,7 +61,12 @@ class ConvSpec:
     groups: int = 1
     has_bias: bool = False
 
-    def __post_init__(self):
+
+class ConvSpec(_ConvSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         kh, kw = self.kernel
         if min(self.in_ch, self.out_ch, kh, kw) < 1:
             raise ConfigError(f"non-positive dims in {self}")
@@ -72,6 +76,9 @@ class ConvSpec:
             raise ConfigError(
                 f"groups={self.groups} must divide in_ch={self.in_ch} "
                 f"and out_ch={self.out_ch}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through it
 
     @property
     def in_per_group(self) -> int:

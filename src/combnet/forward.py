@@ -18,7 +18,6 @@ defined in :mod:`combnet.graph` and re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
@@ -39,8 +38,7 @@ class Backend(Enum):
     OPTIMIZED = "optimized"
 
 
-@dataclass(frozen=True)
-class HeadsOutput:
+class HeadsOutput(NamedTuple):
     """Raw (pre-softmax/sigmoid) head outputs as channel-planar arrays.
     Training-only fields are None under INFERENCE_HEADS."""
     primary_heatmaps: np.ndarray            # (K, H/2, W/2)
@@ -94,15 +92,20 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS
     _check_store(g, ws, mode)
     nodes = g.nodes_for(mode)
     adds = {n.inputs[0]: n for n in nodes if n.kind == "add"}
+    bns = ws.bn_scale_shifts(n for n in nodes if n.kind == "conv")
     convs, linears = {}, {}
     for node in nodes:
         if node.kind == "conv":
-            w, bias, bn = ws.node_params(node)
-            if bn is not None:
-                w, bias = fold_batchnorm(w, bias, bn)
+            w = ws.get(node.name + ".w")
+            bias = ws.get(node.name + ".b") if node.conv.has_bias else None
+            if node.bn:
+                w, bias = fold_batchnorm(w, bias, bns[node.name])
+                bias.flags.writeable = False    # a fresh array: no copy needed
+            else:
+                bias = _readonly(bias)
             end = adds.get(node.name, node)
             convs[node.name] = ConvStep(
-                pack_kernels(w, node.conv.groups), _readonly(bias),
+                pack_kernels(w, node.conv.groups), bias,
                 end.act == "relu", end.inputs[1] if end is not node else None, end.name)
         elif node.kind == "linear":
             w, b, _ = ws.node_params(node)

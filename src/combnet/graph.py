@@ -28,9 +28,8 @@ batch-norm epsilon, so they are the module constants below, not config keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .convops import ConvSpec, conv_out_shape
 from .errors import ConfigError
@@ -54,6 +53,7 @@ ORIENTATION_CLASSES = 8
 POSE_CLASSES = 9
 SEG_CLASSES = 3
 BN_EPS = 1e-5
+BN_ENTRIES = (".bn.g", ".bn.b", ".bn.m", ".bn.v")  # gamma, beta, mean, variance
 
 
 class Mode(Enum):
@@ -63,8 +63,7 @@ class Mode(Enum):
     ALL_HEADS = "all-heads"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One executable graph node. `kind` is one of input, conv, upsample2x,
     add, concat, gap, linear. Conv nodes may fuse BN and a ReLU."""
     name: str
@@ -78,12 +77,22 @@ class Node:
     out_shape: tuple = ()      # (C,H,W) for maps, (C,) for vectors
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class _GraphSpec(NamedTuple):
     config: NetConfig
     nodes: tuple
     heads: dict
     inference_names: frozenset
+
+
+class GraphSpec(_GraphSpec):
+    """The network's nodes in graph order, with a map by name."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._node_map = {n.name: n for n in self.nodes}
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through it
 
     def node(self, name: str) -> Node:
         return self._node_map[name]
@@ -93,9 +102,6 @@ class GraphSpec:
         if mode == Mode.ALL_HEADS:
             return self.nodes
         return tuple(n for n in self.nodes if n.name in self.inference_names)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_node_map", {n.name: n for n in self.nodes})
 
 
 class _Builder:
@@ -273,8 +279,7 @@ def validate_config(g: GraphSpec) -> list:
 # Accounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     name: str
     params: int
     macs: int
@@ -291,7 +296,7 @@ def param_entries(node: Node):
         if s.has_bias:
             yield node.name + ".b", (s.out_ch,)
         if node.bn:
-            for suffix in (".bn.g", ".bn.b", ".bn.m", ".bn.v"):
+            for suffix in BN_ENTRIES:
                 yield node.name + suffix, (s.out_ch,)
     elif node.kind == "linear":
         yield node.name + ".w", (node.lin_out, node.lin_in)

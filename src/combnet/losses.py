@@ -20,7 +20,7 @@ keypoints are masked out; per-hand losses average only over present hands.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,21 +35,27 @@ LOSS_WEIGHTS = {
 FINGERTIP_WEIGHT = 2.0
 
 
-@dataclass
-class KeypointTarget:
-    """Targets for one set of heatmaps, in heatmap pixel coordinates.
-    ``pixels[k]`` is (row, col) or None when the keypoint is not visible."""
+class _KeypointTarget(NamedTuple):
     pixels: list
     fingertip: np.ndarray = None  # bool per keypoint; default all False
 
-    def __post_init__(self):
-        k = len(self.pixels)
-        if self.fingertip is None:
-            self.fingertip = np.zeros(k, dtype=bool)
+
+class KeypointTarget(_KeypointTarget):
+    """Targets for one set of heatmaps, in heatmap pixel coordinates.
+    ``pixels[k]`` is (row, col) or None when the keypoint is not visible."""
+    __slots__ = ()
+
+    def __new__(cls, pixels, fingertip=None):
+        k = len(pixels)
+        if fingertip is None:
+            fingertip = np.zeros(k, dtype=bool)
         else:
-            self.fingertip = np.asarray(self.fingertip, dtype=bool)
-            if self.fingertip.shape != (k,):
+            fingertip = np.asarray(fingertip, dtype=bool)
+            if fingertip.shape != (k,):
                 raise ShapeMismatchError("fingertip flags length != keypoint count")
+        return super().__new__(cls, pixels, fingertip)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through it
 
     def rescaled(self, divisor: int) -> "KeypointTarget":
         """Map pixel coordinates to a coarser grid by integer division."""
@@ -58,8 +64,7 @@ class KeypointTarget:
         return KeypointTarget(px, self.fingertip.copy())
 
 
-@dataclass
-class LossBundle:
+class LossBundle(NamedTuple):
     l_kp: float = 0.0
     l_akp: float = 0.0
     l_kphv: float = 0.0
@@ -242,8 +247,7 @@ def total_loss(bundle: LossBundle) -> float:
 # Frame annotation ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FrameTargets:
+class FrameTargets(NamedTuple):
     """Per-frame training annotations, decoded from the JSON document:
     keypoint pixel coords at input resolution (or null), fingertip flags,
     per-hand presence, orientation/pose class ids, segmentation map path."""

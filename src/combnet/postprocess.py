@@ -9,7 +9,7 @@ can run on separate workers without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,14 +20,18 @@ U16_MAX = 65535.0
 DEFAULT_AMPLITUDE_COEFFS = (0.25, 0.25, 0.25, 0.25)
 
 
-@dataclass(frozen=True)
-class PhaseFrame:
-    """Four raw TOF phase images plus the sensor's valid depth range (mm)."""
+class _PhaseFrame(NamedTuple):
     phases: tuple  # 4 arrays, h x w, uint16
     z_min: float = 100.0
     z_max: float = 1000.0
 
-    def __post_init__(self):
+
+class PhaseFrame(_PhaseFrame):
+    """Four raw TOF phase images plus the sensor's valid depth range (mm)."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.phases) != 4:
             raise ShapeMismatchError(f"expected 4 phase images, got {len(self.phases)}")
         dims = {p.shape for p in self.phases}
@@ -35,30 +39,35 @@ class PhaseFrame:
             raise ShapeMismatchError(f"phase images disagree on dims: {dims}")
         if self.phases[0].size == 0:
             raise ShapeMismatchError(f"phase images are empty: dims {self.phases[0].shape}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through it
 
 
-@dataclass
 class Keypoint2D:
-    u: float            # column, input-image pixels
-    v: float            # row
-    confidence: float   # softmax max of the decoded map
-    visible: bool = True
+    """A decoded keypoint: column u and row v in input-image pixels and the
+    softmax max of its map."""
+    __slots__ = ("u", "v", "confidence", "visible")
+
+    def __init__(self, u: float, v: float, confidence: float, visible: bool = True):
+        self.u, self.v, self.confidence, self.visible = u, v, confidence, visible
 
 
-@dataclass
 class KeypointResult:
-    u: float
-    v: float
-    confidence: float
-    visible: bool
-    z: float | None = None       # millimeters, present only when depth_valid
-    depth_valid: bool = False
+    """A gated keypoint; z (mm) is set only when depth_valid."""
+    __slots__ = ("u", "v", "confidence", "visible", "z", "depth_valid")
+
+    def __init__(self, u: float, v: float, confidence: float, visible: bool,
+                 z: float | None = None, depth_valid: bool = False):
+        self.u, self.v, self.confidence, self.visible = u, v, confidence, visible
+        self.z, self.depth_valid = z, depth_valid
 
 
-@dataclass
 class HandResult:
-    present: bool
-    keypoints: list = field(default_factory=list)
+    __slots__ = ("present", "keypoints")
+
+    def __init__(self, present: bool, keypoints: list | None = None):
+        self.present, self.keypoints = present, [] if keypoints is None else keypoints
 
 
 def amplitude_from_phases(frame: PhaseFrame, coeffs=DEFAULT_AMPLITUDE_COEFFS) -> np.ndarray:
@@ -68,16 +77,17 @@ def amplitude_from_phases(frame: PhaseFrame, coeffs=DEFAULT_AMPLITUDE_COEFFS) ->
     if coeffs.shape != (4,) or not np.all(np.isfinite(coeffs)):
         raise ConfigError(f"need 4 finite coefficients, got {coeffs}")
     acc = np.zeros(frame.phases[0].shape, dtype=np.float64)
+    term = np.empty_like(acc)
     for c, p in zip(coeffs, frame.phases):
-        acc += c * p.astype(np.float64)
+        np.multiply(p, c, out=term)     # the float64 product, one pass
+        acc += term
     if np.max(acc) > np.finfo(np.float32).max:
         raise ConfigError(f"amplitude_coeffs {coeffs.tolist()} take the amplitude "
                           f"past the float32 range")
-    return np.maximum(acc, 0.0).astype(np.float32)
+    return np.maximum(acc, 0.0, out=np.empty(acc.shape, np.float32))
 
 
-@dataclass(frozen=True)
-class InputTransform:
+class InputTransform(NamedTuple):
     """Maps network-input pixels back to source-image pixels:
     src = net * scale + offset (per axis)."""
     scale_u: float = 1.0

@@ -9,7 +9,7 @@ they observed, so a report can be compared byte-for-byte across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import bn_scale_shift, init_weights
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     cases: int
     max_dev: float

@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 
 from .errors import ShapeMismatchError, WeightFormatError
-from .graph import BN_EPS, GraphSpec, Mode, Node, param_entries
+from .graph import BN_ENTRIES, BN_EPS, GraphSpec, Mode, Node, param_entries
 
 MAGIC = b"CNWB"
 VERSION = 1
@@ -50,9 +50,20 @@ class WeightStore:
     def node_params(self, node: Node) -> tuple:
         """(weights, bias or None, BN (s, t) or None) of a conv or linear node."""
         got = {name[len(node.name):]: self.get(name) for name, _ in param_entries(node)}
-        bn = (bn_scale_shift(got[".bn.g"], got[".bn.b"], got[".bn.m"], got[".bn.v"])
-              if node.bn else None)
+        bn = bn_scale_shift(*(got[k] for k in BN_ENTRIES)) if node.bn else None
         return got[".w"], got.get(".b"), bn
+
+    def bn_scale_shifts(self, nodes) -> dict:
+        """{name: BN (s, t)} of the BN nodes among `nodes`, from one
+        :func:`bn_scale_shift` call over their BN arrays joined. The math is
+        elementwise, so each pair equals the node's own call."""
+        nodes = [n for n in nodes if n.bn]
+        if not nodes:
+            return {}
+        s, t = bn_scale_shift(*(np.concatenate([self.get(n.name + k) for n in nodes])
+                                for k in BN_ENTRIES))
+        cuts = np.cumsum([n.conv.out_ch for n in nodes[:-1]])
+        return {n.name: st for n, st in zip(nodes, zip(np.split(s, cuts), np.split(t, cuts)))}
 
     def __contains__(self, name):
         return name in self.entries

@@ -5,11 +5,11 @@ import pytest
 
 from combnet import forward as forward_module
 from combnet.config import NetConfig
-from combnet.convops import counting
+from combnet.convops import counting, fold_batchnorm
 from combnet.forward import Backend, Mode, forward, prepare_optimized
 from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.graph import build_graph
-from combnet.tensor import Tensor
+from combnet.tensor import Tensor, pack_kernels
 from combnet.weights import WeightStore, init_weights
 
 
@@ -98,8 +98,36 @@ def test_missing_weights_rejected(setup96):
 # the optimized plan
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_plan_arrays_equal_the_per_conv_fold_and_pack(mode):
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 3)
+    rng = np.random.default_rng(3)
+    for name, a in list(ws.entries.items()):      # non-trivial BN and biases
+        if ".bn." in name or name.endswith(".b"):
+            low = 0.1 if name.endswith((".bn.g", ".bn.v")) else -1.0
+            ws.set(name, rng.uniform(low, 2.0, a.shape))
+    plan = prepare_optimized(g, ws, mode)
+    convs = [n for n in g.nodes_for(mode) if n.kind == "conv"]
+    assert sorted(plan.convs) == sorted(n.name for n in convs)
+    for node in convs:
+        w, bias, bn = ws.node_params(node)
+        if bn is not None:
+            w, bias = fold_batchnorm(w, bias, bn)
+        step = plan.convs[node.name]
+        assert np.array_equal(step.weights, pack_kernels(w, node.conv.groups))
+        assert not step.weights.flags.writeable
+        if bias is None:
+            assert step.bias is None
+        else:
+            assert step.bias.dtype == np.float32 and np.array_equal(step.bias, bias)
+            assert not step.bias.flags.writeable
+    for w, b in plan.linears.values():
+        assert not w.flags.writeable and not b.flags.writeable
+
+
 def _heads(h):
-    return [getattr(h, k) for k in h.__dataclass_fields__ if getattr(h, k) is not None]
+    return [getattr(h, k) for k in h._fields if getattr(h, k) is not None]
 
 
 def _assert_same_heads(a, b):

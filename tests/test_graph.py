@@ -7,10 +7,12 @@ import pytest
 from combnet import convops, graph
 from combnet.config import NetConfig, REFERENCE_CONFIG, load_config, parse_config
 from combnet.convops import ConvSpec, counting
-from combnet.errors import ConfigError
+from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.forward import Backend, Mode, forward
-from combnet.graph import (LADDER_DILATIONS, Node, build_graph, count_layers,
+from combnet.graph import (LADDER_DILATIONS, GraphSpec, Node, build_graph, count_layers,
                            node_flop_count, node_param_count, validate_config)
+from combnet.losses import KeypointTarget
+from combnet.postprocess import PhaseFrame
 from combnet.tensor import Tensor
 from combnet.weights import init_weights
 
@@ -268,3 +270,50 @@ def test_parse_config_rejects_unknown_key():
 def test_every_exported_name_resolves(module):
     # a public name deleted from the module cannot stay behind in __all__
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# ---------------------------------------------------------------------------
+# value records that check what they are built from
+# ---------------------------------------------------------------------------
+
+_PHASE = np.ones((2, 2), np.uint16)
+CHECKED_RECORDS = {
+    # record: (valid fields in field order, an invalid field, the error it raises)
+    "ConvSpec": (ConvSpec, dict(in_ch=4, out_ch=4, kernel=(3, 3), stride=1, dilation=1,
+                                groups=2, has_bias=False), {"groups": 3}, ConfigError),
+    "PhaseFrame": (PhaseFrame, dict(phases=(_PHASE,) * 4, z_min=100.0, z_max=1000.0),
+                   {"phases": (_PHASE,) * 3}, ShapeMismatchError),
+    "KeypointTarget": (KeypointTarget, dict(pixels=[(0, 0), None], fingertip=[True, False]),
+                       {"fingertip": [True]}, ShapeMismatchError),
+    "GraphSpec": (GraphSpec, build_graph(NetConfig(input_h=32, input_w=32))._asdict(),
+                  {"nodes": None}, TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_RECORDS))
+def test_checked_record_builds_from_valid_fields(name):
+    cls, good, _, _ = CHECKED_RECORDS[name]
+    rec = cls(**good)
+    assert cls._fields == tuple(good)
+    assert repr(rec).startswith(f"{name}({cls._fields[0]}=")
+    for same in (cls(*good.values()), cls._make(good.values()), rec._replace()):
+        assert type(same) is cls
+
+
+@pytest.mark.parametrize("how", ["direct", "keyword", "_make", "_replace"])
+@pytest.mark.parametrize("name", sorted(CHECKED_RECORDS))
+def test_checked_record_checks_every_constructor(name, how):
+    cls, good, bad, error = CHECKED_RECORDS[name]
+    fields = {**good, **bad}
+    build = {"direct": lambda: cls(*fields.values()), "keyword": lambda: cls(**fields),
+             "_make": lambda: cls._make(fields.values()),
+             "_replace": lambda: cls(**good)._replace(**bad)}[how]
+    with pytest.raises(error):
+        build()
+
+
+def test_replaced_graph_spec_looks_nodes_up_in_its_own_nodes(g96):
+    g = g96._replace(nodes=g96.nodes[:2])
+    assert g.node(g96.nodes[1].name) is g96.nodes[1]
+    with pytest.raises(KeyError):
+        g.node(g96.nodes[2].name)

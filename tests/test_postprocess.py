@@ -38,6 +38,29 @@ def test_amplitude_matches_pixel_loop_oracle():
             assert abs(got[y, x] - max(val, 0.0)) <= 1e-3 * max(1.0, abs(val))
 
 
+def _amplitude_three_pass(frame, coeffs):
+    """The earlier expression: per phase a float64 copy, a product and a sum,
+    then the clamp and the float32 cast."""
+    acc = np.zeros(frame.phases[0].shape, dtype=np.float64)
+    for c, p in zip(np.asarray(coeffs, dtype=np.float64), frame.phases):
+        acc += c * p.astype(np.float64)
+    return np.maximum(acc, 0.0).astype(np.float32)
+
+
+def test_amplitude_is_byte_identical_to_the_three_pass_expression():
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        shape = tuple(int(n) for n in rng.integers(1, 24, 2))
+        ph = [rng.integers(0, 65536, shape).astype(np.uint16) for _ in range(4)]
+        ph[i % 4][rng.random(shape) < 0.3] = 0          # zero pixels
+        coeffs = rng.uniform(-2.0, 2.0, 4)                # negative coefficients too
+        frame = PhaseFrame(tuple(ph))
+        got = amplitude_from_phases(frame, coeffs)
+        want = _amplitude_three_pass(frame, coeffs)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_amplitude_clamps_negative():
     frame = PhaseFrame(phases([50, 0, 0, 0]))
     out = amplitude_from_phases(frame, (-1, 0, 0, 0))
