@@ -16,6 +16,9 @@ from .errors import ConfigError
 from .graph import TIER3_GROUPS
 
 
+MAX_INPUT_SIDE = 1024  # input_h, input_w: a 1024x1024 infer peaks at about 330 MB
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -70,9 +73,10 @@ class NetConfig:
             raise ConfigError("fingertip_indices must be integers")
         if not 0 <= self.z_min_mm < self.z_max_mm:
             raise ConfigError("depth range needs 0 <= z_min_mm < z_max_mm")
-        if self.input_h % 8 or self.input_w % 8:
-            raise ConfigError(
-                f"input resolution {self.input_h}x{self.input_w} must be divisible by 8")
+        h, w = self.input_h, self.input_w
+        if h % 8 or w % 8 or max(h, w) > MAX_INPUT_SIDE:
+            raise ConfigError(f"input resolution {h}x{w} must be divisible by 8 "
+                              f"and at most {MAX_INPUT_SIDE} per side")
         if self.tier3_bottleneck % TIER3_GROUPS:
             raise ConfigError("tier3 groups must divide the ladder bottleneck width")
         if self.keypoints % self.hands:

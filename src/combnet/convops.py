@@ -26,10 +26,13 @@ dense-convolution cost (no zero-stuffing work).  :func:`comb_dilated_conv`
 is the same body limited to stride 1.  The reference core takes a plain
 padded map, kernel taps `dilation` apart.
 
-All kernels accumulate in 64-bit and store 32-bit; the optimized ones can
-fold a following residual add and ReLU into that one store.  An optional
-instrumented counter records the multiplies/adds the kernels actually
-execute so that analytic MAC/FLOP accounting can be cross-checked exactly.
+The two paths share only validation (:func:`_check_conv`) and the spec's
+geometry (:meth:`ConvSpec.pad`, :func:`conv_out_shape`, :func:`_tap`); each
+owns its zero padding, its 64-bit accumulation, its bias add and its 32-bit
+store, so the oracle runs no step of the code it checks.  The optimized
+store can fold a following residual add and ReLU.  An optional instrumented
+counter records the multiplies/adds the kernels actually execute so that
+analytic MAC/FLOP accounting can be cross-checked exactly.
 """
 
 from __future__ import annotations
@@ -180,7 +183,7 @@ def add_adds(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Shared entry check and store
+# Shared entry check and geometry
 # ---------------------------------------------------------------------------
 
 def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
@@ -215,44 +218,6 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
                 f"residual {residual.dims} {residual.layout.value} != "
                 f"output {out_dims} {layout.value}")
     return w, b
-
-
-def _padded(x: Tensor, spec: ConvSpec, d: int = 1) -> np.ndarray:
-    """The input in float64 and its own layout, zero-padded by spec.pad() and
-    then at the bottom and right up to a multiple of d. An input that needs
-    no padding is only cast."""
-    ph, pw = spec.pad()
-    c, h, w = x.dims
-    hp, wp = -(-(h + 2 * ph) // d) * d, -(-(w + 2 * pw) // d) * d
-    if (hp, wp) == (h, w):
-        return x.view().astype(np.float64)
-    xp = np.zeros(x.layout.order(c, hp, wp))
-    xp[x.layout.order(slice(None), slice(ph, ph + h), slice(pw, pw + w))] = x.view()
-    return xp
-
-
-def _add_bias(out: np.ndarray, b, layout: Layout) -> np.ndarray:
-    """Add the bias to a float64 conv result in place."""
-    if b is not None:
-        out += b.astype(np.float64).reshape(layout.order(-1, 1, 1))
-        add_adds(out.size)
-    return out
-
-
-def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
-    """The optimized convolutions' epilogue on a float64 (H, W, C) result,
-    one float32 array worked in place: round(acc + bias) to float32, add the
-    residual tensor in float32, then the ReLU. These are the float32
-    operations, in the order, of a separate conv, residual add and
-    :func:`relu`, so results and counts match that sequence exactly."""
-    r = _add_bias(out, b, Layout.CHANNEL_INTERLEAVED).astype(np.float32)
-    if residual is not None:
-        r += residual.view()
-        add_adds(r.size)
-    if relu:
-        np.maximum(r, np.float32(0.0), out=r)
-        add_adds(r.size)
-    return Tensor.from_view(r, Layout.CHANNEL_INTERLEAVED)
 
 
 def _tap(k: int, step: int, s: int, n: int) -> slice:
@@ -291,12 +256,23 @@ def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarr
 
 
 def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True):
-    """Reference convolution on a channel-planar tensor (the oracle path).
-    With ``rounded=False`` it returns the float64 (C, H, W) result, bias
-    included, instead of a float32 tensor, so that a following
-    :func:`batchnorm_inference` rounds conv-then-BN once."""
+    """Reference convolution on a channel-planar tensor (the oracle path),
+    with its own float64 zero padding and bias add.  With ``rounded=False``
+    it returns the float64 (C, H, W) result, bias included, instead of a
+    float32 tensor, so that a following :func:`batchnorm_inference` rounds
+    conv-then-BN once."""
     w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
-    out = _add_bias(_conv_planar_core(_padded(x, spec), w, spec), b, x.layout)
+    ph, pw = spec.pad()
+    c, h, wd = x.dims
+    if ph or pw:
+        xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))
+        xp[:, ph:ph + h, pw:pw + wd] = x.view()
+    else:  # a spec that pads nothing only casts
+        xp = x.view().astype(np.float64)
+    out = _conv_planar_core(xp, w, spec)
+    if b is not None:
+        out += b.astype(np.float64)[:, None, None]
+        add_adds(out.size)
     return Tensor.from_view(out, x.layout) if rounded else out
 
 
@@ -387,6 +363,25 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
     return out
 
 
+def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
+    """The optimized convolutions' epilogue on a float64 (H, W, C) result,
+    one float32 array worked in place: round(acc + bias) to float32, add the
+    residual tensor in float32, then the ReLU. These are the float32
+    operations, in the order, of a separate conv, residual add and
+    :func:`relu`, so results and counts match that sequence exactly."""
+    if b is not None:
+        out += b.astype(np.float64)
+        add_adds(out.size)
+    r = out.astype(np.float32)
+    if residual is not None:
+        r += residual.view()
+        add_adds(r.size)
+    if relu:
+        np.maximum(r, np.float32(0.0), out=r)
+        add_adds(r.size)
+    return Tensor.from_view(r, Layout.CHANNEL_INTERLEAVED)
+
+
 def _size_classes(n: int, d: int) -> list:
     """(fields, length) classes of the d fields of an n-long axis: fields
     below n % d are n // d + 1 long, the rest n // d."""
@@ -402,21 +397,28 @@ def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
     d is the dilation at stride 1, else 1.  Field (i, j) of the padded map
     holds the pixels with row % d == i and col % d == j, and at stride 1
     output field (i, j) is the dense convolution of input field (i, j) with
-    the unmodified kernel.  The input is padded once, up to a multiple of d
-    per side, and reshaped to the (H/d, d, W/d, d, C) field view, so the
-    fields are batch axes of the core.  If that adds no padding, all fields
-    have one size and the core's result is the output map; otherwise the
-    core runs once per size class (at most four), on its fields cropped to
-    their real size.  Executed MACs equal :func:`mac_count` for any d.
+    the unmodified kernel.  The input is zero-padded once into a float64
+    (H, W, C) array, by spec.pad() and then up to a multiple of d per side
+    (an input that needs neither is only cast), and reshaped to the (H/d, d,
+    W/d, d, C) field view, so the fields are batch axes of the core.  If the
+    round-up adds no padding, all fields have one size and the core's result
+    is the output map; otherwise the core runs once per size class (at most
+    four), on its fields cropped to their real size.  The bias is added in
+    the store.  Executed MACs equal :func:`mac_count` for any d.
     """
     taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED, residual)
     d = spec.dilation if spec.stride == 1 else 1
     ph, pw = spec.pad()
     h, w = x.height + 2 * ph, x.width + 2 * pw
+    hp, wp = -(-h // d) * d, -(-w // d) * d
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    xp = _padded(x, spec, d)
-    xf = xp.reshape(xp.shape[0] // d, d, xp.shape[1] // d, d, spec.in_ch)
-    if xp.shape[:2] == (h, w):
+    if (hp, wp) == x.dims[1:]:
+        xp = x.view().astype(np.float64)
+    else:
+        xp = np.zeros((hp, wp, spec.in_ch))
+        xp[ph:ph + x.height, pw:pw + x.width] = x.view()
+    xf = xp.reshape(hp // d, d, wp // d, d, spec.in_ch)
+    if (hp, wp) == (h, w):
         out = _conv_interleaved_core(xf, taps, spec, spec.dilation // d)
         return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
     # uneven fields (stride 1, d > 1): taps are adjacent field pixels

@@ -44,20 +44,13 @@ class PhaseFrame(_PhaseFrame):
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through it
 
 
-class Keypoint2D:
-    """A decoded keypoint: column u and row v in input-image pixels and the
-    softmax max of its map."""
-    __slots__ = ("u", "v", "confidence", "visible")
-
-    def __init__(self, u: float, v: float, confidence: float, visible: bool = True):
-        self.u, self.v, self.confidence, self.visible = u, v, confidence, visible
-
-
 class KeypointResult:
-    """A gated keypoint; z (mm) is set only when depth_valid."""
+    """A keypoint: column u and row v in input-image pixels, the softmax max
+    of its map, and once lifted its depth; z (mm) is set only when
+    depth_valid."""
     __slots__ = ("u", "v", "confidence", "visible", "z", "depth_valid")
 
-    def __init__(self, u: float, v: float, confidence: float, visible: bool,
+    def __init__(self, u: float, v: float, confidence: float, visible: bool = True,
                  z: float | None = None, depth_valid: bool = False):
         self.u, self.v, self.confidence, self.visible = u, v, confidence, visible
         self.z, self.depth_valid = z, depth_valid
@@ -126,8 +119,9 @@ def decode_heatmaps(heatmaps: np.ndarray, conf_threshold: float = 0.05,
                     input_hw: tuple | None = None) -> list:
     """Per map: spatial softmax, argmax (ties break to the smallest row-major
     index), confidence = max probability. (u, v) land at the center of the
-    winning cell scaled to input resolution. Keypoints under the confidence
-    threshold start out invisible."""
+    winning cell scaled to input resolution. Returns one
+    :class:`KeypointResult` per map, with no depth; keypoints under the
+    confidence threshold start out invisible."""
     maps = np.asarray(heatmaps, dtype=np.float64)
     if maps.ndim != 3:
         raise ShapeMismatchError(f"heatmaps must be (K,h,w), got {maps.shape}")
@@ -143,8 +137,8 @@ def decode_heatmaps(heatmaps: np.ndarray, conf_threshold: float = 0.05,
         idx = int(np.argmax(p))  # first maximum in row-major order
         r, c = divmod(idx, w)
         conf = float(p[idx])
-        out.append(Keypoint2D(u=(c + 0.5) * su, v=(r + 0.5) * sv,
-                              confidence=conf, visible=conf >= conf_threshold))
+        out.append(KeypointResult(u=(c + 0.5) * su, v=(r + 0.5) * sv,
+                                  confidence=conf, visible=conf >= conf_threshold))
     return out
 
 

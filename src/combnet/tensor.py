@@ -9,9 +9,9 @@ Layouts (row-major over the listed axis order):
 Both formulas are what ``numpy.reshape`` gives for the respective axis order,
 so layout transforms are plain transposes: :func:`to_interleaved` converts a
 planar tensor, and :meth:`Tensor.to_array` reads either layout back as a
-(C, H, W) array. This module is the only place that knows the two axis
-orders and the tap operand a kernel stack is packed into; other modules go
-through :class:`Layout`, :class:`Tensor` and :func:`pack_kernels`.
+(C, H, W) array. This module defines the two axis orders (:class:`Layout`)
+and the tap operand of :func:`pack_kernels`; each convolution backend's
+kernels are written for their one layout and index its arrays directly.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class Layout(Enum):
         member.storage_axes = storage_axes
         member.chw_axes = chw_axes
         return member
-
-    def order(self, c, h, w) -> tuple:
-        """Per-axis items given in (C, H, W) order, put in storage order."""
-        chw = (c, h, w)
-        return tuple([chw[a] for a in self.storage_axes])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -115,7 +110,7 @@ class Tensor:
 
     def view(self) -> np.ndarray:
         """Zero-copy view in the native layout order (CHW or HWC)."""
-        return self.data.reshape(self.layout.order(*self.dims))
+        return self.data.reshape(tuple([self.dims[a] for a in self.layout.storage_axes]))
 
     def to_array(self) -> np.ndarray:
         """(C,H,W) array regardless of layout (copies if needed)."""

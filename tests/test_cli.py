@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import combnet
 from combnet import bench, cli, verify
 from combnet.bench import run_benchmarks
-from combnet.config import REFERENCE_CONFIG, NetConfig
+from combnet.config import MAX_INPUT_SIDE, REFERENCE_CONFIG, NetConfig
 from combnet.errors import ShapeMismatchError
 from combnet.forward import Backend, forward
 from combnet.graph import Mode, build_graph, count_layers, param_entries
@@ -172,6 +172,36 @@ def test_count_out_of_range_config_exit_3(tmp_path, line):
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("config error: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["count", "bench", "stream"])
+def test_resolution_above_the_maximum_exit_3(command, infer_inputs, tmp_path,
+                                             monkeypatch, capsys):
+    # a 1048576-pixel side would ask for terabytes: refused before any work
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("input_h = 1048576\ninput_w = 1048576\n")
+    weights = ["--weights", str(infer_inputs / "w.cnwb")] if command == "stream" else []
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main([command, "--config", str(cfg), *weights]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: input resolution 1048576x1048576 must be ")
+
+
+def test_count_at_the_maximum_resolution_keeps_its_columns(tmp_path, capsys):
+    cfg = tmp_path / "max.cfg"
+    cfg.write_text(f"input_h = {MAX_INPUT_SIDE}\ninput_w = {MAX_INPUT_SIDE}\n")
+    assert cli.main(["count", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dash = lines.index("-" * 56)
+    rows = lines[2:dash] + lines[dash + 1:dash + 3]
+    assert rows[-1].startswith("total (training)")
+    for row in rows:
+        # label, then params, MACs and FLOPs right-aligned in 10, 14 and 14
+        assert len(row) == 56, row
+        for field in (row[18:28], row[28:42], row[42:56]):
+            assert field[0] == " " and field.strip().isdigit(), row
 
 
 def test_count_non_utf8_config_exit_3(tmp_path, capsys):
@@ -978,6 +1008,7 @@ def config_texts(draw):
 @given(text=config_texts())
 @example(text="input_h = 8\ninput_w = 8\n")
 @example(text="amplitude_coeffs = 1e300, 1e300, 1e300, 1e300\n")
+@example(text="input_h = 1048576\ninput_w = 1048576\n")
 def test_infer_fuzzed_config_exits_cleanly(infer_inputs, text):
     # any config text ends in a documented exit code: JSON on stdout and
     # nothing on stderr, or one stderr line and no stdout

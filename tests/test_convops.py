@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -393,6 +394,56 @@ def test_comb_rejects_stride():
     with pytest.raises(UnsupportedConfigError):
         comb_dilated_conv(Tensor.from_array(np.zeros((1, 8, 8), np.float32)),
                           np.zeros((1, 1, 3, 3), np.float32), None, spec)
+
+
+# validation and the spec's geometry: the only convops code that the oracle
+# and the engine may both run
+_SHARED_WITH_THE_ENGINE = {
+    "_check_conv", "conv_out_shape", "_valid_out_shape", "_tap",
+    "ConvSpec.pad", "ConvSpec.in_per_group", "ConvSpec.out_per_group",
+    "ConvSpec.weight_shape", "add_mults", "add_adds"}
+
+
+def _convops_functions_run(fn) -> set:
+    """Qualified names of the combnet.convops functions that fn() runs."""
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == convops.__file__:
+            ran.add(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return ran
+
+
+def test_the_oracle_shares_no_step_with_the_engine():
+    # padding, a bias, stride 2, dilations 2 and 3 (even and uneven fields)
+    # and a 1x1 kernel; shared padding or bias code would show up here
+    specs = [ConvSpec(4, 8, (3, 3), has_bias=True),
+             ConvSpec(4, 8, (3, 3), stride=2, groups=2, has_bias=True),
+             ConvSpec(8, 8, (3, 3), dilation=2, groups=8, has_bias=True),
+             ConvSpec(4, 8, (3, 3), dilation=3, groups=4, has_bias=True),
+             ConvSpec(8, 4, (1, 1), has_bias=True)]
+    rng = np.random.default_rng(23)
+    oracle, engine = set(), set()
+    for spec in specs:
+        x = Tensor.from_array(rng.standard_normal((spec.in_ch, 11, 13)).astype(np.float32))
+        xi = to_interleaved(x)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(spec.out_ch).astype(np.float32)
+        taps = pack_kernels(w, spec.groups)
+        for rounded in (True, False):
+            oracle |= _convops_functions_run(lambda: conv2d_ref(x, w, b, spec, rounded))
+        engine |= _convops_functions_run(lambda: conv2d_packed(xi, taps, b, spec))
+        if spec.stride == 1:
+            engine |= _convops_functions_run(lambda: comb_dilated_conv(xi, taps, b, spec))
+    assert {"conv2d_ref", "_conv_planar_core"} <= oracle
+    assert {"conv2d_packed", "comb_dilated_conv", "_conv_fields", "_store"} <= engine
+    assert oracle & engine <= _SHARED_WITH_THE_ENGINE, oracle & engine - _SHARED_WITH_THE_ENGINE
 
 
 def _separate_epilogue(conv, relu_, residual):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from combnet import convops, graph
-from combnet.config import NetConfig, REFERENCE_CONFIG, load_config, parse_config
+from combnet.config import (MAX_INPUT_SIDE, NetConfig, REFERENCE_CONFIG, load_config,
+                            parse_config)
 from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.forward import Backend, Mode, forward
@@ -66,6 +67,14 @@ def test_head_output_shapes(g96):
 def test_resolution_must_divide_by_8():
     with pytest.raises(ConfigError):
         NetConfig(input_h=100, input_w=100)
+
+
+def test_resolution_is_at_most_the_maximum_per_side():
+    NetConfig(input_h=MAX_INPUT_SIDE, input_w=MAX_INPUT_SIDE)
+    for h, w in ((MAX_INPUT_SIDE + 8, 128), (128, MAX_INPUT_SIDE + 8)):
+        with pytest.raises(ConfigError, match=f"{h}x{w} must be divisible by 8 and at most "
+                                              f"{MAX_INPUT_SIDE} per side"):
+            NetConfig(input_h=h, input_w=w)
 
 
 def test_group_inconsistency_rejected():

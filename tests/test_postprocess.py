@@ -3,7 +3,7 @@ import pytest
 
 from combnet.errors import ConfigError, InputError, ShapeMismatchError
 from combnet.pgm import parse_pgm16, read_pgm16
-from combnet.postprocess import (InputTransform, Keypoint2D, PhaseFrame,
+from combnet.postprocess import (InputTransform, KeypointResult, PhaseFrame,
                                  amplitude_from_phases, decode_heatmaps,
                                  gate_visibility, lift_to_2_5d, normalize_input,
                                  result_document)
@@ -175,7 +175,7 @@ def test_decode_always_in_bounds():
 # ---------------------------------------------------------------------------
 
 def kps16():
-    return [Keypoint2D(u=float(i), v=float(i), confidence=0.9) for i in range(16)]
+    return [KeypointResult(u=float(i), v=float(i), confidence=0.9) for i in range(16)]
 
 
 def test_gate_both_hands_absent_early_out():
