@@ -27,8 +27,8 @@ from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import (TIER1_CHANNELS, TIER2_CHANNELS, TIER2_GROUPS, TIER3_GROUPS,
-                    build_graph, count_layers)
+from .graph import (TIER1_CHANNELS, TIER2_BOTTLENECK, TIER2_CHANNELS, TIER2_GROUPS,
+                    TIER3_BOTTLENECK, TIER3_GROUPS, build_graph, count_layers)
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -202,7 +202,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     # tier-2 style grouped conv, and the channel-wise (one filter per group)
     # conv the decoder and primary head run, both at tier-1 resolution
     h2 = cfg.input_h // 2
-    spec_g = ConvSpec(cfg.tier2_bottleneck, TIER2_CHANNELS, (3, 3), stride=2,
+    spec_g = ConvSpec(TIER2_BOTTLENECK, TIER2_CHANNELS, (3, 3), stride=2,
                       groups=TIER2_GROUPS)
     add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
     dc = cfg.keypoints
@@ -216,7 +216,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     sizes = {12, cfg.input_h // 8}
     for hw in sorted(sizes):
         for d in (2, 3, 4):
-            spec_d = ConvSpec(cfg.tier3_bottleneck, cfg.tier3_bottleneck, (3, 3),
+            spec_d = ConvSpec(TIER3_BOTTLENECK, TIER3_BOTTLENECK, (3, 3),
                               dilation=d, groups=TIER3_GROUPS)
             xd = rng.standard_normal((spec_d.in_ch, hw, hw)).astype(np.float32)
             wd = rng.standard_normal(spec_d.weight_shape()).astype(np.float32)

@@ -26,7 +26,7 @@ import numpy as np
 from .config import NetConfig, REFERENCE_CONFIG, load_config
 from .errors import ConfigError, InputError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import build_graph, count_layers, validate_config
+from .graph import build_graph, count_layers
 from .pgm import read_pgm16
 from .postprocess import (PhaseFrame, amplitude_from_phases, decode_heatmaps,
                           gate_visibility, lift_to_2_5d, normalize_input,
@@ -63,6 +63,20 @@ def _write_text(path, text: str):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_stdout(text: str):
+    """Write and flush command output; a stdout that cannot take it (a full
+    device, a reader that closed the pipe) is an input error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the unwritten rest goes nowhere; shutdown's flush would fail on it again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise InputError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def cmd_count(args) -> int:
     cfg = _load_cfg(args)
     g = build_graph(cfg)
@@ -81,12 +95,11 @@ def cmd_count(args) -> int:
                  f"{(total.params / PARAM_TARGET - 1) * 100:+.1f}%")
     lines.append(f"FLOPs  vs {FLOP_TARGET / 1e9:.3f}G target: "
                  f"{(total.flops / FLOP_TARGET - 1) * 100:+.1f}%")
-    lines += [f"warning: {m}" for m in validate_config(g)]
     if args.csv:
         csv_lines = ["layer,params,macs,flops"]
         csv_lines += [f"{r.name},{r.params},{r.macs},{r.flops}" for r in rows + [total]]
         _write_text(args.csv, "\n".join(csv_lines) + "\n")
-    print("\n".join(lines))
+    _write_stdout("\n".join(lines) + "\n")
     return 0
 
 
@@ -94,7 +107,7 @@ def cmd_verify(args) -> int:
     from .verify import report_text, run_all  # loads losses; count and infer need neither
     seed = _resolve_seed(args)
     results = run_all(seed, conv_cases=args.cases, e2e_pairs=args.pairs)
-    sys.stdout.write(report_text(results, seed))
+    _write_stdout(report_text(results, seed))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -111,7 +124,7 @@ def cmd_bench(args) -> int:
         _write_text(args.csv, report.to_csv())
     if args.json:
         _write_text(args.json, report.to_json())
-    print(report.to_text(), end="")
+    _write_stdout(report.to_text())
     return 0
 
 
@@ -162,7 +175,7 @@ def cmd_infer(args) -> int:
     if args.out:
         _write_text(args.out, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0
 
 
@@ -208,8 +221,7 @@ def cmd_stream(args) -> int:
             doc = _infer_document(g, ws, backend, *_read_frame(frame, cfg), plan=plan)
         except InputError as exc:
             raise InputError(f"frame {number}: {exc}") from exc
-        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
-        sys.stdout.flush()
+        _write_stdout(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 

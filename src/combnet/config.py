@@ -13,7 +13,6 @@ import zlib
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .graph import TIER3_GROUPS
 
 
 MAX_INPUT_SIDE = 1024  # input_h, input_w: a 1024x1024 infer peaks at about 330 MB
@@ -35,13 +34,9 @@ class NetConfig:
     # resolution / architecture
     input_h: int = 128
     input_w: int = 128
-    tier2_bottleneck: int = 16   # width of the 1x1 reduce inside a Tier-2 unit
-    tier3_bottleneck: int = 32   # width of the 3x3 inside a ladder block
     keypoints: int = 16
     aux_keypoints: int = 18
     hands: int = 2
-    # embedded-backend tuning
-    lane_width: int = 4  # 128-bit vectors of 32-bit reals
     # loss configuration
     fingertip_indices: tuple = (2, 4, 10, 12)  # thumb/index tips, both hands
     orientation_eps: float = 0.1
@@ -77,8 +72,6 @@ class NetConfig:
         if h % 8 or w % 8 or max(h, w) > MAX_INPUT_SIDE:
             raise ConfigError(f"input resolution {h}x{w} must be divisible by 8 "
                               f"and at most {MAX_INPUT_SIDE} per side")
-        if self.tier3_bottleneck % TIER3_GROUPS:
-            raise ConfigError("tier3 groups must divide the ladder bottleneck width")
         if self.keypoints % self.hands:
             raise ConfigError(f"hands={self.hands} must divide keypoints={self.keypoints}")
         if self.depth_window % 2 == 0 or self.depth_window < 1:

@@ -1,5 +1,5 @@
 """Declarative construction of the hand-pose network graph, plus
-lane-alignment checks and parameter/FLOP accounting.
+parameter/FLOP accounting.
 
 A pass covers the deployed inference subgraph or every node including the
 training-only heads (:class:`Mode`); :meth:`GraphSpec.nodes_for` alone says
@@ -21,8 +21,10 @@ training only — auxiliary keypoint decoder (ungrouped), hand orientation
 (8 classes per hand), discrete pose (9 per hand), segmentation (3 classes)
 over a small spatial path, and deep-supervision heatmap heads at 1/8, 1/4,
 1/2 resolution. The deployed network fixes the tier widths, the tier-2 and
-tier-3 grouping factors, the ladder dilations, these label spaces and the
-batch-norm epsilon, so they are the module constants below, not config keys.
+tier-3 bottleneck widths and grouping factors, the ladder dilations, these
+label spaces and the batch-norm epsilon, so they are the module constants
+below, not config keys. Every deployed conv then has one filter per group or
+a multiple of four, so it fills whole 4-lane vectors of 32-bit reals.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Mode", "Node", "GraphSpec", "build_graph", "param_entries",
-    "validate_config", "count_layers", "node_param_count",
-    "node_flop_count", "CountRow",
+    "count_layers", "node_param_count", "node_flop_count", "CountRow",
 ]
 
 TIER1_CHANNELS = 16
 TIER2_CHANNELS = 32
+TIER2_BOTTLENECK = 16   # width of the 1x1 reduce inside a tier-2 unit
 TIER3_CHANNELS = 64
+TIER3_BOTTLENECK = 32   # width of the 3x3 inside a ladder block
 TIER2_GROUPS = 4
 TIER3_GROUPS = 8
 LADDER_DILATIONS = (1, 2, 3, 4)
@@ -165,6 +168,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b = _Builder()
     c1, c2, c3 = TIER1_CHANNELS, TIER2_CHANNELS, TIER3_CHANNELS
     g2, g3 = TIER2_GROUPS, TIER3_GROUPS
+    b2, b3 = TIER2_BOTTLENECK, TIER3_BOTTLENECK
     K, A = cfg.keypoints, cfg.aux_keypoints
     dc = K
 
@@ -175,7 +179,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
 
     # --- Tier 2: two 131 units, outputs concatenated --------------------
     u_out = c2 // 2
-    b2 = cfg.tier2_bottleneck
 
     def bottleneck131(prefix, src, in_ch, stride):
         b.conv(f"{prefix}.reduce", src, ConvSpec(in_ch, b2, (1, 1)))
@@ -189,7 +192,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
 
     # --- Tier 3: entry conv + two dilated ladder units -------------------
     b.conv("t3.entry", "t2.cat", ConvSpec(c2, c3, (3, 3), stride=2, groups=g3))
-    b3 = cfg.tier3_bottleneck
     src = "t3.entry"
     for u in (1, 2):
         for k, dil in enumerate(LADDER_DILATIONS, start=1):
@@ -251,28 +253,6 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
              "orientation": "head.cho", "pose": "head.dhp", "segmentation": "seg.head",
              "ds": ("ds8.head", "ds4.head", "ds2.head")}
     return GraphSpec(cfg, tuple(b.nodes), heads, inference_names)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate_config(g: GraphSpec) -> list:
-    """Lane-alignment warnings, one string per deployed (inference) conv
-    whose filters-per-group count is not a lane multiple and so under-fills
-    the vector registers. Channel-wise convs (one filter per group) are
-    exempt — they can never satisfy the rule and the decoder ships that way
-    regardless."""
-    lane = g.config.lane_width
-    warnings = []
-    for node in g.nodes_for(Mode.INFERENCE_HEADS):
-        if node.kind != "conv":
-            continue
-        fpg = node.conv.out_ch // node.conv.groups
-        if fpg != 1 and fpg % lane:
-            warnings.append(
-                f"{node.name}: {fpg} filters/group is not a multiple of {lane} lanes")
-    return warnings
 
 
 # ---------------------------------------------------------------------------

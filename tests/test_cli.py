@@ -163,7 +163,8 @@ def test_count_invalid_config_exit_3(tmp_path):
                                   "orientation_classes = 8", "pose_classes = 9",
                                   "seg_classes = 3", "bn_eps = 1e-05",
                                   "tier3_channels = 64", "ladder_dilations = 1, 2, 3, 4",
-                                  "hands = 3"])
+                                  "hands = 3", "tier2_bottleneck = 16",
+                                  "tier3_bottleneck = 32", "lane_width = 4"])
 def test_count_out_of_range_config_exit_3(tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
@@ -227,17 +228,74 @@ def test_count_unwritable_csv_exit_2(tmp_path):
     assert_unwritable_output_exit_2(run_cli("count", "--csv", str(csv)), csv)
 
 
-def test_count_doubled_tier3_heavier(tmp_path):
+def test_count_doubled_resolution_heavier(tmp_path):
     big = tmp_path / "big.cfg"
-    big.write_text("tier3_bottleneck = 64\n")
+    big.write_text("input_h = 256\ninput_w = 256\n")
     base = run_cli("count").stdout
     grown = run_cli("count", "--config", str(big)).stdout
 
-    def total_params(text):
+    def total_params_and_macs(text):
         for line in text.splitlines():
             if line.startswith("total (inference)"):
-                return int(line.split()[2])
-    assert total_params(grown) > total_params(base)
+                return [int(v) for v in line.split()[2:4]]
+    (base_params, base_macs), (params, macs) = map(total_params_and_macs, (base, grown))
+    assert macs > base_macs
+    assert params == base_params
+
+
+# ---------------------------------------------------------------------------
+# stdout that cannot be written
+# ---------------------------------------------------------------------------
+
+def run_cli_to_stdout(stdout, *args, stdin=""):
+    """Run the CLI with its stdout on `stdout` (a file or a descriptor),
+    block buffered as it is by default."""
+    env = dict(os.environ)
+    env.pop("COMBNET_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "combnet.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, input=stdin, text=True, env=env,
+                          cwd=REPO, timeout=300)
+
+
+def assert_stdout_error_exit_2(r):
+    assert r.returncode == 2
+    # neither a traceback nor the interpreter's shutdown report of a failed flush
+    assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert r.stderr.startswith("input error: cannot write stdout: ")
+
+
+def _stdout_commands(small_cfg, d):
+    weights = ["--config", small_cfg, "--weights", str(d / "w.cnwb")]
+    frame = ["--amplitude", str(d / "amp.pgm"), "--depth", str(d / "depth.pgm")]
+    return {"count": (["count"], ""),
+            "verify": (["verify", "--cases", "1", "--pairs", "1"], ""),
+            "infer": (["infer", *weights, *frame], ""),
+            "stream": (["stream", *weights], shlex.join(frame) + "\n")}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["count", "verify", "infer", "stream"])
+def test_full_stdout_exit_2(command, small_cfg, infer_inputs):
+    args, stdin = _stdout_commands(small_cfg, infer_inputs)[command]
+    with open("/dev/full", "w") as full:
+        assert_stdout_error_exit_2(run_cli_to_stdout(full, *args, stdin=stdin))
+
+
+@pytest.mark.parametrize("command", ["count", "stream"])
+def test_stdout_closed_by_its_reader_exit_2(command, small_cfg, infer_inputs, tmp_path):
+    args, stdin = _stdout_commands(small_cfg, infer_inputs)[command]
+    if command == "count":
+        big = tmp_path / "max.cfg"
+        big.write_text(f"input_h = {MAX_INPUT_SIDE}\ninput_w = {MAX_INPUT_SIDE}\n")
+        args = [*args, "--config", str(big)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        assert_stdout_error_exit_2(run_cli_to_stdout(write_end, *args, stdin=stdin))
+    finally:
+        os.close(write_end)
 
 
 # ---------------------------------------------------------------------------

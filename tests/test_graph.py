@@ -11,7 +11,7 @@ from combnet.convops import ConvSpec, counting
 from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.forward import Backend, Mode, forward
 from combnet.graph import (LADDER_DILATIONS, GraphSpec, Node, build_graph, count_layers,
-                           node_flop_count, node_param_count, validate_config)
+                           node_flop_count, node_param_count)
 from combnet.losses import KeypointTarget
 from combnet.postprocess import PhaseFrame
 from combnet.tensor import Tensor
@@ -77,31 +77,22 @@ def test_resolution_is_at_most_the_maximum_per_side():
             NetConfig(input_h=h, input_w=w)
 
 
-def test_group_inconsistency_rejected():
-    with pytest.raises(ConfigError):
-        NetConfig(tier3_bottleneck=30)  # 30 % 8 != 0
-
-
-# ---------------------------------------------------------------------------
-# validate_config
-# ---------------------------------------------------------------------------
-
-def test_reference_config_has_zero_warnings():
-    assert validate_config(build_graph(REFERENCE_CONFIG)) == []
-
-
-def test_six_filters_per_group_warns():
-    # ladder 3x3 convs get 48/8 = 6 filters/group
-    g = build_graph(NetConfig(tier3_bottleneck=48))
-    warnings = validate_config(g)
-    assert len(warnings) == 8
-    assert all("6 filters/group" in w for w in warnings)
-
-
-def test_channelwise_convs_exempt_from_lane_warning():
-    warnings = validate_config(build_graph(NetConfig(lane_width=16)))
-    # decoder/stage/head convs are channel-wise (1 filter/group): never warned
-    assert not any("dec." in w or "head.kp" in w for w in warnings)
+def test_inference_convs_fill_whole_lanes():
+    # every deployed conv has one filter per group (channel-wise) or a
+    # multiple of 4, a whole 128-bit vector of 32-bit reals, for every valid
+    # keypoint count (the decoder's groups divide the 64 tier-3 channels),
+    # hand count and resolution
+    cfgs = [REFERENCE_CONFIG] + [
+        NetConfig(input_h=h, input_w=w, keypoints=k, hands=n, fingertip_indices=(0,))
+        for h, w in ((8, 8), (96, 96), (64, 128), (256, 256))
+        for k in (1, 2, 4, 8, 16, 32, 64) for n in (1, 2, 4) if k % n == 0]
+    for cfg in cfgs:
+        g = build_graph(cfg)
+        convs = [n.conv for n in g.nodes_for(Mode.INFERENCE_HEADS) if n.kind == "conv"]
+        assert len(convs) == 36
+        for spec in convs:
+            fpg = spec.out_ch // spec.groups
+            assert fpg == 1 or fpg % 4 == 0, (cfg, spec)
 
 
 def test_tier2_never_concatenates_input(g96):
@@ -112,7 +103,7 @@ def test_tier2_never_concatenates_input(g96):
 
 @pytest.mark.parametrize("cfg", [
     REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96),
-    NetConfig(tier3_bottleneck=48)])
+    NetConfig(keypoints=8, hands=1, fingertip_indices=(2, 4))])
 def test_built_graph_structure(cfg):
     g = build_graph(cfg)
 
@@ -189,13 +180,6 @@ def test_reference_flops_within_budget():
     assert 0.02625e9 <= total <= 0.04375e9  # +-25% around 0.035G
 
 
-def test_doubled_tier3_channels_strictly_heavier():
-    base = count_layers(build_graph(REFERENCE_CONFIG), Mode.INFERENCE_HEADS)[1].params
-    big = count_layers(build_graph(NetConfig(tier3_bottleneck=64)),
-                       Mode.INFERENCE_HEADS)[1].params
-    assert big > base
-
-
 def test_count_flops_matches_instrumented_forward(g96, ws96):
     img = Tensor.from_array(
         np.random.default_rng(0).uniform(0, 1, (1, 96, 96)).astype(np.float32))
@@ -266,8 +250,8 @@ def test_int_beyond_float_range_is_a_config_error():
 
 
 def test_parse_config_overrides_and_comments():
-    cfg = parse_config("# comment\ninput_h = 96\ninput_w = 96\nlane_width = 8\n")
-    assert (cfg.input_h, cfg.input_w, cfg.lane_width) == (96, 96, 8)
+    cfg = parse_config("# comment\ninput_h = 96\ninput_w = 96\ndepth_window = 7\n")
+    assert (cfg.input_h, cfg.input_w, cfg.depth_window) == (96, 96, 7)
 
 
 def test_parse_config_rejects_unknown_key():
