@@ -95,6 +95,29 @@ def test_inference_convs_fill_whole_lanes():
             assert fpg == 1 or fpg % 4 == 0, (cfg, spec)
 
 
+def test_reference_config_has_zero_warnings(capsys):
+    # the reference graph fills whole lanes, and count reports no warning
+    from combnet import cli
+    for n in build_graph(REFERENCE_CONFIG).nodes_for(Mode.INFERENCE_HEADS):
+        if n.kind == "conv":
+            fpg = n.conv.out_ch // n.conv.groups
+            assert fpg == 1 or fpg % 4 == 0, n.name
+    assert cli.main(["count"]) == 0
+    out = capsys.readouterr()
+    assert "warning" not in (out.out + out.err).lower()
+
+
+def test_channelwise_convs_exempt_from_lane_warning(g96):
+    # the only convs short of a whole lane are the decoder/head convs with one
+    # filter per group; the stages and the keypoint head are channel-wise
+    short = {n.name: n.conv for n in g96.nodes_for(Mode.INFERENCE_HEADS)
+             if n.kind == "conv" and (n.conv.out_ch // n.conv.groups) % 4 != 0}
+    assert set(short) == {"dec.proj", "dec.s1", "dec.s2", "head.kp"}
+    assert all(spec.out_ch == spec.groups for spec in short.values())
+    for name in ("dec.s1", "dec.s2", "head.kp"):
+        assert short[name].groups == short[name].in_ch == short[name].out_ch
+
+
 def test_tier2_never_concatenates_input(g96):
     cat = g96.node("t2.cat")
     assert "t1.conv" not in cat.inputs
