@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 # and `bench` reports the values in effect.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# glibc's mallopt parameters M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1),
-# set high enough that a frame's freed temporaries (128-560 KB each) stay in
-# the heap for the next frame
+# glibc's mallopt M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), high enough
+# that a frame's freed temporaries (128-560 KB each) stay for the next frame
 MALLOC_POLICY = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 64 << 20)}
 # the settings by which a process chooses glibc's malloc thresholds itself:
 # environment variables, and the same parameters as GLIBC_TUNABLES entries
@@ -23,8 +22,7 @@ MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
 MALLOC_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold",
                    "glibc.malloc.top_pad", "glibc.malloc.mmap_max")
 
-# the parameters keep_freed_memory() set, None before it runs; per process,
-# like the allocator state it records
+# the parameters keep_freed_memory() set, None before it runs (per process)
 _kept_freed = None
 _kept_freed_lock = threading.Lock()
 
@@ -50,14 +48,13 @@ def _malloc_chosen_by_environment() -> list:
 
 
 def keep_freed_memory() -> None:
-    """Once per process, keep freed working memory mapped. By default glibc
-    returns each freed block of 128 KB or more to the kernel, and a process
-    that runs frame after frame faults it in again: hundreds to thousands of
-    minor page faults per `infer` frame. Sets MALLOC_POLICY through
-    `mallopt`, stopping at the first parameter glibc refuses. Does nothing off
-    glibc, or when the process started with a threshold of its own
-    (MALLOC_VARS or MALLOC_TUNABLES). The CLI's `main` runs it; library
-    callers never do."""
+    """Once per process, keep freed working memory mapped: by default glibc
+    returns each freed block of 128 KB or more to the kernel, and the next
+    frame faults it in again. Sets MALLOC_POLICY through `mallopt` (stopping
+    at the first parameter glibc refuses), so the heap keeps up to 64 MiB of
+    free memory. The first `forward` of a process runs it, and `main` before
+    any command; starting with a threshold of its own (MALLOC_VARS or
+    MALLOC_TUNABLES) opts a process out. Off glibc it does nothing."""
     global _kept_freed
     with _kept_freed_lock:
         if _kept_freed is None:

@@ -225,12 +225,18 @@ def cmd_stream(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # --help: an unwritable stdout is an input error
+        if file is None:
+            return _write_stdout(self.format_help())
+        return super().print_help(file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     `main` call; parsing does not change it."""
-    p = argparse.ArgumentParser(prog="combnet",
-                                description="Compact 2.5D hand-pose network toolkit")
+    p = _Parser(prog="combnet", description="Compact 2.5D hand-pose network toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("count", help="per-layer parameter/FLOP accounting")
@@ -269,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    keep_freed_memory()  # once per process, for every later frame's temporaries
-    args = build_parser().parse_args(argv)
+    keep_freed_memory()  # before any command: verify and bench run convs outside forward
     # looked up per call, not stored in the shared parser, so that a
     # command replaced on this module (as a tracer does) is the one that runs
     commands = {"count": cmd_count, "verify": cmd_verify, "bench": cmd_bench,
                 "infer": cmd_infer, "stream": cmd_stream}
     try:
+        args = build_parser().parse_args(argv)  # --help writes here
         return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

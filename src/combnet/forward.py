@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import keep_freed_memory
 from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_conv,
                       conv2d_packed, conv2d_ref, fold_batchnorm, relu,
                       upsample_nearest_2x)
@@ -140,6 +141,7 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
     the configured resolution. The optimized backend runs from `prepared`, a
     plan for a mode that covers `mode`, and then reads nothing from `ws`;
     without a plan it builds one."""
+    keep_freed_memory()  # once per process: later passes reuse freed temporaries
     cfg = g.config
     if image.dims != (1, cfg.input_h, cfg.input_w):
         raise ShapeMismatchError(

@@ -24,7 +24,7 @@ from combnet import bench, cli, verify
 from combnet.bench import run_benchmarks
 from combnet.config import MAX_INPUT_SIDE, REFERENCE_CONFIG, NetConfig
 from combnet.errors import ShapeMismatchError
-from combnet.forward import Backend, forward
+from combnet.forward import Backend, forward, prepare_optimized
 from combnet.graph import Mode, build_graph, count_layers, param_entries
 from combnet.tensor import Tensor
 from combnet.weights import WeightStore, init_weights, save_weights
@@ -247,12 +247,14 @@ def test_count_doubled_resolution_heavier(tmp_path):
 # stdout that cannot be written
 # ---------------------------------------------------------------------------
 
-def run_cli_to_stdout(stdout, *args, stdin=""):
+def run_cli_to_stdout(stdout, *args, stdin="", unbuffered=False):
     """Run the CLI with its stdout on `stdout` (a file or a descriptor),
-    block buffered as it is by default."""
+    block buffered as it is by default, or unbuffered."""
     env = dict(os.environ)
     env.pop("COMBNET_SEED", None)
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "combnet.cli", *args], stdout=stdout,
                           stderr=subprocess.PIPE, input=stdin, text=True, env=env,
                           cwd=REPO, timeout=300)
@@ -281,6 +283,29 @@ def test_full_stdout_exit_2(command, small_cfg, infer_inputs):
     args, stdin = _stdout_commands(small_cfg, infer_inputs)[command]
     with open("/dev/full", "w") as full:
         assert_stdout_error_exit_2(run_cli_to_stdout(full, *args, stdin=stdin))
+
+
+HELP_ARGS = pytest.mark.parametrize("args", [["--help"], ["count", "--help"]],
+                                    ids=["help", "count-help"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@HELP_ARGS
+def test_help_to_full_stdout_exit_2(args, unbuffered):
+    # argparse prints the help and exits before `main`'s handlers run; with an
+    # unbuffered stdout it would also drop the failed write without a word
+    with open("/dev/full", "w") as full:
+        assert_stdout_error_exit_2(run_cli_to_stdout(full, *args, unbuffered=unbuffered))
+
+
+@HELP_ARGS
+def test_help_to_writable_stdout_exit_0(args):
+    r = run_cli_to_stdout(subprocess.PIPE, *args)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.startswith("usage: combnet " + " ".join(args[:-1]))
+    if args == ["--help"]:
+        assert r.stdout == cli.build_parser().format_help()
 
 
 @pytest.mark.parametrize("command", ["count", "stream"])
@@ -1164,6 +1189,58 @@ def test_stream_frames_take_no_page_faults(small_cfg, infer_inputs, fresh_policy
                      "--weights", str(infer_inputs / "w.cnwb")]) == 0
     assert len(capsys.readouterr().out.splitlines()) == warmup + frames
     assert (faults[1] - faults[0]) / frames < 10
+
+
+def _forwards_96(backend, mode):
+    """A function that runs n library forwards at 96x96 (with a plan on the
+    optimized backend), keeping none of their outputs."""
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    ws = init_weights(g, 0)
+    plan = prepare_optimized(g, ws, mode) if backend == Backend.OPTIMIZED else None
+    image = Tensor.from_array(np.random.default_rng(0).random((1, 96, 96), dtype=np.float32))
+
+    def run(n):
+        for _ in range(n):
+            forward(g, ws, image, backend, mode, prepared=plan)
+    return run
+
+
+@needs_glibc
+def test_library_forwards_take_no_page_faults(fresh_policy):
+    # a training loop's forwards, in a process that never runs `cli.main`; an
+    # earlier test's `main` may have set the policy, so start from glibc's
+    # 128 KiB thresholds
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, _ in combnet.MALLOC_POLICY.values():
+        assert mallopt(param, 128 << 10) == 1
+    run, frames = _forwards_96(Backend.OPTIMIZED, Mode.ALL_HEADS), 50
+    run(10)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(frames)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / frames < 10
+    assert combnet.malloc_policy().startswith("keep-freed:")
+
+
+def test_forward_keeps_a_malloc_policy_chosen_by_the_environment(fresh_policy,
+                                                                monkeypatch):
+    calls = spy_mallopt(monkeypatch, lambda param, value: 1)
+    monkeypatch.setattr(combnet, "_start_environment",
+                        lambda: {"MALLOC_TRIM_THRESHOLD_": "131072"})
+    _forwards_96(Backend.OPTIMIZED, Mode.INFERENCE_HEADS)(1)
+    assert calls == []
+    assert combnet.malloc_policy() == "environment:MALLOC_TRIM_THRESHOLD_"
+
+
+@needs_glibc
+def test_reference_forward_applies_the_malloc_policy(fresh_policy, monkeypatch):
+    calls = spy_mallopt(monkeypatch, ctypes.CDLL(None).mallopt)
+    _forwards_96(Backend.REFERENCE, Mode.INFERENCE_HEADS)(2)
+    # one accepted call per parameter, and none on the second forward
+    assert calls == [(-3, 32 << 20, 1), (-1, 64 << 20, 1)]
+    assert combnet.malloc_policy() == (
+        "keep-freed:mmap_threshold=32MiB,trim_threshold=64MiB")
 
 
 @pytest.mark.parametrize("var, value", [
