@@ -27,8 +27,9 @@ from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import (TIER1_CHANNELS, TIER2_BOTTLENECK, TIER2_CHANNELS, TIER2_GROUPS,
-                    TIER3_BOTTLENECK, TIER3_GROUPS, build_graph, count_layers)
+from .graph import (KEYPOINTS, TIER1_CHANNELS, TIER2_BOTTLENECK, TIER2_CHANNELS,
+                    TIER2_GROUPS, TIER3_BOTTLENECK, TIER3_GROUPS, build_graph,
+                    count_layers)
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -205,7 +206,7 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
     spec_g = ConvSpec(TIER2_BOTTLENECK, TIER2_CHANNELS, (3, 3), stride=2,
                       groups=TIER2_GROUPS)
     add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
-    dc = cfg.keypoints
+    dc = KEYPOINTS
     add_conv_cases(f"channelwise-3x3-{h2}x{h2}", ConvSpec(dc, dc, (3, 3), groups=dc), h2)
     # the one-input-channel tier-1 stem at input resolution
     h = cfg.input_h

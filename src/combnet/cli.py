@@ -54,10 +54,10 @@ def _load_cfg(args) -> NetConfig:
     return load_config(args.config) if args.config else REFERENCE_CONFIG
 
 
-def _write_text(path, text: str):
+def _write_text(path, text: str, mode: str = "w"):
     """Write an output file; a path that cannot be written is an input error."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -117,8 +117,8 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     backends = ("reference", "optimized") if args.backend == "both" else (args.backend,)
     for path in (args.csv, args.json):
-        if path:
-            _write_text(path, "")  # an unwritable path fails before the run
+        if path:  # fails before the run if unwritable; a failed run keeps the file
+            _write_text(path, "", mode="a")
     report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
     if args.csv:
         _write_text(args.csv, report.to_csv())
@@ -154,14 +154,12 @@ def _infer_document(g, ws, backend: Backend, amplitude, depth, plan=None) -> dic
                       ("visibility logits", heads.visibility_logits)):
         if not np.all(np.isfinite(arr)):
             raise InputError(f"network {name} hold non-finite values; check the weights")
-    kps = decode_heatmaps(heads.primary_heatmaps, cfg.conf_threshold,
-                          (cfg.input_h, cfg.input_w))
-    hands, early_out = gate_visibility(kps, heads.visibility_logits,
-                                       cfg.kp_vis_threshold,
-                                       cfg.hand_vis_threshold, cfg.hands)
+    # the operating point (thresholds, depth window) is the functions' defaults
+    kps = decode_heatmaps(heads.primary_heatmaps, input_hw=(cfg.input_h, cfg.input_w))
+    hands, early_out = gate_visibility(kps, heads.visibility_logits)
     if not early_out:
-        hands = lift_to_2_5d(hands, depth, cfg.depth_window,
-                             (cfg.z_min_mm, cfg.z_max_mm), tf)
+        hands = lift_to_2_5d(hands, depth, z_range=(cfg.z_min_mm, cfg.z_max_mm),
+                             transform=tf)
     return result_document(hands, early_out)
 
 

@@ -1,5 +1,6 @@
-"""Network configuration: a flat key/value text format plus the shipped
-reference configuration.
+"""Network configuration: what a deployment sets (the input resolution and
+the depth sensor's calibration) in a flat key/value text format, plus the
+shipped reference configuration.
 
 Config files hold one `key = value` pair per line; `#` starts a comment.
 Values parse as int, float, or a comma-separated list of those.
@@ -12,6 +13,7 @@ import math
 import zlib
 from dataclasses import dataclass, fields, replace
 
+from . import graph, postprocess
 from .errors import ConfigError
 
 
@@ -31,23 +33,21 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class NetConfig:
-    # resolution / architecture
     input_h: int = 128
     input_w: int = 128
-    keypoints: int = 16
-    aux_keypoints: int = 18
-    hands: int = 2
-    # loss configuration
-    fingertip_indices: tuple = (2, 4, 10, 12)  # thumb/index tips, both hands
-    orientation_eps: float = 0.1
-    # post-processing
-    conf_threshold: float = 0.05
-    kp_vis_threshold: float = 0.5
-    hand_vis_threshold: float = 0.5
-    depth_window: int = 5
     z_min_mm: float = 100.0
     z_max_mm: float = 1000.0
     amplitude_coeffs: tuple = (0.25, 0.25, 0.25, 0.25)
+    # fixed by the network: read-only class attributes, not fields or keys
+    keypoints = graph.KEYPOINTS
+    aux_keypoints = graph.AUX_KEYPOINTS
+    hands = graph.HANDS
+    fingertip_indices = graph.FINGERTIP_INDICES
+    orientation_eps = graph.ORIENTATION_EPS
+    conf_threshold = postprocess.CONF_THRESHOLD
+    kp_vis_threshold = postprocess.KP_VIS_THRESHOLD
+    hand_vis_threshold = postprocess.HAND_VIS_THRESHOLD
+    depth_window = postprocess.DEPTH_WINDOW
 
     def __post_init__(self):
         for f in fields(self):
@@ -64,28 +64,14 @@ class NetConfig:
                 object.__setattr__(self, f.name, float(v))
         object.__setattr__(self, "amplitude_coeffs",
                            tuple(float(e) for e in self.amplitude_coeffs))
-        if not all(_is_int(i) for i in self.fingertip_indices):
-            raise ConfigError("fingertip_indices must be integers")
         if not 0 <= self.z_min_mm < self.z_max_mm:
             raise ConfigError("depth range needs 0 <= z_min_mm < z_max_mm")
         h, w = self.input_h, self.input_w
         if h % 8 or w % 8 or max(h, w) > MAX_INPUT_SIDE:
             raise ConfigError(f"input resolution {h}x{w} must be divisible by 8 "
                               f"and at most {MAX_INPUT_SIDE} per side")
-        if self.keypoints % self.hands:
-            raise ConfigError(f"hands={self.hands} must divide keypoints={self.keypoints}")
-        if self.depth_window % 2 == 0 or self.depth_window < 1:
-            raise ConfigError("depth_window must be odd and positive")
         if len(self.amplitude_coeffs) != 4:
             raise ConfigError("amplitude_coeffs must have 4 entries")
-        if not 0.0 <= self.orientation_eps < 1.0:
-            raise ConfigError("orientation_eps must be in [0, 1)")
-        for name in ("conf_threshold", "kp_vis_threshold", "hand_vis_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)")
-        if any(i < 0 or i >= self.keypoints for i in self.fingertip_indices):
-            raise ConfigError("fingertip indices out of keypoint range")
 
     def canonical_text(self) -> str:
         lines = []
@@ -129,13 +115,8 @@ def parse_config(text: str) -> NetConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if "," in val:
-            values[key] = tuple(_parse_scalar(t) for t in val.split(","))
-        else:
-            parsed = _parse_scalar(val)
-            if _FIELD_TYPES[key] == "tuple":
-                parsed = (parsed,)
-            values[key] = parsed
+        parsed = tuple(_parse_scalar(t) for t in val.split(","))
+        values[key] = parsed if "," in val or _FIELD_TYPES[key] == "tuple" else parsed[0]
     return replace(REFERENCE_CONFIG, **values)
 
 

@@ -29,7 +29,7 @@ from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_con
                       conv2d_packed, conv2d_ref, fold_batchnorm, relu,
                       upsample_nearest_2x)
 from .errors import ConfigError, ShapeMismatchError
-from .graph import GraphSpec, Mode
+from .graph import HANDS, GraphSpec, Mode
 from .tensor import Layout, Tensor, pack_kernels, to_interleaved
 from .weights import WeightStore, validate_weights
 
@@ -207,8 +207,8 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
     }
     if mode == Mode.ALL_HEADS:
         out["aux_heatmaps"] = planar(g.heads["aux"])
-        out["orientation_logits"] = planar(g.heads["orientation"]).reshape(cfg.hands, -1)
-        out["pose_logits"] = planar(g.heads["pose"]).reshape(cfg.hands, -1)
+        out["orientation_logits"] = planar(g.heads["orientation"]).reshape(HANDS, -1)
+        out["pose_logits"] = planar(g.heads["pose"]).reshape(HANDS, -1)
         out["segmentation_logits"] = planar(g.heads["segmentation"])
         out["deep_supervision"] = tuple(planar(n) for n in g.heads["ds"])
     return HeadsOutput(**out)

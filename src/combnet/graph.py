@@ -22,9 +22,10 @@ training only — auxiliary keypoint decoder (ungrouped), hand orientation
 over a small spatial path, and deep-supervision heatmap heads at 1/8, 1/4,
 1/2 resolution. The deployed network fixes the tier widths, the tier-2 and
 tier-3 bottleneck widths and grouping factors, the ladder dilations, these
-label spaces and the batch-norm epsilon, so they are the module constants
-below, not config keys. Every deployed conv then has one filter per group or
-a multiple of four, so it fills whole 4-lane vectors of 32-bit reals.
+label spaces, the loss's fingertips and label softening and the batch-norm
+epsilon, so they are the module constants below, not config keys. Every
+deployed conv then has one filter per group or a multiple of four, so it
+fills whole 4-lane vectors of 32-bit reals.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ TIER3_BOTTLENECK = 32   # width of the 3x3 inside a ladder block
 TIER2_GROUPS = 4
 TIER3_GROUPS = 8
 LADDER_DILATIONS = (1, 2, 3, 4)
+KEYPOINTS = 16          # 8 per hand, in the order configs/reference.cfg lists
+AUX_KEYPOINTS = 18
+HANDS = 2
+FINGERTIP_INDICES = (2, 4, 10, 12)  # thumb and index tips, doubled in the loss
+ORIENTATION_EPS = 0.1   # label softening of the orientation loss
 ORIENTATION_CLASSES = 8
 POSE_CLASSES = 9
 SEG_CLASSES = 3
@@ -163,13 +169,13 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     inference subgraph first, then the training-only heads.
 
     The decoder is channel-wise with one channel per primary heatmap, so its
-    width is the keypoint count.
+    width is the keypoint count. Only the resolution comes from `cfg`.
     """
     b = _Builder()
     c1, c2, c3 = TIER1_CHANNELS, TIER2_CHANNELS, TIER3_CHANNELS
     g2, g3 = TIER2_GROUPS, TIER3_GROUPS
     b2, b3 = TIER2_BOTTLENECK, TIER3_BOTTLENECK
-    K, A = cfg.keypoints, cfg.aux_keypoints
+    K, A = KEYPOINTS, AUX_KEYPOINTS
     dc = K
 
     b.input("input", (1, cfg.input_h, cfg.input_w))
@@ -216,7 +222,7 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b.conv("head.kp", "dec.s2", ConvSpec(dc, K, (3, 3), groups=K, has_bias=True),
            bn=False, act="none")
     b.gap("head.gap", t3_out)
-    b.linear("head.vis", "head.gap", K + cfg.hands)
+    b.linear("head.vis", "head.gap", K + HANDS)
 
     inference_names = frozenset(n.name for n in b.nodes)
 
@@ -237,8 +243,8 @@ def build_graph(cfg: NetConfig) -> GraphSpec:
     b.conv("aux.head", "aux.s2", ConvSpec(dc, A, (3, 3), has_bias=True),
            bn=False, act="none")
     # per-hand classification heads off the pooled encoder features
-    b.linear("head.cho", "head.gap", cfg.hands * ORIENTATION_CLASSES)
-    b.linear("head.dhp", "head.gap", cfg.hands * POSE_CLASSES)
+    b.linear("head.cho", "head.gap", HANDS * ORIENTATION_CLASSES)
+    b.linear("head.dhp", "head.gap", HANDS * POSE_CLASSES)
     # simplified spatial path + segmentation head
     b.conv("sp.c1", "input", ConvSpec(1, 8, (3, 3), stride=2))
     b.conv("sp.c2", "sp.c1", ConvSpec(8, 16, (3, 3), stride=2))

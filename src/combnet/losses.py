@@ -26,6 +26,8 @@ import numpy as np
 
 from .config import _is_int
 from .errors import ConfigError, InputError, ShapeMismatchError
+from .graph import (AUX_KEYPOINTS, FINGERTIP_INDICES, HANDS, KEYPOINTS,
+                    ORIENTATION_EPS)
 
 LOSS_WEIGHTS = {
     "kp": 1.0, "akp": 1.0, "kphv": 20.0, "cho": 20.0,
@@ -179,7 +181,8 @@ def _per_hand_ce(logits, labels, present, eps):
     return _per_instance(loss / n), grad / n
 
 
-def orientation_ce_soft(logits: np.ndarray, labels, eps: float = 0.1, present=None):
+def orientation_ce_soft(logits: np.ndarray, labels, eps: float = ORIENTATION_EPS,
+                        present=None):
     """Softened-label cross-entropy over the 8 categorical hand orientations,
     per hand, averaged over present hands. Target: (1-eps) on the label plus
     eps/8 uniform."""
@@ -273,7 +276,7 @@ class FrameTargets(NamedTuple):
 
 
 def frame_loss_bundle(heads, targets: FrameTargets, seg_label_map=None,
-                      orientation_eps: float = 0.1,
+                      orientation_eps: float = ORIENTATION_EPS,
                       input_hw: tuple | None = None) -> LossBundle:
     """Evaluate every task loss for one frame.
 
@@ -315,9 +318,9 @@ def _flags(doc, key, n) -> np.ndarray:
     return np.array(v, dtype=bool)
 
 
-def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
-                        hands: int = 2,
-                        fingertip_indices=(2, 4, 10, 12)) -> FrameTargets:
+def parse_frame_targets(doc: dict, keypoints: int = KEYPOINTS,
+                        aux_keypoints: int = AUX_KEYPOINTS, hands: int = HANDS,
+                        fingertip_indices=FINGERTIP_INDICES) -> FrameTargets:
     try:
         kps = [_pair_or_none(e, f"keypoints[{i}]")
                for i, e in enumerate(doc["keypoints"])]
@@ -326,12 +329,15 @@ def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
         present = _flags(doc, "hands", hands)
         orientation = doc.get("orientation", [None] * hands)
         pose = doc.get("pose", [None] * hands)
+        segmentation = doc.get("segmentation")
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed frame annotation: {exc}") from exc
     for key, labels in (("orientation", orientation), ("pose", pose)):
         if not (isinstance(labels, list) and len(labels) == hands
                 and all(v is None or _is_int(v) for v in labels)):
             raise InputError(f"{key}: expected {hands} class ids or nulls, got {labels!r}")
+    if not (segmentation is None or isinstance(segmentation, str)):
+        raise InputError(f"segmentation: expected a path or null, got {segmentation!r}")
     if len(kps) != keypoints:
         raise InputError(f"expected {keypoints} keypoints, got {len(kps)}")
     if len(aux) != aux_keypoints:
@@ -342,7 +348,7 @@ def parse_frame_targets(doc: dict, keypoints: int = 16, aux_keypoints: int = 18,
         tips = np.zeros(keypoints, dtype=bool)
         tips[list(fingertip_indices)] = True
     return FrameTargets(kps, aux, tips, present, list(orientation), list(pose),
-                        doc.get("segmentation"))
+                        segmentation)
 
 
 def load_frame_targets(path, **kw) -> FrameTargets:

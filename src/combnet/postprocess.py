@@ -14,10 +14,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError, ShapeMismatchError
+from .graph import HANDS
 from .tensor import Tensor
 
 U16_MAX = 65535.0
 DEFAULT_AMPLITUDE_COEFFS = (0.25, 0.25, 0.25, 0.25)
+CONF_THRESHOLD = 0.05        # softmax maximum below which a keypoint is invisible
+KP_VIS_THRESHOLD = 0.5       # visibility-head sigmoid below which a keypoint
+HAND_VIS_THRESHOLD = 0.5     # is hidden, or a hand absent
+DEPTH_WINDOW = 5             # side of the depth-median fallback neighbourhood
 
 
 class _PhaseFrame(NamedTuple):
@@ -115,7 +120,7 @@ def normalize_input(image: np.ndarray, out_hw: tuple | None = None):
     return Tensor.from_array(data[None]), tf
 
 
-def decode_heatmaps(heatmaps: np.ndarray, conf_threshold: float = 0.05,
+def decode_heatmaps(heatmaps: np.ndarray, conf_threshold: float = CONF_THRESHOLD,
                     input_hw: tuple | None = None) -> list:
     """Per map: spatial softmax, argmax (ties break to the smallest row-major
     index), confidence = max probability. (u, v) land at the center of the
@@ -149,8 +154,9 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def gate_visibility(kps: list, vis_logits: np.ndarray, kp_threshold: float = 0.5,
-                    hand_threshold: float = 0.5, hands: int = 2):
+def gate_visibility(kps: list, vis_logits: np.ndarray,
+                    kp_threshold: float = KP_VIS_THRESHOLD,
+                    hand_threshold: float = HAND_VIS_THRESHOLD, hands: int = HANDS):
     """Apply the visibility head: suppress occluded keypoints and absent
     hands. Never flips an invisible keypoint back to visible. Returns
     (list of HandResult, early_out) with early_out true when no hand is
@@ -180,7 +186,7 @@ def gate_visibility(kps: list, vis_logits: np.ndarray, kp_threshold: float = 0.5
     return hand_results, early_out
 
 
-def lift_to_2_5d(hands: list, depth: np.ndarray, window: int = 5,
+def lift_to_2_5d(hands: list, depth: np.ndarray, window: int = DEPTH_WINDOW,
                  z_range: tuple = (100.0, 1000.0),
                  transform: InputTransform = InputTransform()) -> list:
     """Attach a depth value to every visible keypoint.

@@ -164,7 +164,12 @@ def test_count_invalid_config_exit_3(tmp_path):
                                   "seg_classes = 3", "bn_eps = 1e-05",
                                   "tier3_channels = 64", "ladder_dilations = 1, 2, 3, 4",
                                   "hands = 3", "tier2_bottleneck = 16",
-                                  "tier3_bottleneck = 32", "lane_width = 4"])
+                                  "tier3_bottleneck = 32", "lane_width = 4",
+                                  "keypoints = 16", "aux_keypoints = 18", "hands = 2",
+                                  "fingertip_indices = 2, 4, 10, 12",
+                                  "orientation_eps = 0.1", "conf_threshold = 0.05",
+                                  "kp_vis_threshold = 0.5", "hand_vis_threshold = 0.5",
+                                  "depth_window = 5"])
 def test_count_out_of_range_config_exit_3(tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
@@ -442,6 +447,15 @@ def test_count_argument_below_one_exit_3(args):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_failed_bench_keeps_an_existing_output_file(flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier run\n")
+    assert cli.main(["bench", "--iters", "0", flag, str(out)]) == 3
+    assert capsys.readouterr().err == "config error: iters must be at least 1, got 0\n"
+    assert out.read_bytes() == b"earlier run\n"
 
 
 def test_bench_unwritable_csv_exit_2(small_cfg, tmp_path):

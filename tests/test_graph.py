@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from combnet import convops, graph
+from combnet import convops, graph, postprocess
 from combnet.config import (MAX_INPUT_SIDE, NetConfig, REFERENCE_CONFIG, load_config,
                             parse_config)
 from combnet.convops import ConvSpec, counting
@@ -79,13 +79,11 @@ def test_resolution_is_at_most_the_maximum_per_side():
 
 def test_inference_convs_fill_whole_lanes():
     # every deployed conv has one filter per group (channel-wise) or a
-    # multiple of 4, a whole 128-bit vector of 32-bit reals, for every valid
-    # keypoint count (the decoder's groups divide the 64 tier-3 channels),
-    # hand count and resolution
+    # multiple of 4, a whole 128-bit vector of 32-bit reals, at every
+    # resolution: the resolution is the only config value the graph reads
     cfgs = [REFERENCE_CONFIG] + [
-        NetConfig(input_h=h, input_w=w, keypoints=k, hands=n, fingertip_indices=(0,))
-        for h, w in ((8, 8), (96, 96), (64, 128), (256, 256))
-        for k in (1, 2, 4, 8, 16, 32, 64) for n in (1, 2, 4) if k % n == 0]
+        NetConfig(input_h=h, input_w=w)
+        for h, w in ((8, 8), (96, 96), (64, 128), (256, 256), (1024, 8))]
     for cfg in cfgs:
         g = build_graph(cfg)
         convs = [n.conv for n in g.nodes_for(Mode.INFERENCE_HEADS) if n.kind == "conv"]
@@ -125,8 +123,7 @@ def test_tier2_never_concatenates_input(g96):
 
 
 @pytest.mark.parametrize("cfg", [
-    REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96),
-    NetConfig(keypoints=8, hands=1, fingertip_indices=(2, 4))])
+    REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96)])
 def test_built_graph_structure(cfg):
     g = build_graph(cfg)
 
@@ -252,7 +249,6 @@ def test_shipped_config_file_names_every_field_once():
 
 @pytest.mark.parametrize("ints, floats", [
     ("z_min_mm = 100", "z_min_mm = 100.0"),
-    ("orientation_eps = 0", "orientation_eps = 0.0"),
     ("amplitude_coeffs = 1, 0, 0, 0", "amplitude_coeffs = 1.0, 0.0, 0.0, 0.0")])
 def test_equal_configs_hash_equally(ints, floats):
     a, b = parse_config(ints), parse_config(floats)
@@ -261,20 +257,45 @@ def test_equal_configs_hash_equally(ints, floats):
     assert parse_config("z_min_mm = 100").config_hash() == REFERENCE_CONFIG.config_hash()
 
 
-def test_hands_must_divide_keypoints():
-    with pytest.raises(ConfigError, match="hands=3 must divide keypoints=16"):
-        NetConfig(hands=3)
-    assert NetConfig(hands=4).keypoints == 16
-
-
 def test_int_beyond_float_range_is_a_config_error():
     with pytest.raises(ConfigError, match="z_max_mm must be a finite number"):
         parse_config("z_max_mm = 1" + "0" * 400 + "\n")
 
 
 def test_parse_config_overrides_and_comments():
-    cfg = parse_config("# comment\ninput_h = 96\ninput_w = 96\ndepth_window = 7\n")
-    assert (cfg.input_h, cfg.input_w, cfg.depth_window) == (96, 96, 7)
+    cfg = parse_config("# comment\ninput_h = 96\ninput_w = 96\n")
+    assert (cfg.input_h, cfg.input_w) == (96, 96)
+
+
+def test_config_fields_are_what_a_deployment_sets():
+    assert [f.name for f in fields(NetConfig)] == [
+        "input_h", "input_w", "z_min_mm", "z_max_mm", "amplitude_coeffs"]
+
+
+def test_config_exposes_the_fixed_network_values():
+    # the label spaces, loss constants and operating point are the module
+    # constants, readable from any config instance but not settable
+    fixed = {"keypoints": 16, "aux_keypoints": 18, "hands": 2,
+             "fingertip_indices": (2, 4, 10, 12), "orientation_eps": 0.1,
+             "conf_threshold": 0.05, "kp_vis_threshold": 0.5,
+             "hand_vis_threshold": 0.5, "depth_window": 5}
+    constants = {"keypoints": graph.KEYPOINTS, "aux_keypoints": graph.AUX_KEYPOINTS,
+                 "hands": graph.HANDS, "fingertip_indices": graph.FINGERTIP_INDICES,
+                 "orientation_eps": graph.ORIENTATION_EPS,
+                 "conf_threshold": postprocess.CONF_THRESHOLD,
+                 "kp_vis_threshold": postprocess.KP_VIS_THRESHOLD,
+                 "hand_vis_threshold": postprocess.HAND_VIS_THRESHOLD,
+                 "depth_window": postprocess.DEPTH_WINDOW}
+    assert constants == fixed
+    for cfg in (REFERENCE_CONFIG, NetConfig(input_h=96, input_w=96)):
+        assert {name: getattr(cfg, name) for name in fixed} == fixed
+        with pytest.raises(AttributeError):
+            cfg.hands = 1
+        for name in fixed:
+            with pytest.raises(ConfigError, match=f"unknown config key '{name}'"):
+                parse_config(f"{name} = 1\n")
+    with pytest.raises(TypeError):
+        NetConfig(hands=1)
 
 
 def test_parse_config_rejects_unknown_key():

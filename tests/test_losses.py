@@ -498,6 +498,17 @@ def test_parse_frame_rejects_bad_class_labels(key, labels):
         parse_frame_targets(doc)
 
 
+@pytest.mark.parametrize("value", [0, 1.5, ["a"], True, {"path": "a.pgm"}])
+def test_parse_frame_rejects_a_segmentation_that_is_not_a_path(value):
+    # read_pgm16(0) would open file descriptor 0 and read stdin
+    doc = make_doc()
+    doc["segmentation"] = value
+    with pytest.raises(InputError, match="segmentation: expected a path or null"):
+        parse_frame_targets(doc)
+    doc["segmentation"] = None
+    assert parse_frame_targets(doc).segmentation_path is None
+
+
 def test_load_frame_targets_file(tmp_path):
     p = tmp_path / "frame.json"
     p.write_text(json.dumps(make_doc()))
