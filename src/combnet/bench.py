@@ -1,7 +1,8 @@
 """Micro-benchmark harness: full-forward timings per backend, the optimized
-plan's preparation, plus the layer classes the optimized engine targets
-(grouped tier-2 conv, channel-wise decoder conv, one-channel tier-1 stem,
-dilated tier-3 conv via comb vs the naive zero-stuffed baseline).
+plan's preparation, plus one layer of the built graph per class the
+optimized engine targets (grouped tier-2 conv, channel-wise decoder conv,
+one-channel tier-1 stem, dilated tier-3 conv via comb vs the naive
+zero-stuffed baseline), each read from the graph with its input size.
 
 MAC figures come from the analytic counter, never re-estimated from timings;
 the headline number per case is the median over iterations after warm-up.
@@ -22,14 +23,11 @@ import numpy as np
 
 from . import THREAD_VARS, malloc_policy
 from .config import NetConfig
-from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
-                      conv2d_ref, counting, mac_count, zero_stuff_kernel,
-                      zero_stuffed_spec)
+from .convops import (comb_dilated_conv, conv2d_packed, conv2d_ref, counting,
+                      mac_count, zero_stuff_kernel, zero_stuffed_spec)
 from .errors import ConfigError
 from .forward import Backend, Mode, forward, prepare_optimized
-from .graph import (KEYPOINTS, TIER1_CHANNELS, TIER2_BOTTLENECK, TIER2_CHANNELS,
-                    TIER2_GROUPS, TIER3_BOTTLENECK, TIER3_GROUPS, build_graph,
-                    count_layers)
+from .graph import build_graph, count_layers
 from .tensor import Tensor, pack_kernels, to_interleaved
 from .weights import init_weights
 
@@ -188,53 +186,46 @@ def run_benchmarks(cfg: NetConfig, seed: int = 0, iters: int = 10, warmup: int =
         add_case("prepare-optimized", "optimized",
                  lambda: prepare_optimized(g, ws, Mode.INFERENCE_HEADS), 0)
 
-    def add_conv_cases(case, spec, hw):
-        """Time one conv layer class on each requested backend."""
-        x = rng.standard_normal((spec.in_ch, hw, hw)).astype(np.float32)
-        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-        t = Tensor.from_array(x)
-        ti, pw = to_interleaved(t), pack_kernels(w, spec.groups)
-        macs = mac_count(spec, hw, hw)
+    def layer(label, name, hw=None):
+        """Graph node `name`'s spec with a random input at its first input's
+        (h, w), or at `hw`, and random weights, in the case `{label}-{h}x{w}`."""
+        node = g.node(name)
+        h, w = hw or g.node(node.inputs[0]).out_shape[1:]
+        spec = node.conv
+        x = Tensor.from_array(rng.standard_normal((spec.in_ch, h, w)).astype(np.float32))
+        k = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        return f"{label}-{h}x{w}", spec, x, k
+
+    def add_conv_cases(label, name):
+        """Time one conv layer on each requested backend."""
+        case, spec, x, k = layer(label, name)
+        xi, pk = to_interleaved(x), pack_kernels(k, spec.groups)
+        macs = mac_count(spec, x.height, x.width)
         if "reference" in backends:
-            add_case(case, "reference", lambda: conv2d_ref(t, w, None, spec), macs)
+            add_case(case, "reference", lambda: conv2d_ref(x, k, None, spec), macs)
         if "optimized" in backends:
-            add_case(case, "optimized", lambda: conv2d_packed(ti, pw, None, spec), macs)
+            add_case(case, "optimized", lambda: conv2d_packed(xi, pk, None, spec), macs)
 
-    # tier-2 style grouped conv, and the channel-wise (one filter per group)
-    # conv the decoder and primary head run, both at tier-1 resolution
-    h2 = cfg.input_h // 2
-    spec_g = ConvSpec(TIER2_BOTTLENECK, TIER2_CHANNELS, (3, 3), stride=2,
-                      groups=TIER2_GROUPS)
-    add_conv_cases(f"grouped-3x3-g{spec_g.groups}-{h2}x{h2}", spec_g, h2)
-    dc = KEYPOINTS
-    add_conv_cases(f"channelwise-3x3-{h2}x{h2}", ConvSpec(dc, dc, (3, 3), groups=dc), h2)
-    # the one-input-channel tier-1 stem at input resolution
-    h = cfg.input_h
-    add_conv_cases(f"stem-3x3-s2-{h}x{h}", ConvSpec(1, TIER1_CHANNELS, (3, 3), stride=2), h)
+    def add_dilated_cases(label, name, hw):
+        """Time a dilated layer as the comb and as the zero-stuffed kernel."""
+        case, spec, x, k = layer(label, name, hw)
+        xi, pk = to_interleaved(x), pack_kernels(k, spec.groups)
+        stuffed, sspec = zero_stuff_kernel(k, spec.dilation), zero_stuffed_spec(spec)
+        add_case(case + "-comb", "optimized",
+                 lambda: comb_dilated_conv(xi, pk, None, spec), mac_count(spec, *hw))
+        add_case(case + "-zerostuffed", "reference",
+                 lambda: conv2d_ref(x, stuffed, None, sspec), mac_count(sspec, *hw))
 
-    # dilated conv: comb vs naive zero-stuffed baseline (canonical 12x12 case
-    # plus the graph's own tier-3 resolution when different)
-    sizes = {12, cfg.input_h // 8}
-    for hw in sorted(sizes):
+    # tier-2 grouped conv and the channel-wise conv of the decoder's last
+    # stage, both at tier-1 resolution, and the one-input-channel stem
+    add_conv_cases("grouped-3x3-g4", "t2.u1.conv")
+    add_conv_cases("channelwise-3x3", "dec.s2")
+    add_conv_cases("stem-3x3-s2", "t1.conv")
+    # dilated ladder blocks 2-4 (d = 2, 3, 4): comb vs the naive zero-stuffed
+    # baseline, at the canonical 12x12 and at the graph's own tier-3 size
+    for hw in sorted({(12, 12), g.node("t3.entry").out_shape[1:]}):
         for d in (2, 3, 4):
-            spec_d = ConvSpec(TIER3_BOTTLENECK, TIER3_BOTTLENECK, (3, 3),
-                              dilation=d, groups=TIER3_GROUPS)
-            xd = rng.standard_normal((spec_d.in_ch, hw, hw)).astype(np.float32)
-            wd = rng.standard_normal(spec_d.weight_shape()).astype(np.float32)
-            td = Tensor.from_array(xd)
-            tdi = to_interleaved(td)
-            pwd = pack_kernels(wd, spec_d.groups)
-            stuffed = zero_stuff_kernel(wd, d)
-            sspec = zero_stuffed_spec(spec_d)
-            case = f"dilated-3x3-g{spec_d.groups}-d{d}-{hw}x{hw}"
-            add_case(case + "-comb", "optimized",
-                     lambda tdi=tdi, pwd=pwd, spec_d=spec_d:
-                     comb_dilated_conv(tdi, pwd, None, spec_d),
-                     mac_count(spec_d, hw, hw))
-            add_case(case + "-zerostuffed", "reference",
-                     lambda td=td, stuffed=stuffed, sspec=sspec:
-                     conv2d_ref(td, stuffed, None, sspec),
-                     mac_count(sspec, hw, hw))
+            add_dilated_cases(f"dilated-3x3-g8-d{d}", f"t3.u1.b{d}.conv", hw)
 
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "blas": _blas_build(), "machine": platform.machine(), "malloc": malloc_policy(),

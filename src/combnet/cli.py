@@ -116,10 +116,16 @@ def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     seed = _resolve_seed(args)
     backends = ("reference", "optimized") if args.backend == "both" else (args.backend,)
-    for path in (args.csv, args.json):
-        if path:  # fails before the run if unwritable; a failed run keeps the file
+    paths = [p for p in (args.csv, args.json) if p]
+    created = [p for p in paths if not os.path.lexists(p)]
+    try:
+        for path in paths:  # fails before the run if unwritable; keeps a file's bytes
             _write_text(path, "", mode="a")
-    report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
+        report = run_benchmarks(cfg, seed=seed, iters=args.iters, backends=backends)
+    except BaseException:
+        for path in filter(os.path.isfile, created):  # a failed run leaves no new file
+            os.remove(path)
+        raise
     if args.csv:
         _write_text(args.csv, report.to_csv())
     if args.json:

@@ -35,9 +35,9 @@ def _is_real(v) -> bool:
 class NetConfig:
     input_h: int = 128
     input_w: int = 128
-    z_min_mm: float = 100.0
-    z_max_mm: float = 1000.0
-    amplitude_coeffs: tuple = (0.25, 0.25, 0.25, 0.25)
+    z_min_mm: float = postprocess.DEFAULT_Z_RANGE[0]
+    z_max_mm: float = postprocess.DEFAULT_Z_RANGE[1]
+    amplitude_coeffs: tuple = postprocess.DEFAULT_AMPLITUDE_COEFFS
     # fixed by the network: read-only class attributes, not fields or keys
     keypoints = graph.KEYPOINTS
     aux_keypoints = graph.AUX_KEYPOINTS

@@ -18,7 +18,8 @@ from .graph import HANDS
 from .tensor import Tensor
 
 U16_MAX = 65535.0
-DEFAULT_AMPLITUDE_COEFFS = (0.25, 0.25, 0.25, 0.25)
+DEFAULT_AMPLITUDE_COEFFS = (0.25, 0.25, 0.25, 0.25)  # the reference sensor's calibration:
+DEFAULT_Z_RANGE = (100.0, 1000.0)                    # phase weights, valid depth (mm)
 CONF_THRESHOLD = 0.05        # softmax maximum below which a keypoint is invisible
 KP_VIS_THRESHOLD = 0.5       # visibility-head sigmoid below which a keypoint
 HAND_VIS_THRESHOLD = 0.5     # is hidden, or a hand absent
@@ -27,8 +28,8 @@ DEPTH_WINDOW = 5             # side of the depth-median fallback neighbourhood
 
 class _PhaseFrame(NamedTuple):
     phases: tuple  # 4 arrays, h x w, uint16
-    z_min: float = 100.0
-    z_max: float = 1000.0
+    z_min: float = DEFAULT_Z_RANGE[0]
+    z_max: float = DEFAULT_Z_RANGE[1]
 
 
 class PhaseFrame(_PhaseFrame):
@@ -75,10 +76,8 @@ def amplitude_from_phases(frame: PhaseFrame, coeffs=DEFAULT_AMPLITUDE_COEFFS) ->
     if coeffs.shape != (4,) or not np.all(np.isfinite(coeffs)):
         raise ConfigError(f"need 4 finite coefficients, got {coeffs}")
     acc = np.zeros(frame.phases[0].shape, dtype=np.float64)
-    term = np.empty_like(acc)
     for c, p in zip(coeffs, frame.phases):
-        np.multiply(p, c, out=term)     # the float64 product, one pass
-        acc += term
+        acc += p * c
     if np.max(acc) > np.finfo(np.float32).max:
         raise ConfigError(f"amplitude_coeffs {coeffs.tolist()} take the amplitude "
                           f"past the float32 range")
@@ -187,7 +186,7 @@ def gate_visibility(kps: list, vis_logits: np.ndarray,
 
 
 def lift_to_2_5d(hands: list, depth: np.ndarray, window: int = DEPTH_WINDOW,
-                 z_range: tuple = (100.0, 1000.0),
+                 z_range: tuple = DEFAULT_Z_RANGE,
                  transform: InputTransform = InputTransform()) -> list:
     """Attach a depth value to every visible keypoint.
 

@@ -438,6 +438,25 @@ def test_bench_comb_beats_zero_stuffed_multiplies():
     assert report.environment["malloc"] == combnet.malloc_policy()
 
 
+def test_bench_times_the_graph_layers_at_their_input_sizes(tmp_path, capsys):
+    # a non-square config: each layer case runs the graph node's own input
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("input_h = 128\ninput_w = 96\n")
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--config", str(cfg), "--backend", "optimized",
+                     "--iters", "1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    macs = {c["case"]: c["macs"] for c in json.loads(out.read_text())["cases"]}
+    rows = {r.name: r.macs for r in count_layers(
+        build_graph(NetConfig(input_h=128, input_w=96)), Mode.INFERENCE_HEADS)[0]}
+    for case, node in (("grouped-3x3-g4-64x48", "t2.u1.conv"),
+                       ("channelwise-3x3-64x48", "dec.s2"),
+                       ("stem-3x3-s2-128x96", "t1.conv"),
+                       ("dilated-3x3-g8-d3-16x12-comb", "t3.u1.b3.conv")):
+        assert macs[case] == rows[node], case
+    assert "dilated-3x3-g8-d3-12x12-comb" in macs
+
+
 @pytest.mark.parametrize("args", [("bench", "--iters", "0"),
                                   ("verify", "--cases", "0"),
                                   ("verify", "--pairs", "0")])
@@ -456,6 +475,19 @@ def test_failed_bench_keeps_an_existing_output_file(flag, tmp_path, capsys):
     assert cli.main(["bench", "--iters", "0", flag, str(out)]) == 3
     assert capsys.readouterr().err == "config error: iters must be at least 1, got 0\n"
     assert out.read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_failed_bench_leaves_no_new_output_file(flag, tmp_path, capsys):
+    out = tmp_path / "new"
+    assert cli.main(["bench", "--iters", "0", flag, str(out)]) == 3
+    assert capsys.readouterr().err == "config error: iters must be at least 1, got 0\n"
+    assert not out.exists()
+    # nor does a run that stops at the other output's unwritable path
+    other = "--csv" if flag == "--json" else "--json"
+    assert cli.main(["bench", flag, str(out), other, str(tmp_path / "missing" / "x")]) == 2
+    assert capsys.readouterr().err.startswith("input error: cannot write ")
+    assert not out.exists()
 
 
 def test_bench_unwritable_csv_exit_2(small_cfg, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -254,3 +255,22 @@ def test_two_threads_share_one_plan(setup96):
         for h in heads:
             _assert_same_heads(want, h)
         assert (mults, adds) == (5 * ops.mults, 5 * ops.adds)
+
+
+@pytest.mark.parametrize("side", [96, 128])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_optimized_counts_equal_the_reference_less_the_folded_bn_multiplies(side, mode):
+    # folding BN keeps every add (the folded bias adds BN's shift) and drops
+    # BN's one multiply per output element of each BN conv
+    g = build_graph(NetConfig(input_h=side, input_w=side))
+    ws = init_weights(g, 5)
+    img = Tensor.from_array(
+        np.random.default_rng(5).uniform(0, 1, (1, side, side)).astype(np.float32))
+    with counting() as ref:
+        forward(g, ws, img, Backend.REFERENCE, mode)
+    bn_outputs = sum(math.prod(n.out_shape) for n in g.nodes_for(mode) if n.bn)
+    for plan in (None, prepare_optimized(g, ws, mode)):
+        with counting() as opt:
+            forward(g, ws, img, Backend.OPTIMIZED, mode, prepared=plan)
+        assert opt.adds == ref.adds
+        assert ref.mults - opt.mults == bn_outputs > 0
