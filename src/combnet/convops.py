@@ -13,7 +13,7 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
     below): per kernel tap, one batched GEMM over all groups;
   - depthwise (one input and one output channel per group: the decoder and
     primary head): per tap, a multiply by the tap's weights tiled along an
-    output row, into one reused product buffer, in bands of output rows;
+    output row, added into the accumulator in bands of output rows;
   - one input channel, several outputs per group and a 3x3 kernel over more
     than one pixel (the tier-1 stem): the kernel taps stacked as the
     contraction axis of one GEMM per group, the only im2col matrix the
@@ -23,8 +23,9 @@ Every stride-1 conv on the optimized path runs as the comb: the input is
 padded once and the d*d strided pixel fields (d the dilation) of the padded
 map are convolved densely with the packed stack — the dilated result at
 dense-convolution cost (no zero-stuffing work).  :func:`comb_dilated_conv`
-is the same body limited to stride 1.  The reference core takes a plain
-padded map, kernel taps `dilation` apart.
+is the same body limited to stride 1.  The reference pads into a plain
+map and, per kernel tap (taps `dilation` apart), contracts every group in
+one batched matmul.
 
 The two paths share only validation (:func:`_check_conv`) and the spec's
 geometry (:meth:`ConvSpec.pad`, :func:`conv_out_shape`, :func:`_tap`); each
@@ -230,46 +231,38 @@ def _tap(k: int, step: int, s: int, n: int) -> slice:
 # Reference (planar) convolution
 # ---------------------------------------------------------------------------
 
-def _conv_planar_core(xp: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Direct VALID convolution of an already padded float64 (C, H, W) map,
-    kernel taps spec.dilation apart; returns the float64 (out_ch, out_h,
-    out_w) result. Tap loop outside, channel contraction inside."""
-    _, h, w_ = xp.shape
-    d = spec.dilation
-    out_h, out_w = _valid_out_shape(spec, h, w_, d)
-    out = np.zeros((spec.out_ch, out_h, out_w))
+def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True):
+    """Reference convolution on a channel-planar tensor (the oracle path).
+
+    The input is zero-padded into a float64 (C, H, W) map seen as (group,
+    in_ch_per_group, H, W), the weights become one float64 (kh, kw, group,
+    out_ch_per_group, in_ch_per_group) array, and per kernel tap, in kernel
+    order with taps `dilation` apart, one matmul batched over the groups
+    adds (opg, ipg) @ (ipg, pixels) into a float64 accumulator; then the
+    float64 bias add.  With ``rounded=False`` it returns the float64 (C, H,
+    W) result, bias included, instead of a float32 tensor, so that a
+    following :func:`batchnorm_inference` rounds conv-then-BN once."""
+    w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
+    c, h, wd = x.dims
+    out_h, out_w = conv_out_shape(spec, h, wd)
+    ph, pw = spec.pad()
+    xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))
+    xp[:, ph:ph + h, pw:pw + wd] = x.view()
     kh, kw = spec.kernel
-    s = spec.stride
-    ipg, opg = spec.in_per_group, spec.out_per_group
-    for g in range(spec.groups):
-        xg = xp[g * ipg:(g + 1) * ipg]
-        wg = w[g * opg:(g + 1) * opg].astype(np.float64)
-        og = out[g * opg:(g + 1) * opg]
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = xg[:, _tap(ky, d, s, out_h), _tap(kx, d, s, out_w)]
-                # (opg, ipg) . (ipg, oh, ow) -> (opg, oh, ow)
-                og += np.tensordot(wg[:, :, ky, kx], patch, axes=([1], [0]))
+    d, s = spec.dilation, spec.stride
+    G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
+    xg = xp.reshape(G, ipg, *xp.shape[1:])
+    wg = np.ascontiguousarray(w.reshape(G, opg, ipg, kh, kw).transpose(3, 4, 0, 1, 2),
+                              dtype=np.float64)
+    acc = np.zeros((G, opg, out_h * out_w))
+    for ky in range(kh):
+        for kx in range(kw):
+            window = xg[:, :, _tap(ky, d, s, out_h), _tap(kx, d, s, out_w)]
+            # (G, opg, ipg) @ (G, ipg, pixels) -> (G, opg, pixels)
+            acc += wg[ky, kx] @ window.reshape(G, ipg, -1)
+    out = acc.reshape(spec.out_ch, out_h, out_w)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
-    return out
-
-
-def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True):
-    """Reference convolution on a channel-planar tensor (the oracle path),
-    with its own float64 zero padding and bias add.  With ``rounded=False``
-    it returns the float64 (C, H, W) result, bias included, instead of a
-    float32 tensor, so that a following :func:`batchnorm_inference` rounds
-    conv-then-BN once."""
-    w, b = _check_conv("conv2d_ref", x, w, b, spec, Layout.CHANNEL_PLANAR)
-    ph, pw = spec.pad()
-    c, h, wd = x.dims
-    if ph or pw:
-        xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))
-        xp[:, ph:ph + h, pw:pw + wd] = x.view()
-    else:  # a spec that pads nothing only casts
-        xp = x.view().astype(np.float64)
-    out = _conv_planar_core(xp, w, spec)
     if b is not None:
         out += b.astype(np.float64)[:, None, None]
         add_adds(out.size)
@@ -280,7 +273,7 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
 # Optimized (interleaved, packed) convolution
 # ---------------------------------------------------------------------------
 
-# Output rows per depthwise band: the band's accumulator and product buffer
+# Output rows per depthwise band: the band's accumulator and each tap's product
 # stay in a core's L2 across the taps (128-256 KB measured best from 32x32 to
 # 96x96 maps of 16 channels).
 _BAND_BYTES = 128 << 10
@@ -307,7 +300,7 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
       window times the tap's weights tiled along an output row, so each
       multiply runs a whole row, not one group's weights; band by band of
       output rows, the first tap multiplies into the accumulator and every
-      later one into one reused product buffer that is then added;
+      later one's product is added to it;
     * one input channel, several outputs per group, a 3x3 kernel over more
       than one pixel (the one-channel stem): the taps' windows are stacked
       as the contraction axis of one (pixels, group, 9) matrix, the only
@@ -344,14 +337,11 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
         rows = np.tile(taps[:, None, None, :, 0, 0], (1, out_w, bj, 1))
         acc = np.empty((*pixels, G))
         band = max(1, _BAND_BYTES // acc[0].nbytes)
-        tmp = np.empty_like(acc[:band])
         for r in range(0, out_h, band):
             a = acc[r:r + band]
-            t = tmp[:len(a)]
             np.multiply(windows[0][r:r + band], rows[0], out=a)
             for win, row in zip(windows[1:], rows[1:]):
-                np.multiply(win[r:r + band], row, out=t)
-                a += t
+                a += win[r:r + band] * row
     else:
         # (G, pixels, kh*kw) @ (G, kh*kw, opg) -> (G, pixels, opg)
         stack = np.stack(windows, axis=-1).reshape(-1, G, kh * kw)

@@ -6,6 +6,7 @@ import pytest
 from scipy import signal
 
 from combnet import convops
+from combnet.config import NetConfig
 from combnet.convops import (ConvSpec, batchnorm_inference,
                              comb_dilated_conv, conv2d_packed, conv2d_ref,
                              conv_out_shape, counting, fold_batchnorm,
@@ -13,7 +14,7 @@ from combnet.convops import (ConvSpec, batchnorm_inference,
                              zero_stuff_kernel, zero_stuffed_spec)
 from combnet.errors import (ConfigError, LayoutMismatchError, ShapeMismatchError,
                             UnsupportedConfigError)
-from combnet.graph import BN_EPS
+from combnet.graph import BN_EPS, build_graph
 from combnet.tensor import Tensor, pack_kernels, to_interleaved
 from combnet.verify import _random_conv_case, bn_fold_suite
 from combnet.weights import bn_scale_shift
@@ -110,6 +111,97 @@ def test_ref_vs_brute_force_randomized(case):
     b = rng.standard_normal(spec.out_ch).astype(np.float32) if spec.has_bias else None
     np.testing.assert_allclose(run_ref(x, w, b, spec), brute_force_conv(x, w, b, spec),
                                atol=1e-4)
+
+
+# The shapes the network runs: channel-wise at G = C = 16 (decoder, head.kp),
+# one input channel into 16 outputs at stride 2 (t1.conv), 3-4 inputs into 2-4
+# outputs per group, dilations 2 and 3 with and without a bias.
+_NETWORK_SHAPED_SPECS = [
+    (ConvSpec(16, 16, (3, 3), groups=16), (9, 9)),
+    (ConvSpec(16, 16, (3, 3), groups=16, has_bias=True), (8, 7)),
+    (ConvSpec(1, 16, (3, 3), stride=2, has_bias=True), (9, 8)),
+    (ConvSpec(1, 16, (3, 3), stride=2), (7, 9)),
+    (ConvSpec(12, 8, (3, 3), groups=4, has_bias=True), (9, 9)),
+    (ConvSpec(8, 8, (3, 3), stride=2, groups=2), (9, 8)),
+    (ConvSpec(6, 4, (1, 1), groups=2), (5, 6)),
+    (ConvSpec(12, 12, (3, 3), groups=3), (6, 9)),
+    (ConvSpec(16, 16, (3, 3), dilation=2, groups=16), (9, 9)),
+    (ConvSpec(16, 16, (3, 3), dilation=3, groups=16, has_bias=True), (9, 7)),
+    (ConvSpec(8, 16, (3, 3), dilation=2, groups=2, has_bias=True), (8, 9)),
+    (ConvSpec(8, 8, (3, 3), dilation=3, groups=2), (9, 9)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_NETWORK_SHAPED_SPECS)))
+def test_ref_vs_brute_force_on_network_shapes(case):
+    spec, hw = _NETWORK_SHAPED_SPECS[case]
+    rng = np.random.default_rng(200 + case)
+    x = rng.standard_normal((spec.in_ch, *hw)).astype(np.float32)
+    w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    b = rng.standard_normal(spec.out_ch).astype(np.float32) if spec.has_bias else None
+    got = conv2d_ref(Tensor.from_array(x), w, b, spec, rounded=False)
+    np.testing.assert_allclose(got, brute_force_conv(x, w, b, spec), rtol=0, atol=1e-9)
+
+
+def _per_group_tensordot(x, w, b, spec):
+    """The oracle as a per-group loop: per group and kernel tap, one
+    np.tensordot of the (opg, ipg) weights with the (ipg, oh, ow) window."""
+    ph, pw = spec.pad()
+    c, h, wd = x.shape
+    xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))
+    xp[:, ph:ph + h, pw:pw + wd] = x
+    oh, ow = conv_out_shape(spec, h, wd)
+    out = np.zeros((spec.out_ch, oh, ow))
+    kh, kw = spec.kernel
+    d, s = spec.dilation, spec.stride
+    ipg, opg = spec.in_per_group, spec.out_per_group
+    for g in range(spec.groups):
+        wg = w[g * opg:(g + 1) * opg].astype(np.float64)
+        for ky in range(kh):
+            for kx in range(kw):
+                patch = xp[g * ipg:(g + 1) * ipg, ky * d:ky * d + (oh - 1) * s + 1:s,
+                           kx * d:kx * d + (ow - 1) * s + 1:s]
+                out[g * opg:(g + 1) * opg] += np.tensordot(wg[:, :, ky, kx], patch,
+                                                           axes=([1], [0]))
+    if b is not None:
+        out += b.astype(np.float64)[:, None, None]
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_ref_bits_equal_a_per_group_loop_on_random_specs(stride):
+    # verify's reports stay byte-stable only while the oracle's 64-bit sums
+    # keep these bits
+    rng = np.random.default_rng(31 + stride)
+    for _ in range(60):
+        spec, x, w, b = _random_conv_case(rng)
+        spec = spec._replace(stride=stride)
+        got = conv2d_ref(Tensor.from_array(x), w, b, spec, rounded=False)
+        assert np.array_equal(got, _per_group_tensordot(x, w, b, spec)), spec
+
+
+def test_ref_bits_equal_a_per_group_loop_on_the_graph_convs():
+    g = build_graph(NetConfig(input_h=96, input_w=96))
+    rng = np.random.default_rng(32)
+    convs = [n for n in g.nodes if n.kind == "conv"]
+    assert {n.conv.groups for n in convs} >= {1, 16}
+    for node in convs:
+        spec = node.conv
+        x = rng.standard_normal(g.node(node.inputs[0]).out_shape).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(spec.out_ch).astype(np.float32) if spec.has_bias else None
+        got = conv2d_ref(Tensor.from_array(x), w, b, spec, rounded=False)
+        assert np.array_equal(got, _per_group_tensordot(x, w, b, spec)), node.name
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_ref_empty_output_raises(rounded):
+    # the engine's error: conv2d_packed raises it for the same call
+    spec = ConvSpec(2, 2, (4, 4), has_bias=True)
+    x = Tensor.from_array(np.ones((2, 1, 1), np.float32))
+    w = np.ones(spec.weight_shape(), np.float32)
+    with pytest.raises(ShapeMismatchError, match="empty output"):
+        conv2d_ref(x, w, np.ones(2, np.float32), spec, rounded=rounded)
 
 
 def test_ref_shape_errors():
@@ -441,7 +533,7 @@ def test_the_oracle_shares_no_step_with_the_engine():
         engine |= _convops_functions_run(lambda: conv2d_packed(xi, taps, b, spec))
         if spec.stride == 1:
             engine |= _convops_functions_run(lambda: comb_dilated_conv(xi, taps, b, spec))
-    assert {"conv2d_ref", "_conv_planar_core"} <= oracle
+    assert "conv2d_ref" in oracle
     assert {"conv2d_packed", "comb_dilated_conv", "_conv_fields", "_store"} <= engine
     assert oracle & engine <= _SHARED_WITH_THE_ENGINE, oracle & engine - _SHARED_WITH_THE_ENGINE
 
