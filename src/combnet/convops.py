@@ -238,7 +238,8 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
     in_ch_per_group, H, W), the weights become one float64 (kh, kw, group,
     out_ch_per_group, in_ch_per_group) array, and per kernel tap, in kernel
     order with taps `dilation` apart, one matmul batched over the groups
-    adds (opg, ipg) @ (ipg, pixels) into a float64 accumulator; then the
+    adds (opg, ipg) @ (ipg, pixels) into a float64 accumulator (with one
+    input channel per group, the product (opg, 1) * (1, pixels)); then the
     float64 bias add.  With ``rounded=False`` it returns the float64 (C, H,
     W) result, bias included, instead of a float32 tensor, so that a
     following :func:`batchnorm_inference` rounds conv-then-BN once."""
@@ -258,8 +259,10 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
     for ky in range(kh):
         for kx in range(kw):
             window = xg[:, :, _tap(ky, d, s, out_h), _tap(kx, d, s, out_w)]
-            # (G, opg, ipg) @ (G, ipg, pixels) -> (G, opg, pixels)
-            acc += wg[ky, kx] @ window.reshape(G, ipg, -1)
+            if ipg == 1:  # the K = 1 contraction is one exact product per output
+                acc += wg[ky, kx] * window.reshape(G, 1, -1)
+            else:  # (G, opg, ipg) @ (G, ipg, pixels) -> (G, opg, pixels)
+                acc += wg[ky, kx] @ window.reshape(G, ipg, -1)
     out = acc.reshape(spec.out_ch, out_h, out_w)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)

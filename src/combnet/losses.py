@@ -87,10 +87,11 @@ def _per_instance(loss):
 
 
 def _log_softmax64(z: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis, in 64-bit."""
+    """Log-softmax along the last axis, in 64-bit, as a new array."""
     z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = z - z.max(axis=-1, keepdims=True)  # a copy: the caller's logits stay as they are
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _softmax_ce(z: np.ndarray, target: np.ndarray, weight: np.ndarray):
@@ -98,11 +99,14 @@ def _softmax_ce(z: np.ndarray, target: np.ndarray, weight: np.ndarray):
     target distribution in the same row of ``target`` (R, C), scaled by the
     per-row ``weight`` (R,), all float64. Returns the weighted sum of each
     instance, an array of ``z``'s leading shape, and the gradient
-    ``weight * (softmax - target)``."""
+    ``weight * (softmax - target)``, computed in the log-softmax's array."""
     logp = _log_softmax64(z)
     w = weight[:, None]
-    per = -(w * target * logp)
-    return per.reshape(*z.shape[:-2], -1).sum(axis=-1), w * (np.exp(logp) - target)
+    per = -(w * target) * logp  # exactly -(w * target * logp): negation is exact
+    grad = np.exp(logp, out=logp)
+    grad -= target
+    grad *= w
+    return per.reshape(*z.shape[:-2], -1).sum(axis=-1), grad
 
 
 def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
@@ -131,7 +135,9 @@ def keypoint_ce(heatmap_logits: np.ndarray, targets: KeypointTarget):
     if visible == 0:
         return _per_instance(np.zeros(batch)), np.zeros_like(logits)
     loss, grad = _softmax_ce(logits.reshape(*batch, K, h * w), target, weight)
-    return _per_instance(loss / visible), grad.reshape(logits.shape) / visible
+    grad = grad.reshape(logits.shape)
+    grad /= visible
+    return _per_instance(loss / visible), grad
 
 
 def visibility_bce(logits: np.ndarray, labels) -> tuple:
@@ -211,7 +217,9 @@ def seg_ce(logits: np.ndarray, label_map: np.ndarray):
     target[np.arange(npix), lab.reshape(-1).astype(np.int64)] = 1.0
     pixel_rows = np.swapaxes(z.reshape(*batch, C, npix), -1, -2)
     loss, grad = _softmax_ce(pixel_rows, target, np.ones(npix))
-    return _per_instance(loss / npix), np.swapaxes(grad, -1, -2).reshape(z.shape) / npix
+    grad = np.swapaxes(grad, -1, -2).reshape(z.shape)
+    grad /= npix
+    return _per_instance(loss / npix), grad
 
 
 def deep_supervision_loss(heatmaps: list, targets: KeypointTarget, input_hw: tuple):

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import keep_freed_memory
 from .config import NetConfig
 from .convops import (ConvSpec, comb_dilated_conv, conv2d_packed,
                       conv2d_ref, fold_batchnorm, batchnorm_inference)
@@ -152,11 +153,12 @@ def backend_e2e_suite(seed: int, pairs: int = 20) -> list:
                         float(decode_mismatches), 0.0)]
 
 
-# Coordinates per loss call in _fd_check. 16 perturbed rows of the largest
-# instance (deep supervision, 1,008 coordinates) take 126 KB, so every
-# temporary stays below glibc's default 128 KiB mmap threshold and is reused
-# from the heap instead of being faulted in again on each call.
-_FD_BLOCK = 8
+# Coordinates per loss call in _fd_check: 64 perturbed rows of the largest
+# instance (deep supervision, 1,008 coordinates) take 516 KB. That is above
+# glibc's default 128 KiB mmap threshold, so loss_gradient_suite applies the
+# allocator policy and each call reuses the last one's freed temporaries
+# instead of faulting them in again. Larger blocks gain no time and add RSS.
+_FD_BLOCK = 32
 
 
 def _fd_check(fn, z0: np.ndarray) -> float:
@@ -189,6 +191,7 @@ def loss_gradient_suite(seed: int, instances: int = 10) -> list:
     Each maker draws one instance from the shared generator and returns the
     loss as a function of its logits, with the logits to check it at."""
     _at_least_one("instances", instances)
+    keep_freed_memory()  # as forward does: _fd_check's blocks exceed 128 KiB
     rng = np.random.default_rng(seed)
     K, h, w = 4, 6, 8
     H, W = 24, 32

@@ -1251,21 +1251,40 @@ def _forwards_96(backend, mode):
     return run
 
 
-@needs_glibc
-def test_library_forwards_take_no_page_faults(fresh_policy):
-    # a training loop's forwards, in a process that never runs `cli.main`; an
-    # earlier test's `main` may have set the policy, so start from glibc's
-    # 128 KiB thresholds
+def glibc_default_thresholds():
+    """Set glibc's 128 KiB mmap and trim thresholds: an earlier test's
+    `main` or forward may have set the policy in this process."""
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     for param, _ in combnet.MALLOC_POLICY.values():
         assert mallopt(param, 128 << 10) == 1
+
+
+@needs_glibc
+def test_library_forwards_take_no_page_faults(fresh_policy):
+    # a training loop's forwards, in a process that never runs `cli.main`
+    glibc_default_thresholds()
     run, frames = _forwards_96(Backend.OPTIMIZED, Mode.ALL_HEADS), 50
     run(10)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run(frames)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / frames < 10
+    assert combnet.malloc_policy().startswith("keep-freed:")
+
+
+@needs_glibc
+def test_gradient_suite_takes_no_page_faults(fresh_policy):
+    # the finite-difference blocks of deep supervision (64 rows, 516 KB)
+    # exceed glibc's mmap threshold, and a process may run no forward
+    glibc_default_thresholds()
+    verify.loss_gradient_suite(0, 1)
+    suites = 5
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for seed in range(1, suites + 1):
+        verify.loss_gradient_suite(seed, 1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / suites < 100
     assert combnet.malloc_policy().startswith("keep-freed:")
 
 

@@ -366,6 +366,22 @@ def test_fd_check_equals_the_per_coordinate_loop(monkeypatch):
         assert fd_check(fn, z0) == fd_check_per_coordinate(fn, z0)
 
 
+def test_fd_check_gives_the_same_bits_whatever_the_block(monkeypatch):
+    fd_check = verify._fd_check
+    instances = []
+    monkeypatch.setattr(verify, "_fd_check",
+                        lambda fn, z0: instances.append((fn, z0)) or 0.0)
+    verify.loss_gradient_suite(11, 1)
+    small, deep = instances[1], instances[-1]   # visibility_bce, deep supervision
+    assert np.size(small[1]) < verify._FD_BLOCK and np.size(deep[1]) == 1008
+    for fn, z0 in (small, deep):
+        results = []
+        for block in (1, 7, 32, np.size(z0)):
+            monkeypatch.setattr(verify, "_FD_BLOCK", block)
+            results.append(fd_check(fn, z0))
+        assert results == [results[0]] * 4
+
+
 def test_loss_nonnegativity_random():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -426,6 +442,33 @@ def test_deep_supervision_batch_rows_equal_unbatched_calls(pixels, batch):
         assert type(one) is float
         assert np.array_equal(loss[b], one)
         assert all(np.array_equal(g[b], og) for g, og in zip(grads, one_grads))
+
+
+def _logits_and_loss(name, batch, dtype):
+    """The logits of a BATCH_CASES loss, or of deep supervision's three
+    scales, and a function that runs the loss on them."""
+    rng = np.random.default_rng(15)
+    if name == "deep_supervision":
+        maps = [(rng.standard_normal(batch + (4, 24 // f, 32 // f)) * 3).astype(dtype)
+                for f in (8, 4, 2)]
+        tgt = KeypointTarget([(3, 5), None, (23, 31), (10, 0)], TIPS)
+        return maps, lambda: deep_supervision_loss(maps, tgt, (24, 32))[1]
+    shape, call = BATCH_CASES[name]
+    z = (rng.standard_normal(batch + shape) * 3).astype(dtype)
+    return [z], lambda: [call(z)[1]]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("name", sorted(BATCH_CASES) + ["deep_supervision"])
+def test_no_loss_writes_into_or_aliases_its_logits(name, batch, dtype):
+    # float64 C-contiguous logits are the caller's own array inside the loss,
+    # which works in place on the arrays it makes
+    logits, grads_of = _logits_and_loss(name, batch, dtype)
+    before = [z.tobytes() for z in logits]
+    grads = grads_of()
+    assert [z.tobytes() for z in logits] == before
+    assert not any(np.shares_memory(g, z) for g in grads for z in logits)
 
 
 def test_deep_supervision_rejects_scales_of_different_batch_shapes():
