@@ -248,7 +248,7 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
     out_h, out_w = conv_out_shape(spec, h, wd)
     ph, pw = spec.pad()
     xp = np.zeros((c, h + 2 * ph, wd + 2 * pw))
-    xp[:, ph:ph + h, pw:pw + wd] = x.view()
+    xp[:, ph:ph + h, pw:pw + wd] = x.array
     kh, kw = spec.kernel
     d, s = spec.dilation, spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
@@ -269,7 +269,7 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
     if b is not None:
         out += b.astype(np.float64)[:, None, None]
         add_adds(out.size)
-    return Tensor.from_view(out, x.layout) if rounded else out
+    return Tensor(x.layout, out) if rounded else out
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +367,12 @@ def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
         add_adds(out.size)
     r = out.astype(np.float32)
     if residual is not None:
-        r += residual.view()
+        r += residual.array
         add_adds(r.size)
     if relu:
         np.maximum(r, np.float32(0.0), out=r)
         add_adds(r.size)
-    return Tensor.from_view(r, Layout.CHANNEL_INTERLEAVED)
+    return Tensor(Layout.CHANNEL_INTERLEAVED, r)
 
 
 def _size_classes(n: int, d: int) -> list:
@@ -391,13 +391,13 @@ def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
     holds the pixels with row % d == i and col % d == j, and at stride 1
     output field (i, j) is the dense convolution of input field (i, j) with
     the unmodified kernel.  The input is zero-padded once into a float64
-    (H, W, C) array, by spec.pad() and then up to a multiple of d per side
-    (an input that needs neither is only cast), and reshaped to the (H/d, d,
-    W/d, d, C) field view, so the fields are batch axes of the core.  If the
-    round-up adds no padding, all fields have one size and the core's result
-    is the output map; otherwise the core runs once per size class (at most
-    four), on its fields cropped to their real size.  The bias is added in
-    the store.  Executed MACs equal :func:`mac_count` for any d.
+    (H, W, C) array, by spec.pad() and then up to a multiple of d per side,
+    and reshaped to the (H/d, d, W/d, d, C) field view, so the fields are
+    batch axes of the core.  If the round-up adds no padding, all fields have
+    one size and the core's result is the output map; otherwise the core
+    runs once per size class (at most four), on its fields cropped to their
+    real size.  The bias is added in the store.  Executed MACs equal
+    :func:`mac_count` for any d.
     """
     taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED, residual)
     d = spec.dilation if spec.stride == 1 else 1
@@ -405,11 +405,8 @@ def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
     h, w = x.height + 2 * ph, x.width + 2 * pw
     hp, wp = -(-h // d) * d, -(-w // d) * d
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    if (hp, wp) == x.dims[1:]:
-        xp = x.view().astype(np.float64)
-    else:
-        xp = np.zeros((hp, wp, spec.in_ch))
-        xp[ph:ph + x.height, pw:pw + x.width] = x.view()
+    xp = np.zeros((hp, wp, spec.in_ch))
+    xp[ph:ph + x.height, pw:pw + x.width] = x.array
     xf = xp.reshape(hp // d, d, wp // d, d, spec.in_ch)
     if (hp, wp) == (h, w):
         out = _conv_interleaved_core(xf, taps, spec, spec.dilation // d)
@@ -492,16 +489,16 @@ def batchnorm_inference(x: np.ndarray, bn: tuple) -> Tensor:
     out = x * s + t
     add_mults(out.size)
     add_adds(out.size)
-    return Tensor.from_view(out, Layout.CHANNEL_PLANAR)
+    return Tensor(Layout.CHANNEL_PLANAR, out)
 
 
 def relu(x: Tensor) -> Tensor:
-    add_adds(x.data.size)  # one compare/select per element
-    return Tensor(x.dims, x.layout, np.maximum(x.data, np.float32(0.0)))
+    add_adds(x.array.size)  # one compare/select per element
+    return Tensor(x.layout, np.maximum(x.array, np.float32(0.0)))
 
 
 def upsample_nearest_2x(x: Tensor) -> Tensor:
     """2x nearest-neighbor spatial replication; channel count preserved."""
     _, h_axis, w_axis = x.layout.chw_axes
-    out = x.view().repeat(2, axis=h_axis).repeat(2, axis=w_axis)
-    return Tensor.from_view(out, x.layout)
+    out = x.array.repeat(2, axis=h_axis).repeat(2, axis=w_axis)
+    return Tensor(x.layout, out)

@@ -115,12 +115,12 @@ def prepare_optimized(g: GraphSpec, ws: WeightStore, mode: Mode = Mode.ALL_HEADS
 
 
 def _concat(tensors, layout: Layout) -> Tensor:
-    data = np.concatenate([t.view() for t in tensors], axis=layout.chw_axes[0])
-    return Tensor.from_view(data, layout)
+    return Tensor(layout, np.concatenate([t.array for t in tensors],
+                                         axis=layout.chw_axes[0]))
 
 
 def _gap(t: Tensor) -> np.ndarray:
-    pooled = t.view().astype(np.float64).mean(axis=t.layout.chw_axes[1:])
+    pooled = t.array.astype(np.float64).mean(axis=t.layout.chw_axes[1:])
     add_adds(t.channels * t.height * t.width)
     add_mults(t.channels)
     return pooled.astype(np.float32)
@@ -182,8 +182,8 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
             if optimized:
                 continue    # computed by the conv that feeds it
             a, bb = (values[i] for i in node.inputs)
-            t = Tensor(a.dims, a.layout, a.data + bb.data)
-            add_adds(a.data.size)
+            t = Tensor(a.layout, a.array + bb.array)
+            add_adds(a.array.size)
             values[node.name] = relu(t) if node.act == "relu" else t
         elif node.kind == "upsample2x":
             values[node.name] = upsample_nearest_2x(values[node.inputs[0]])

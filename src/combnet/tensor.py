@@ -6,9 +6,10 @@ Layouts (row-major over the listed axis order):
 * channel-planar:      (C, H, W)   flat index ((c*H) + y)*W + x
 * channel-interleaved: (H, W, C)   flat index ((y*W) + x)*C + c
 
-Both formulas are what ``numpy.reshape`` gives for the respective axis order,
-so layout transforms are plain transposes: :func:`to_interleaved` converts a
-planar tensor, and :meth:`Tensor.to_array` reads either layout back as a
+A tensor stores its values as one array in its layout's axis order;
+``Tensor.data`` is that array's flat row-major view, so both formulas index
+it.  Layout transforms are plain transposes: :func:`to_interleaved` converts
+a planar tensor, and :meth:`Tensor.to_array` reads either layout back as a
 (C, H, W) array. This module defines the two axis orders (:class:`Layout`)
 and the tap operand of :func:`pack_kernels`; each convolution backend's
 kernels are written for their one layout and index its arrays directly.
@@ -16,8 +17,7 @@ kernels are written for their one layout and index its arrays directly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -42,59 +42,45 @@ class Layout(Enum):
         return member
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Tensor:
-    """Immutable dense tensor. ``data`` is flat float32, row-major within the
-    declared layout; values are safely shareable across threads.  Tensors
-    compare by value (dims, layout, data) and are unhashable."""
+    """Immutable dense tensor: ``array`` holds the float32 values in the
+    layout's axis order, C-contiguous and read-only, so values are safely
+    shareable across threads.  An array of that form is taken over, not
+    copied; any other is copied into that form.  Tensors compare by value
+    (layout and array) and are unhashable."""
 
-    dims: tuple  # (C, H, W), independent of layout
+    dims: tuple = field(init=False)  # (C, H, W), independent of layout
     layout: Layout
-    data: np.ndarray
+    array: np.ndarray
 
     def __post_init__(self):
-        if len(self.dims) != 3:
-            raise ShapeMismatchError(f"rank must be 3, got dims={self.dims}")
-        if any(d < 1 for d in self.dims):
-            raise ShapeMismatchError(f"all dims must be >= 1, got {self.dims}")
-        n = math.prod(self.dims)
-        if self.data.ndim != 1 or self.data.size != n:
-            raise ShapeMismatchError(
-                f"data length {self.data.size} != product of dims {self.dims}"
-            )
-        object.__setattr__(self, "data", _freeze(self.data))
+        shape = np.shape(self.array)
+        if len(shape) != 3 or min(shape) < 1:
+            raise ShapeMismatchError(f"expected rank 3 with all dims >= 1, got shape {shape}")
+        arr = np.ascontiguousarray(self.array, dtype=np.float32)
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "dims", tuple([shape[a] for a in self.layout.chw_axes]))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (self.dims == other.dims and self.layout == other.layout
-                and np.array_equal(self.data, other.data))
-
-    # -- constructors ------------------------------------------------------
+        return self.layout == other.layout and np.array_equal(self.array, other.array)
 
     @staticmethod
     def from_array(arr: np.ndarray, layout: Layout = Layout.CHANNEL_PLANAR) -> "Tensor":
-        """Build from a (C,H,W) array, storing in `layout`."""
+        """Build from a (C,H,W) array, storing a copy in `layout`."""
         arr = np.asarray(arr, dtype=np.float32)
         if arr.ndim != 3:
             raise ShapeMismatchError(f"expected rank 3, got {arr.ndim}")
-        dims = tuple(int(d) for d in arr.shape)
-        return Tensor(dims, layout, arr.transpose(layout.storage_axes).flatten())
+        # copied: the planar transpose is a view of the caller's array
+        return Tensor(layout, arr.transpose(layout.storage_axes).copy())
 
-    @staticmethod
-    def from_view(v: np.ndarray, layout: Layout) -> "Tensor":
-        """Inverse of :meth:`view`: the tensor stored as `v`, rounded to float32.
-        A contiguous float32 `v` is taken over, not copied, and made read-only."""
-        dims = tuple([v.shape[a] for a in layout.chw_axes])
-        return Tensor(dims, layout, np.asarray(v, dtype=np.float32).reshape(-1))
-
-    # -- shape helpers -----------------------------------------------------
+    @property
+    def data(self) -> np.ndarray:
+        """The stored array's flat row-major view."""
+        return self.array.reshape(-1)
 
     @property
     def channels(self) -> int:
@@ -108,31 +94,16 @@ class Tensor:
     def width(self) -> int:
         return self.dims[2]
 
-    def view(self) -> np.ndarray:
-        """Zero-copy view in the native layout order (CHW or HWC)."""
-        return self.data.reshape(tuple([self.dims[a] for a in self.layout.storage_axes]))
-
     def to_array(self) -> np.ndarray:
         """(C,H,W) array regardless of layout (copies if needed)."""
-        return np.ascontiguousarray(self.view().transpose(self.layout.chw_axes))
-
-    def at(self, c: int, y: int, x: int) -> float:
-        """Read one element via the explicit flat-index formula."""
-        C, H, W = self.dims
-        if not (0 <= c < C and 0 <= y < H and 0 <= x < W):
-            raise ShapeMismatchError(f"index ({c},{y},{x}) out of bounds for {self.dims}")
-        if self.layout == Layout.CHANNEL_PLANAR:
-            idx = (c * H + y) * W + x
-        else:
-            idx = (y * W + x) * C + c
-        return float(self.data[idx])
+        return np.ascontiguousarray(self.array.transpose(self.layout.chw_axes))
 
 
 def to_interleaved(t: Tensor) -> Tensor:
     """Planar -> interleaved; element (c,y,x) preserved, layout flag flipped."""
     if t.layout != Layout.CHANNEL_PLANAR:
         raise LayoutMismatchError("to_interleaved expects a channel-planar tensor")
-    return Tensor.from_array(t.view(), Layout.CHANNEL_INTERLEAVED)
+    return Tensor.from_array(t.array, Layout.CHANNEL_INTERLEAVED)
 
 
 # ---------------------------------------------------------------------------

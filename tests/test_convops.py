@@ -211,6 +211,21 @@ def test_ref_shape_errors():
                    np.zeros((2, 2, 3, 3), np.float32), None, spec)
     with pytest.raises(ConfigError):
         ConvSpec(3, 4, (3, 3), groups=2)
+    with pytest.raises(ConfigError, match="non-positive"):
+        ConvSpec(0, 1, (1, 1))
+    with pytest.raises(ConfigError, match="stride"):
+        ConvSpec(1, 1, (1, 1), stride=0)
+
+
+@pytest.mark.parametrize("kernel", [conv2d_ref, conv2d_packed, comb_dilated_conv])
+def test_conv_rejects_wrong_bias_length(kernel):
+    spec = ConvSpec(4, 4, (3, 3), groups=2, has_bias=True)
+    t = Tensor.from_array(np.zeros((4, 6, 6), np.float32))
+    w = np.zeros(spec.weight_shape(), np.float32)
+    if kernel is not conv2d_ref:
+        t, w = to_interleaved(t), pack_kernels(w, 2)
+    with pytest.raises(ShapeMismatchError, match="bias shape"):
+        kernel(t, w, np.zeros(3, np.float32), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +557,7 @@ def _separate_epilogue(conv, relu_, residual):
     """The conv, then the residual add and the ReLU as separate passes."""
     a = conv()
     if residual is not None:
-        a = Tensor(a.dims, a.layout, a.data + residual.data)
+        a = Tensor(a.layout, a.array + residual.array)
         convops.add_adds(a.data.size)
     return relu(a) if relu_ else a
 

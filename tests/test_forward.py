@@ -10,7 +10,7 @@ from combnet.convops import counting, fold_batchnorm
 from combnet.forward import Backend, Mode, forward, prepare_optimized
 from combnet.errors import ConfigError, ShapeMismatchError
 from combnet.graph import build_graph
-from combnet.tensor import Tensor, pack_kernels
+from combnet.tensor import Tensor, pack_kernels, to_interleaved
 from combnet.weights import WeightStore, init_weights
 
 
@@ -85,6 +85,12 @@ def test_wrong_resolution_rejected(setup96):
     bad = Tensor.from_array(np.zeros((1, 64, 64), np.float32))
     with pytest.raises(ShapeMismatchError):
         forward(g, ws, bad)
+
+
+def test_interleaved_image_rejected(setup96):
+    g, ws, img = setup96
+    with pytest.raises(ShapeMismatchError, match="channel-planar"):
+        forward(g, ws, to_interleaved(img))
 
 
 def test_missing_weights_rejected(setup96):

@@ -85,20 +85,20 @@ def test_phase_dims_must_agree():
 
 def test_normalize_full_scale():
     t, tf = normalize_input(np.full((8, 8), 65535, np.uint16))
-    assert np.all(t.view() == 1.0)
+    assert np.all(t.array == 1.0)
     assert tf == InputTransform()
 
 
 def test_normalize_zero():
     t, _ = normalize_input(np.zeros((8, 8), np.uint16))
-    assert np.all(t.view() == 0.0)
+    assert np.all(t.array == 0.0)
 
 
 def test_normalize_denormalize_roundtrip():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 65536, (16, 16)).astype(np.uint16)
     t, _ = normalize_input(img)
-    np.testing.assert_array_equal(np.rint(t.view()[0] * 65535).astype(np.uint16), img)
+    np.testing.assert_array_equal(np.rint(t.array[0] * 65535).astype(np.uint16), img)
 
 
 def test_normalize_crop_and_scale_transform():
@@ -123,7 +123,7 @@ def test_normalize_tiny_image_keeps_a_nonempty_crop(shape):
         _, sv = tf.to_source(0.5, v + 0.5)
         assert 0 <= sv < shape[0]
         # the row the transform names is the row that was sampled
-        assert t.view()[0, v, 0] == np.float32(img[int(sv), 0]) / np.float32(65535)
+        assert t.array[0, v, 0] == np.float32(img[int(sv), 0]) / np.float32(65535)
 
 
 def test_normalize_rejects_empty():
