@@ -20,8 +20,9 @@ Two convolution paths over the same math (cross-correlation, no kernel flip):
     engine builds.
 
 Every stride-1 conv on the optimized path runs as the comb: the input is
-padded once and the d*d strided pixel fields (d the dilation) of the padded
-map are convolved densely with the packed stack — the dilated result at
+padded once and each kernel tap reads one strided window, taps d apart (d
+the dilation), that holds all d*d pixel fields of the padded map, so each
+field is convolved densely with the packed stack — the dilated result at
 dense-convolution cost (no zero-stuffing work).  :func:`comb_dilated_conv`
 is the same body limited to stride 1.  The reference pads into a plain
 map and, per kernel tap (taps `dilation` apart), contracts every group in
@@ -102,18 +103,12 @@ class ConvSpec(_ConvSpec):
         return (self.out_ch, self.in_per_group, self.kernel[0], self.kernel[1])
 
 
-def _valid_out_shape(spec: ConvSpec, h: int, w: int, d: int) -> tuple:
-    """Output (h, w) of the unpadded convolution of an h x w map with kernel
-    taps d apart: floor((in - d*(k-1) - 1)/stride) + 1 per axis."""
-    kh, kw = spec.kernel
-    s = spec.stride
-    return (h - d * (kh - 1) - 1) // s + 1, (w - d * (kw - 1) - 1) // s + 1
-
-
 def conv_out_shape(spec: ConvSpec, in_h: int, in_w: int) -> tuple:
     """Output (h, w): out = floor((in + 2p - d*(k-1) - 1)/stride) + 1."""
-    ph, pw = spec.pad()
-    oh, ow = _valid_out_shape(spec, in_h + 2 * ph, in_w + 2 * pw, spec.dilation)
+    (kh, kw), (ph, pw) = spec.kernel, spec.pad()
+    d, s = spec.dilation, spec.stride
+    oh = (in_h + 2 * ph - d * (kh - 1) - 1) // s + 1
+    ow = (in_w + 2 * pw - d * (kw - 1) - 1) // s + 1
     if oh < 1 or ow < 1:
         raise ShapeMismatchError(f"empty output for {in_h}x{in_w} with {spec}")
     return oh, ow
@@ -282,19 +277,16 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
 _BAND_BYTES = 128 << 10
 
 
-def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
-                           step: int) -> np.ndarray:
-    """Direct VALID convolution of every field of an already padded float64
-    (H, Bi, W, Bj, C) field view using the packed taps, kernel taps
-    `step` field rows and columns apart; returns the float64
-    (out_h, Bi, out_w, Bj, out_ch) result.  The field axes are unit for
-    d=1 and stride 2, else the comb's fields: all, or one size class.
+def _conv_interleaved_core(xp: np.ndarray, taps: np.ndarray, spec: ConvSpec,
+                           out_h: int, out_w: int) -> np.ndarray:
+    """Direct convolution of an already padded float64 (H, W, C) map using
+    the packed taps, with taps `dilation` apart at the spec's stride;
+    returns the float64 (out_h, out_w, out_ch) result.
 
     Per kernel tap, the strided window is seen as (pixels, group,
-    in_ch_per_group), fields included in the pixels, and meets the tap's
-    (group, in_ch_per_group, out_ch_per_group) slice of `taps`.  Each
-    output adds up its taps in kernel order, from the first tap's product,
-    in float64.  The spec picks one of three formulations:
+    in_ch_per_group) and meets the tap's (group, in_ch_per_group,
+    out_ch_per_group) slice of `taps`.  Each output adds up its taps in
+    kernel order, from the first tap's product, in float64.  The spec picks one of three formulations:
 
     * several input channels per group, or one input channel into several
       outputs with more than 9 taps or a single output pixel: per tap, one
@@ -313,16 +305,13 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
       tap-by-tap one where the BLAS adds each dot product in tap order, as
       OpenBLAS does for this case (tested).
     """
-    h, bi, w, bj, _ = xf.shape
-    out_h, out_w = _valid_out_shape(spec, h, w, step)
     kh, kw = spec.kernel
-    s = spec.stride
+    d, s = spec.dilation, spec.stride
     G, ipg, opg = spec.groups, spec.in_per_group, spec.out_per_group
-    pixels = (out_h, bi, out_w, bj)
     # with one input channel, each tap's contraction is one exact product
-    per_tap = ipg > 1 or (opg > 1 and (kh * kw > 9 or out_h * bi * out_w * bj == 1))
-    # (pixels, C) per tap, in kernel order
-    windows = [xf[_tap(ky, step, s, out_h), :, _tap(kx, step, s, out_w)]
+    per_tap = ipg > 1 or (opg > 1 and (kh * kw > 9 or out_h * out_w == 1))
+    # (out_h, out_w, C) per tap, in kernel order
+    windows = [xp[_tap(ky, d, s, out_h), _tap(kx, d, s, out_w)]
                for ky in range(kh) for kx in range(kw)]
     taps = taps.reshape(kh * kw, G, ipg, opg)
     if per_tap:
@@ -336,9 +325,9 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
             acc += gemm(win, tap)
         acc = acc.transpose(1, 0, 2)
     elif opg == 1:
-        # (taps, out_w, Bj, G): each tap's weights along one output row
-        rows = np.tile(taps[:, None, None, :, 0, 0], (1, out_w, bj, 1))
-        acc = np.empty((*pixels, G))
+        # (taps, out_w, G): each tap's weights along one output row
+        rows = np.tile(taps[:, None, :, 0, 0], (1, out_w, 1))
+        acc = np.empty((out_h, out_w, G))
         band = max(1, _BAND_BYTES // acc[0].nbytes)
         for r in range(0, out_h, band):
             a = acc[r:r + band]
@@ -350,7 +339,7 @@ def _conv_interleaved_core(xf: np.ndarray, taps: np.ndarray, spec: ConvSpec,
         stack = np.stack(windows, axis=-1).reshape(-1, G, kh * kw)
         acc = np.matmul(stack.transpose(1, 0, 2), taps[:, :, 0].transpose(1, 0, 2))
         acc = acc.transpose(1, 0, 2)
-    out = acc.reshape(*pixels, spec.out_ch)
+    out = acc.reshape(out_h, out_w, spec.out_ch)
     add_mults(out.size * ipg * kh * kw)
     add_adds(out.size * ipg * kh * kw)
     return out
@@ -375,53 +364,28 @@ def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
     return Tensor(Layout.CHANNEL_INTERLEAVED, r)
 
 
-def _size_classes(n: int, d: int) -> list:
-    """(fields, length) classes of the d fields of an n-long axis: fields
-    below n % d are n // d + 1 long, the rest n // d."""
-    r = n % d
-    return [(slice(0, r), n // d + 1)] * (r > 0) + [(slice(r, d), n // d)]
-
-
 def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
                  relu: bool, residual) -> Tensor:
     """The optimized convolution behind both public entries; errors name
     the entry `name`.
 
-    d is the dilation at stride 1, else 1.  Field (i, j) of the padded map
-    holds the pixels with row % d == i and col % d == j, and at stride 1
-    output field (i, j) is the dense convolution of input field (i, j) with
-    the unmodified kernel.  The input is zero-padded once into a float64
-    (H, W, C) array, by spec.pad() and then up to a multiple of d per side,
-    and reshaped to the (H/d, d, W/d, d, C) field view, so the fields are
-    batch axes of the core.  If the round-up adds no padding, all fields have
-    one size and the core's result is the output map; otherwise the core
-    runs once per size class (at most four), on its fields cropped to their
-    real size.  The bias is added in the store.  Executed MACs equal
-    :func:`mac_count` for any d.
+    The input is zero-padded once by spec.pad() into a float64 (H, W, C)
+    array, and the core runs once on it.  At stride 1 this is the comb:
+    kernel tap (ky, kx) reads the one strided window
+    xp[ky*d : ky*d + out_h, kx*d : kx*d + out_w] (d the dilation), which
+    holds every field at once, so output field (i, j) (the pixels with
+    row % d == i and col % d == j) is the dense convolution of the padded
+    input's field xp[i::d, j::d] with the unmodified kernel, whatever the
+    map size, and no output falls outside the map.  The bias is added in
+    the store.  Executed MACs equal :func:`mac_count` for any d.
     """
     taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED, residual)
-    d = spec.dilation if spec.stride == 1 else 1
-    ph, pw = spec.pad()
-    h, w = x.height + 2 * ph, x.width + 2 * pw
-    hp, wp = -(-h // d) * d, -(-w // d) * d
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
-    xp = np.zeros((hp, wp, spec.in_ch))
+    ph, pw = spec.pad()
+    xp = np.zeros((x.height + 2 * ph, x.width + 2 * pw, spec.in_ch))
     xp[ph:ph + x.height, pw:pw + x.width] = x.array
-    xf = xp.reshape(hp // d, d, wp // d, d, spec.in_ch)
-    if (hp, wp) == (h, w):
-        out = _conv_interleaved_core(xf, taps, spec, spec.dilation // d)
-        return _store(out.reshape(out_h, out_w, spec.out_ch), b, relu, residual)
-    # uneven fields (stride 1, d > 1): taps are adjacent field pixels
-    kh, kw = spec.kernel
-    hf, wf = -(-out_h // d), -(-out_w // d)
-    out = np.empty((hf, d, wf, d, spec.out_ch))
-    for fi, rows in _size_classes(h, d):
-        for fj, cols in _size_classes(w, d):
-            if rows >= kh and cols >= kw:
-                out[:rows - kh + 1, fi, :cols - kw + 1, fj] = _conv_interleaved_core(
-                    xf[:rows, fi, :cols, fj], taps, spec, 1)
-    out = out.reshape(hf * d, wf * d, spec.out_ch)
-    return _store(out[:out_h, :out_w], b, relu, residual)
+    out = _conv_interleaved_core(xp, taps, spec, out_h, out_w)
+    return _store(out, b, relu, residual)
 
 
 def conv2d_packed(x: Tensor, taps: np.ndarray, b, spec: ConvSpec, *,

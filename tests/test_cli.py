@@ -414,7 +414,7 @@ def test_bench_report_consistency(small_cfg, tmp_path):
         assert sorted(row[1] for row in layer) == ["optimized", "reference"], case
         for row in layer:
             assert int(row[i_mults]) == int(row[i_macs]) > 0
-    # d=3 is the comb with four field size classes; counted at its MACs too
+    # d=3 is the comb over uneven fields; counted at its MACs too
     d3 = [row for row in rows if row[0].startswith("dilated-3x3-g8-d3-")]
     assert sorted(row[0] for row in d3) == [
         f"dilated-3x3-g8-d3-12x12-{kind}" for kind in ("comb", "zerostuffed")]

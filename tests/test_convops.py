@@ -268,6 +268,13 @@ def test_packed_channelwise_equals_per_channel_filtering():
         np.testing.assert_allclose(got[c], expect, atol=1e-5)
 
 
+def _wide(rng, shape):
+    """Signed powers of two up to 2**30: products reach 2**60, so a sum
+    taken in another tap order rounds to another float32."""
+    return (rng.choice([-1.0, 1.0], shape)
+            * 2.0 ** rng.choice([0, 15, 30], shape)).astype(np.float32)
+
+
 def per_tap_broadcast_conv(x, w, b, spec):
     """Oracle for convs with one input channel per group: per kernel tap, in
     kernel order, the float64 broadcast multiply-add ``acc += patch *
@@ -316,14 +323,7 @@ def test_one_input_channel_per_group_is_bit_exact(chans, stride, dilation, hw, k
     in_ch, out_ch, groups = chans
     spec = ConvSpec(in_ch, out_ch, (k, k), stride, dilation, groups, has_bias=True)
     rng = np.random.default_rng([in_ch, out_ch, stride, dilation, *hw] + [k] * (k != 3))
-
-    def wide(shape):
-        # signed powers of two up to 2**30: products reach 2**60, so a sum
-        # taken in another tap order rounds to another float32
-        return (rng.choice([-1.0, 1.0], shape)
-                * 2.0 ** rng.choice([0, 15, 30], shape)).astype(np.float32)
-
-    x, w, b = wide((in_ch, *hw)), wide(spec.weight_shape()), wide(out_ch)
+    x, w, b = _wide(rng, (in_ch, *hw)), _wide(rng, spec.weight_shape()), _wide(rng, out_ch)
     expect = per_tap_broadcast_conv(x, w, b, spec)
     runs = [run_packed] + [run_comb] * (stride == 1)
     for run in runs:
@@ -444,10 +444,13 @@ def test_comb_interleaved_packed_path():
 _COMB_SIZE_SPECS = {"": (8, 16, 4), "-cw": (8, 8, 8), "-ipg1": (4, 8, 4)}
 
 
-@pytest.mark.parametrize("d,h,w,chans", [
+_EVERY_COMB_SIZE = [
     pytest.param(d, h, h + dw, chans, id=f"{d}-{h}-{h + dw}{tag}")
     for tag, chans in _COMB_SIZE_SPECS.items() for d in (2, 3, 4)
-    for h in range(1, 20) for dw in (0, 1)])
+    for h in range(1, 20) for dw in (0, 1)]
+
+
+@pytest.mark.parametrize("d,h,w,chans", _EVERY_COMB_SIZE)
 def test_comb_matches_ref_at_every_size(d, h, w, chans):
     # fields are uneven wherever d does not divide h or w; below 2d+1 some
     # fields are smaller than the kernel and give no output
@@ -465,35 +468,77 @@ def test_comb_matches_ref_at_every_size(d, h, w, chans):
         assert ops.mults == mac_count(spec, h, w), run.__name__
 
 
-@pytest.mark.parametrize("d", [pytest.param(d, id=f"{d}-interleaved") for d in (2, 3, 4)])
-def test_comb_runs_the_core_once_per_field_size_class(d, monkeypatch):
-    # the fields are batch axes of the dense core: at most four calls (two
-    # row and two column size classes), one when d divides both padded
-    # sides; conv2d_packed runs a stride-1 dilated conv the same way
+@pytest.mark.parametrize("d,h,w,chans", _EVERY_COMB_SIZE)
+def test_comb_field_is_the_dense_conv_of_its_input_field(d, h, w, chans, monkeypatch):
+    # the comb: output field (i, j), out[i::d, j::d], is bit for bit the
+    # dilation-1 conv of the padded input's field xp[i::d, j::d] (its VALID
+    # part: the inner outputs of the padded dense conv), and the core runs
+    # once per conv, on the whole padded map
     core, calls = convops._conv_interleaved_core, []
 
     def counted(*args):
         calls.append(args[0].shape)
         return core(*args)
 
+    rng = np.random.default_rng(2000 * d + 10 * h + w)
+    in_ch, out_ch, groups = chans
+    spec = ConvSpec(in_ch, out_ch, (3, 3), dilation=d, groups=groups, has_bias=True)
+    x, b = _wide(rng, (in_ch, h, w)), _wide(rng, out_ch)
+    taps = pack_kernels(_wide(rng, spec.weight_shape()), groups)
+    t = to_interleaved(Tensor.from_array(x))
     monkeypatch.setattr(convops, "_conv_interleaved_core", counted)
-    rng = np.random.default_rng(40 + d)
-    spec = ConvSpec(8, 8, (3, 3), dilation=d, groups=4)
-    wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-    pw = pack_kernels(wt, 4)
-    for h, w_ in [(16, 16), (16, 17), (13, 15), (1, 2), (2 * d, 19)]:
-        t = to_interleaved(Tensor.from_array(
-            rng.standard_normal((8, h, w_)).astype(np.float32)))
-        for conv in (comb_dilated_conv, conv2d_packed):
-            calls.clear()
-            conv(t, pw, None, spec)
-            assert 1 <= len(calls) <= 4, (conv.__name__, h, w_, calls)
-            hp, wp = h + 2 * d, w_ + 2 * d
-            # field views: each field is a 1/d share of the padded map
-            assert all(c[0] <= -(-hp // d) and c[2] <= -(-wp // d) for c in calls), (
-                conv.__name__, calls)
-            if hp % d == 0 and wp % d == 0:
-                assert len(calls) == 1, (conv.__name__, h, w_, calls)
+    outs = []
+    for conv in (comb_dilated_conv, conv2d_packed):
+        calls.clear()
+        outs.append(conv(t, taps, b, spec).to_array())
+        assert calls == [(h + 2 * d, w + 2 * d, in_ch)], (conv.__name__, calls)
+    monkeypatch.undo()
+    assert np.array_equal(outs[0], outs[1])
+    xp = np.zeros((in_ch, h + 2 * d, w + 2 * d), np.float32)
+    xp[:, d:d + h, d:d + w] = x
+    dense = spec._replace(dilation=1)
+    for i in range(d):
+        for j in range(d):
+            field = to_interleaved(Tensor.from_array(xp[:, i::d, j::d]))
+            expect = conv2d_packed(field, taps, b, dense).to_array()[:, 1:-1, 1:-1]
+            assert np.array_equal(outs[0][:, i::d, j::d], expect), (i, j)
+
+
+@pytest.mark.parametrize("kernel", [(2, 2), (4, 4), (2, 3), (1, 3)],
+                         ids=lambda k: f"{k[0]}x{k[1]}")
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_even_and_non_square_dilated_kernels_match_ref(kernel, d, stride):
+    # even kernels pad d*(k-1)//2, so a dilated one is off-centre and its
+    # output can be smaller than the map (or empty); stride 1 is the comb
+    # under both entries
+    runs = [run_packed] + [run_comb] * (stride == 1)
+    bound = 1e-6 if stride == 1 else 1e-5
+    checked = 0
+    for tag, (in_ch, out_ch, groups) in _COMB_SIZE_SPECS.items():
+        spec = ConvSpec(in_ch, out_ch, kernel, stride, d, groups, has_bias=True)
+        for h in range(1, 14):
+            for w in (h, h + 1):
+                rng = np.random.default_rng([*kernel, d, stride, in_ch, groups, h, w])
+                x = rng.standard_normal((in_ch, h, w)).astype(np.float32)
+                wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+                b = rng.standard_normal(out_ch).astype(np.float32)
+                try:
+                    macs = mac_count(spec, h, w)
+                except ShapeMismatchError:
+                    for run in [run_ref] + runs:
+                        with pytest.raises(ShapeMismatchError, match="empty output"):
+                            run(x, wt, b, spec)
+                    continue
+                ref = run_ref(x, wt, b, spec)
+                for run in runs:
+                    with counting() as ops:
+                        got = run(x, wt, b, spec)
+                    assert got.shape == ref.shape, (tag, h, w, run.__name__)
+                    assert np.max(np.abs(got - ref)) <= bound, (tag, h, w, run.__name__)
+                    assert ops.mults == macs, (tag, h, w, run.__name__)
+                    checked += 1
+    assert checked >= 3 * 24 * len(runs)
 
 
 def test_comb_rejects_stride():
