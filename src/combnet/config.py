@@ -17,7 +17,7 @@ from . import graph, postprocess
 from .errors import ConfigError
 
 
-MAX_INPUT_SIDE = 1024  # input_h, input_w: a 1024x1024 infer peaks at about 330 MB
+MAX_INPUT_SIDE = 1024  # input_h, input_w: a 1024x1024 infer peaks at about 335 MB
 
 
 def _is_int(v) -> bool:

@@ -32,8 +32,9 @@ The two paths share only validation (:func:`_check_conv`) and the spec's
 geometry (:meth:`ConvSpec.pad`, :func:`conv_out_shape`, :func:`_tap`); each
 owns its zero padding, its 64-bit accumulation, its bias add and its 32-bit
 store, so the oracle runs no step of the code it checks.  The optimized
-store can fold a following residual add and ReLU.  An optional instrumented
-counter records the multiplies/adds the kernels actually execute so that
+store can fold a following residual add and ReLU.  Inside a
+:class:`counting` block, every kernel adds the multiplies and adds it
+executes to the block's tally with one :func:`count_ops` call, so that
 analytic MAC/FLOP accounting can be cross-checked exactly.
 """
 
@@ -52,8 +53,8 @@ __all__ = [
     "ConvSpec", "conv2d_ref", "conv2d_packed",
     "comb_dilated_conv", "fold_batchnorm",
     "batchnorm_inference", "relu", "upsample_nearest_2x", "mac_count",
-    "conv_out_shape", "zero_stuff_kernel", "zero_stuffed_spec", "OpCounter",
-    "counting", "add_mults", "add_adds",
+    "conv_out_shape", "zero_stuff_kernel", "zero_stuffed_spec", "counting",
+    "count_ops",
 ]
 
 
@@ -124,25 +125,13 @@ def mac_count(spec: ConvSpec, in_h: int, in_w: int) -> int:
 # Instrumented operation counter
 # ---------------------------------------------------------------------------
 
-class OpCounter:
-    """Tally of scalar multiplies/adds actually executed by the kernels."""
-
-    def __init__(self):
-        self.mults = 0
-        self.adds = 0
-
-    @property
-    def flops(self) -> int:
-        return self.mults + self.adds
-
-
 # Context-local, so a counting() block sees only the kernels its own thread
 # (or task) runs, even when threads share a graph.
 _active_counter: ContextVar = ContextVar("combnet_active_counter", default=None)
 
 
 class counting:
-    """Context manager enabling kernel instrumentation.
+    """Tally of the scalar multiplies/adds the kernels execute in its block.
 
     with counting() as ops:
         conv2d_ref(...)
@@ -152,42 +141,37 @@ class counting:
     block's, so the outer count covers every kernel run inside it.
     """
 
-    def __enter__(self) -> OpCounter:
-        self._ops = OpCounter()
-        self._token = _active_counter.set(self._ops)
-        return self._ops
+    def __enter__(self) -> counting:
+        self.mults = self.adds = 0
+        self._token = _active_counter.set(self)
+        return self
 
     def __exit__(self, *exc):
         _active_counter.reset(self._token)
-        outer = _active_counter.get()
-        if outer is not None:
-            outer.mults += self._ops.mults
-            outer.adds += self._ops.adds
+        count_ops(self.mults, self.adds)
         return False
 
+    @property
+    def flops(self) -> int:
+        return self.mults + self.adds
 
-def add_mults(n: int):
+
+def count_ops(mults: int = 0, adds: int = 0):
+    """Add to the tally of the innermost enclosing counting() block, if any."""
     ops = _active_counter.get()
     if ops is not None:
-        ops.mults += int(n)
-
-
-def add_adds(n: int):
-    ops = _active_counter.get()
-    if ops is not None:
-        ops.adds += int(n)
+        ops.mults += int(mults)
+        ops.adds += int(adds)
 
 
 # ---------------------------------------------------------------------------
 # Shared entry check and geometry
 # ---------------------------------------------------------------------------
 
-def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
-                residual=None):
+def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout):
     """Validate a conv call; return (weights, float32 bias or None).
     Planar input takes a raw (out_ch, in_ch/groups, kh, kw) array,
-    interleaved input the float64 taps of :func:`tensor.pack_kernels`. A
-    residual must be a tensor of the output's dims in the input's layout."""
+    interleaved input the float64 taps of :func:`tensor.pack_kernels`."""
     if x.layout != layout:
         raise LayoutMismatchError(f"{name} expects a channel-{layout.value} tensor")
     if x.channels != spec.in_ch:
@@ -207,12 +191,6 @@ def _check_conv(name: str, x: Tensor, w, b, spec: ConvSpec, layout: Layout,
         b = np.asarray(b, dtype=np.float32)
         if b.shape != (spec.out_ch,):
             raise ShapeMismatchError(f"bias shape {b.shape} != ({spec.out_ch},)")
-    if residual is not None:
-        out_dims = (spec.out_ch, *conv_out_shape(spec, x.height, x.width))
-        if residual.layout != layout or residual.dims != out_dims:
-            raise ShapeMismatchError(
-                f"residual {residual.dims} {residual.layout.value} != "
-                f"output {out_dims} {layout.value}")
     return w, b
 
 
@@ -259,11 +237,9 @@ def conv2d_ref(x: Tensor, w: np.ndarray, b, spec: ConvSpec, rounded: bool = True
             else:  # (G, opg, ipg) @ (G, ipg, pixels) -> (G, opg, pixels)
                 acc += wg[ky, kx] @ window.reshape(G, ipg, -1)
     out = acc.reshape(spec.out_ch, out_h, out_w)
-    add_mults(out.size * ipg * kh * kw)
-    add_adds(out.size * ipg * kh * kw)
     if b is not None:
         out += b.astype(np.float64)[:, None, None]
-        add_adds(out.size)
+    count_ops(out.size * ipg * kh * kw, out.size * (ipg * kh * kw + (b is not None)))
     return Tensor(x.layout, out) if rounded else out
 
 
@@ -340,8 +316,7 @@ def _conv_interleaved_core(xp: np.ndarray, taps: np.ndarray, spec: ConvSpec,
         acc = np.matmul(stack.transpose(1, 0, 2), taps[:, :, 0].transpose(1, 0, 2))
         acc = acc.transpose(1, 0, 2)
     out = acc.reshape(out_h, out_w, spec.out_ch)
-    add_mults(out.size * ipg * kh * kw)
-    add_adds(out.size * ipg * kh * kw)
+    count_ops(out.size * ipg * kh * kw, out.size * ipg * kh * kw)
     return out
 
 
@@ -353,21 +328,20 @@ def _store(out: np.ndarray, b, relu: bool, residual) -> Tensor:
     :func:`relu`, so results and counts match that sequence exactly."""
     if b is not None:
         out += b.astype(np.float64)
-        add_adds(out.size)
     r = out.astype(np.float32)
     if residual is not None:
         r += residual.array
-        add_adds(r.size)
     if relu:
         np.maximum(r, np.float32(0.0), out=r)
-        add_adds(r.size)
+    count_ops(adds=r.size * ((b is not None) + (residual is not None) + relu))
     return Tensor(Layout.CHANNEL_INTERLEAVED, r)
 
 
 def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
                  relu: bool, residual) -> Tensor:
     """The optimized convolution behind both public entries; errors name
-    the entry `name`.
+    the entry `name`.  A residual must be a tensor of the output's dims in
+    the input's layout.
 
     The input is zero-padded once by spec.pad() into a float64 (H, W, C)
     array, and the core runs once on it.  At stride 1 this is the comb:
@@ -379,8 +353,13 @@ def _conv_fields(name: str, x: Tensor, taps: np.ndarray, b, spec: ConvSpec,
     map size, and no output falls outside the map.  The bias is added in
     the store.  Executed MACs equal :func:`mac_count` for any d.
     """
-    taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED, residual)
+    taps, b = _check_conv(name, x, taps, b, spec, Layout.CHANNEL_INTERLEAVED)
     out_h, out_w = conv_out_shape(spec, x.height, x.width)
+    if residual is not None and (residual.layout != x.layout
+                                 or residual.dims != (spec.out_ch, out_h, out_w)):
+        raise ShapeMismatchError(
+            f"residual {residual.dims} {residual.layout.value} != "
+            f"output {(spec.out_ch, out_h, out_w)} {x.layout.value}")
     ph, pw = spec.pad()
     xp = np.zeros((x.height + 2 * ph, x.width + 2 * pw, spec.in_ch))
     xp[ph:ph + x.height, pw:pw + x.width] = x.array
@@ -451,13 +430,12 @@ def batchnorm_inference(x: np.ndarray, bn: tuple) -> Tensor:
     channel-planar float32 tensor, as the folded conv rounds."""
     s, t = (a.astype(np.float64)[:, None, None] for a in bn)
     out = x * s + t
-    add_mults(out.size)
-    add_adds(out.size)
+    count_ops(out.size, out.size)
     return Tensor(Layout.CHANNEL_PLANAR, out)
 
 
 def relu(x: Tensor) -> Tensor:
-    add_adds(x.array.size)  # one compare/select per element
+    count_ops(adds=x.array.size)  # one compare/select per element
     return Tensor(x.layout, np.maximum(x.array, np.float32(0.0)))
 
 

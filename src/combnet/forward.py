@@ -25,9 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import keep_freed_memory
-from .convops import (add_adds, add_mults, batchnorm_inference, comb_dilated_conv,
-                      conv2d_packed, conv2d_ref, fold_batchnorm, relu,
-                      upsample_nearest_2x)
+from .convops import (batchnorm_inference, comb_dilated_conv, conv2d_packed,
+                      conv2d_ref, count_ops, fold_batchnorm, relu, upsample_nearest_2x)
 from .errors import ConfigError, ShapeMismatchError
 from .graph import HANDS, GraphSpec, Mode
 from .tensor import Layout, Tensor, pack_kernels, to_interleaved
@@ -121,14 +120,12 @@ def _concat(tensors, layout: Layout) -> Tensor:
 
 def _gap(t: Tensor) -> np.ndarray:
     pooled = t.array.astype(np.float64).mean(axis=t.layout.chw_axes[1:])
-    add_adds(t.channels * t.height * t.width)
-    add_mults(t.channels)
+    count_ops(t.channels, t.channels * t.height * t.width)
     return pooled.astype(np.float32)
 
 
 def _linear(vec: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    add_mults(w.size)
-    add_adds(w.size + b.size)
+    count_ops(w.size, w.size + b.size)
     return (w.astype(np.float64) @ vec.astype(np.float64)
             + b.astype(np.float64)).astype(np.float32)
 
@@ -183,7 +180,7 @@ def forward(g: GraphSpec, ws: WeightStore, image: Tensor,
                 continue    # computed by the conv that feeds it
             a, bb = (values[i] for i in node.inputs)
             t = Tensor(a.layout, a.array + bb.array)
-            add_adds(a.array.size)
+            count_ops(adds=a.array.size)
             values[node.name] = relu(t) if node.act == "relu" else t
         elif node.kind == "upsample2x":
             values[node.name] = upsample_nearest_2x(values[node.inputs[0]])

@@ -1,3 +1,4 @@
+import operator
 import sys
 import threading
 
@@ -551,9 +552,9 @@ def test_comb_rejects_stride():
 # validation and the spec's geometry: the only convops code that the oracle
 # and the engine may both run
 _SHARED_WITH_THE_ENGINE = {
-    "_check_conv", "conv_out_shape", "_valid_out_shape", "_tap",
+    "_check_conv", "conv_out_shape", "_tap",
     "ConvSpec.pad", "ConvSpec.in_per_group", "ConvSpec.out_per_group",
-    "ConvSpec.weight_shape", "add_mults", "add_adds"}
+    "ConvSpec.weight_shape", "count_ops"}
 
 
 def _convops_functions_run(fn) -> set:
@@ -596,6 +597,8 @@ def test_the_oracle_shares_no_step_with_the_engine():
     assert "conv2d_ref" in oracle
     assert {"conv2d_packed", "comb_dilated_conv", "_conv_fields", "_store"} <= engine
     assert oracle & engine <= _SHARED_WITH_THE_ENGINE, oracle & engine - _SHARED_WITH_THE_ENGINE
+    for qualname in _SHARED_WITH_THE_ENGINE:  # a renamed or deleted function fails here
+        operator.attrgetter(qualname)(convops)
 
 
 def _separate_epilogue(conv, relu_, residual):
@@ -603,7 +606,7 @@ def _separate_epilogue(conv, relu_, residual):
     a = conv()
     if residual is not None:
         a = Tensor(a.layout, a.array + residual.array)
-        convops.add_adds(a.data.size)
+        convops.count_ops(adds=a.data.size)
     return relu(a) if relu_ else a
 
 

@@ -280,3 +280,24 @@ def test_optimized_counts_equal_the_reference_less_the_folded_bn_multiplies(side
             forward(g, ws, img, Backend.OPTIMIZED, mode, prepared=plan)
         assert opt.adds == ref.adds
         assert ref.mults - opt.mults == bn_outputs > 0
+
+
+# (mults, adds) that a 128x128 forward counts; the budget and perfbench's
+# useful_mac_ratio read these, so a kernel edit that changes one fails here
+_COUNTED_AT_128 = {
+    (Backend.OPTIMIZED, Mode.INFERENCE_HEADS): (14_320_832, 15_754_386),
+    (Backend.OPTIMIZED, Mode.ALL_HEADS): (42_995_008, 44_895_540),
+    (Backend.REFERENCE, Mode.INFERENCE_HEADS): (14_931_136, 15_754_386),
+    (Backend.REFERENCE, Mode.ALL_HEADS): (43_752_768, 44_895_540),
+}
+
+
+@pytest.mark.parametrize("backend, mode", list(_COUNTED_AT_128),
+                         ids=lambda v: v.value)
+def test_counted_operations_at_128(backend, mode):
+    g = build_graph(NetConfig(input_h=128, input_w=128))
+    img = Tensor.from_array(
+        np.random.default_rng(0).uniform(0, 1, (1, 128, 128)).astype(np.float32))
+    with counting() as ops:
+        forward(g, init_weights(g, 0), img, backend, mode)
+    assert (ops.mults, ops.adds) == _COUNTED_AT_128[backend, mode]
